@@ -11,64 +11,119 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from functools import cached_property
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
 
 if TYPE_CHECKING:
     from .reduction import WitnessMap
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
+# Largest universe an instance may have. A set is stored as an int of up to
+# universe_size bits (8 KiB at this bound), and building one from k IDs costs
+# k additions of that width, so the constructor, the parser and the reduction
+# refuse larger universes before any set is allocated.
+MAX_UNIVERSE = 1 << 16
+
+# parse_instance keeps the bit of each canonically spelled ID below this
+# bound after its first use, which caps that cache at about 1 MiB.
+_CACHED_IDS = 1 << 12
+
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+T = TypeVar("T")
+
 
 class InstanceFormatError(ValueError):
     """Raised when instance text does not follow the expected format."""
+
+
+def check_universe_size(universe_size: int) -> None:
+    """Raise ValueError unless 0 <= universe_size <= MAX_UNIVERSE."""
+    if universe_size < 0:
+        raise ValueError(f"universe_size must be nonnegative, got {universe_size}")
+    if universe_size > MAX_UNIVERSE:
+        raise ValueError(f"universe_size {universe_size} exceeds MAX_UNIVERSE = {MAX_UNIVERSE}")
+
+
+def mask_of(ids: Iterable[int]) -> int:
+    """The mask with bit e set for every element ID e in ids."""
+    mask = 0
+    for e in ids:
+        mask |= 1 << e
+    return mask
+
+
+def _members(mask: int, universe: Sequence[T]) -> Iterator[T]:
+    """The entries universe[e] for the set bits e of mask, in ascending order."""
+    # bin() spells the bits most significant first, so reversed, digit e is bit e.
+    return compress(universe, bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS))
 
 
 @dataclass(frozen=True)
 class SetPackingInstance:
     """Universe [0, universe_size), an ordered family of element sets, and the parameter r.
 
-    Each set is stored as a strictly increasing tuple of element IDs; the
-    family contains no duplicate sets.
+    Each set is stored as one int mask, with bit e set iff element e is a
+    member; the family contains no duplicate sets. `sets` derives the
+    strictly increasing ID tuples from the masks, and `from_sets` builds an
+    instance from such tuples.
     """
 
     universe_size: int
-    sets: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
     r: int
 
     def __post_init__(self) -> None:
-        if self.universe_size < 0:
-            raise ValueError(f"universe_size must be nonnegative, got {self.universe_size}")
+        check_universe_size(self.universe_size)
         if self.r < 1:
             raise ValueError(f"parameter r must be positive, got {self.r}")
-        object.__setattr__(self, "sets", tuple(tuple(s) for s in self.sets))
-        for i, ids in enumerate(self.sets):
+        masks = tuple(self.masks)
+        object.__setattr__(self, "masks", masks)
+        if masks and (min(masks) < 0 or max(masks).bit_length() > self.universe_size):
+            i, m = next((i, m) for i, m in enumerate(masks) if m < 0 or m.bit_length() > self.universe_size)
+            if m < 0:
+                raise ValueError(f"set {i}: mask must be nonnegative")
+            raise ValueError(f"set {i}: element ID {m.bit_length() - 1} out of range [0, {self.universe_size})")
+        if len(set(masks)) != len(masks):
+            raise ValueError("set family contains duplicate sets")
+
+    @classmethod
+    def from_sets(cls, universe_size: int, sets: Iterable[Sequence[int]], r: int) -> SetPackingInstance:
+        """Build an instance from sets given as strictly increasing ID sequences."""
+        check_universe_size(universe_size)
+        masks = []
+        for i, ids in enumerate(sets):
             prev = -1
+            mask = 0
             for e in ids:
                 if e <= prev:
                     raise ValueError(f"set {i}: element IDs must be strictly increasing")
-                if not 0 <= e < self.universe_size:
-                    raise ValueError(f"set {i}: element ID {e} out of range [0, {self.universe_size})")
+                if not 0 <= e < universe_size:
+                    raise ValueError(f"set {i}: element ID {e} out of range [0, {universe_size})")
+                mask |= 1 << e
                 prev = e
-        if len(set(self.sets)) != len(self.sets):
-            raise ValueError("set family contains duplicate sets")
+            masks.append(mask)
+        return cls(universe_size=universe_size, masks=tuple(masks), r=r)
 
     @property
     def set_count(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
-    def masks(self) -> list[int]:
-        """Bit-vector form of every set (bit e set iff element e is a member)."""
-        out = []
-        for ids in self.sets:
-            m = 0
-            for e in ids:
-                m |= 1 << e
-            out.append(m)
-        return out
+    @cached_property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        """Every set as a strictly increasing tuple of element IDs."""
+        ids = range(self.universe_size)
+        return tuple(tuple(_members(m, ids)) for m in self.masks)
 
 
 def parse_instance(text: str) -> SetPackingInstance:
-    """Parse the instance format; see serialize_instance for the grammar."""
+    """Parse the instance format; see serialize_instance for the grammar.
+
+    The header's universe size is checked against MAX_UNIVERSE before any
+    set line is read, and each set line becomes a mask as it is read.
+    """
     lines = text.splitlines()
     if not lines:
         raise InstanceFormatError("empty instance text")
@@ -79,25 +134,52 @@ def parse_instance(text: str) -> SetPackingInstance:
         universe_size, set_count, r = int(head[2]), int(head[3]), int(head[4])
     except ValueError:
         raise InstanceFormatError(f"malformed header line: {lines[0]!r}") from None
-    if len(lines) - 1 != set_count:
-        raise InstanceFormatError(f"header declares {set_count} sets but found {len(lines) - 1} set lines")
-    sets: list[tuple[int, ...]] = []
-    for lineno, line in enumerate(lines[1:], start=1):
-        parts = line.split()
-        if not parts or parts[0] != "s":
-            raise InstanceFormatError(f"line {lineno + 1}: expected a set line starting with 's'")
-        try:
-            k = int(parts[1])
-            ids = tuple(int(tok) for tok in parts[2:])
-        except (ValueError, IndexError):
-            raise InstanceFormatError(f"line {lineno + 1}: malformed set line") from None
-        if len(ids) != k:
-            raise InstanceFormatError(f"line {lineno + 1}: declared {k} IDs but found {len(ids)}")
-        sets.append(ids)
     try:
-        return SetPackingInstance(universe_size=universe_size, sets=tuple(sets), r=r)
+        check_universe_size(universe_size)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
+    if len(lines) - 1 != set_count:
+        raise InstanceFormatError(f"header declares {set_count} sets but found {len(lines) - 1} set lines")
+    bit_of: dict[str, int] = {}  # ID token -> its bit, for checked tokens (see _id_bit)
+    masks: list[int] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts or parts[0] != "s":
+            raise InstanceFormatError(f"line {lineno}: expected a set line starting with 's'")
+        try:
+            k = int(parts[1])
+        except (ValueError, IndexError):
+            raise InstanceFormatError(f"line {lineno}: malformed set line") from None
+        tokens = parts[2:]
+        if len(tokens) != k:
+            raise InstanceFormatError(f"line {lineno}: declared {k} IDs but found {len(tokens)}")
+        try:
+            bits = list(map(bit_of.__getitem__, tokens))
+        except KeyError:
+            bits = [_id_bit(token, lineno, universe_size, bit_of) for token in tokens]
+        # Distinct bits sum to their OR; a repeated ID carries and loses a bit.
+        mask = sum(bits)
+        if mask.bit_count() != k or bits != sorted(bits):
+            raise InstanceFormatError(f"line {lineno}: element IDs must be strictly increasing")
+        masks.append(mask)
+    try:
+        return SetPackingInstance(universe_size=universe_size, masks=tuple(masks), r=r)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
+
+
+def _id_bit(token: str, lineno: int, universe_size: int, cache: dict[str, int]) -> int:
+    """The bit of one ID token of a set line, after checking it; caches canonical low IDs."""
+    try:
+        e = int(token)
+    except ValueError:
+        raise InstanceFormatError(f"line {lineno}: malformed set line") from None
+    if not 0 <= e < universe_size:
+        raise InstanceFormatError(f"line {lineno}: element ID {e} out of range [0, {universe_size})")
+    bit = 1 << e
+    if e < _CACHED_IDS and token == str(e):
+        cache[token] = bit
+    return bit
 
 
 def serialize_instance(instance: SetPackingInstance) -> str:
@@ -107,9 +189,10 @@ def serialize_instance(instance: SetPackingInstance) -> str:
     "s <k> <id_1> ... <id_k>" with strictly increasing 0-based IDs. LF line
     endings, no trailing whitespace.
     """
+    names = [str(e) for e in range(instance.universe_size)]
     lines = [f"p sp {instance.universe_size} {instance.set_count} {instance.r}"]
-    for ids in instance.sets:
-        lines.append(" ".join(["s", str(len(ids)), *map(str, ids)]))
+    for m in instance.masks:
+        lines.append(" ".join(["s", str(m.bit_count()), *_members(m, names)]))
     return "\n".join(lines) + "\n"
 
 
@@ -136,7 +219,7 @@ def solve_exact(instance: SetPackingInstance, budget: int = DEFAULT_NODE_BUDGET)
     packing found is therefore the lexicographically least index list.
     """
     r = instance.r
-    masks = instance.masks()
+    masks = instance.masks
     count = len(masks)
     if r > count:
         return SolveResult(verdict="no", packing=None, nodes=0)
@@ -198,14 +281,15 @@ def verify_packing(instance: SetPackingInstance, indices: Sequence[int]) -> Veri
     for idx in indices:
         if not 0 <= idx < instance.set_count:
             return VerifyResult(False, f"index {idx} out of range [0, {instance.set_count})")
+    masks = instance.masks
     for a in range(len(indices)):
         for b in range(a + 1, len(indices)):
-            sa, sb = set(instance.sets[indices[a]]), set(instance.sets[indices[b]])
-            shared = sa & sb
+            shared = masks[indices[a]] & masks[indices[b]]
             if shared:
+                lowest = (shared & -shared).bit_length() - 1
                 return VerifyResult(
                     False,
-                    f"sets {indices[a]} and {indices[b]} intersect (share element {min(shared)})",
+                    f"sets {indices[a]} and {indices[b]} intersect (share element {lowest})",
                 )
     return VerifyResult(True, "ok")
 

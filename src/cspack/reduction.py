@@ -30,14 +30,21 @@ map records enough bookkeeping to walk both directions.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cnf import Assignment, CnfFormula
 from .iss import build_iss
-from .packing import SetPackingInstance
+from .packing import MAX_UNIVERSE, SetPackingInstance, check_universe_size, mask_of
 
 DEFAULT_DULL_CAP = 16
+
+_BIT_CHARS = frozenset("01")
+
+# Domain variables per lookup table when grid masks are combined per code
+# (see code_masks); a table holds 2^width entries.
+CODE_CHUNK_BITS = 8
 
 
 class WitnessFormatError(ValueError):
@@ -245,8 +252,9 @@ class WitnessMap:
     def dull_width(self) -> int:
         return self.layout.dull_width
 
-    @property
+    @cached_property
     def group_offsets(self) -> tuple[int, ...]:
+        """Index of each group's first core set."""
         offsets = []
         total = 0
         for codes in self.codes:
@@ -271,10 +279,9 @@ class WitnessMap:
         if not 0 <= set_index < self.core_count:
             raise ValueError(f"set index {set_index} is not a core set")
         offsets = self.group_offsets
-        group = 0
-        for g in range(self.r):
-            if offsets[g] <= set_index:
-                group = g
+        # The last group starting at or before set_index; empty groups share
+        # their successor's offset and are skipped.
+        group = bisect_right(offsets, set_index) - 1
         return group, self.codes[group][set_index - offsets[group]]
 
     def set_index_of(self, group: int, code: int) -> int:
@@ -284,6 +291,32 @@ class WitnessMap:
         if pos == len(codes) or codes[pos] != code:
             raise ValueError(f"group {group} has no satisfying assignment with code {code}")
         return self.group_offsets[group] + pos
+
+
+def code_masks(codes: tuple[int, ...], value_masks: list[tuple[int, int]]) -> list[int]:
+    """The grid mask of each code: the OR over the domain of each variable's value mask.
+
+    value_masks[j] is (mask for False, mask for True) of domain variable j,
+    whose value is code bit k-1-j. The domain is cut into balanced chunks of
+    at most CODE_CHUNK_BITS variables, and a table per chunk holds the OR for
+    every value pattern of its variables, so each code costs one lookup per
+    chunk.
+    """
+    k = len(value_masks)
+    out = [0] * len(codes)
+    if k == 0:
+        return out
+    chunks = -(-k // CODE_CHUNK_BITS)
+    width = -(-k // chunks)
+    for start in range(0, k, width):
+        chunk = value_masks[start : start + width]
+        table = [0]
+        for false_mask, true_mask in chunk:  # appends the variable as the lowest index bit
+            table = [m | v for m in table for v in (false_mask, true_mask)]
+        shift = k - start - len(chunk)
+        low = len(table) - 1
+        out = [m | table[code >> shift & low] for m, code in zip(out, codes)]
+    return out
 
 
 def default_dull_width(n: int, r: int, cap: int = DEFAULT_DULL_CAP) -> int:
@@ -307,8 +340,13 @@ def reduce_to_packing(
     Padding needs r >= 2 (with r = 1 a padding set alone is a packing, which
     would break the equivalence). The width is capped because 2^dull_width
     padding sets are materialized. include_iss=False drops the tag blocks;
-    that is only sound while the family stays duplicate-free, which the
-    builder checks and otherwise refuses.
+    that is only sound while the family stays duplicate-free, which is
+    checked here and otherwise refused. A universe above MAX_UNIVERSE is
+    refused with ValueError before the family is built.
+
+    Each set is the OR of precomputed masks: the grid mask of its code (from
+    grid_edges, per variable, group and value) and its tag mask; a padding
+    set is the core mask with a subset of the dull block.
     """
     n = formula.num_vars
     m = formula.num_clauses
@@ -331,38 +369,32 @@ def reduce_to_packing(
         families = None
         iss_widths = (0,) * r
     layout = ElementLayout(n=n, r=r, iss_widths=iss_widths, dull_width=d)
+    check_universe_size(layout.universe_size)
 
-    rr = r * r
-    sets: list[tuple[int, ...]] = []
+    masks: list[int] = []
     for g, group in enumerate(groups):
-        k = len(group.domain)
-        tag_base = layout.iss_start(g)
-        for position, code in enumerate(group.codes):
-            ids: list[int] = []
-            for j, v in enumerate(group.domain):
-                base = (v - 1) * rr
-                if (code >> (k - 1 - j)) & 1:
-                    ids.extend(base + t * r + g for t in range(r))
-                else:
-                    ids.extend(base + g * r + t for t in range(r))
-            if families is not None:
-                ids.extend(tag_base + e for e in families[g].sets[position])
-            sets.append(tuple(sorted(ids)))
+        value_masks = [
+            (mask_of(grid_edges(v - 1, g, False, layout)), mask_of(grid_edges(v - 1, g, True, layout)))
+            for v in group.domain
+        ]
+        core = code_masks(group.codes, value_masks)
+        if families is not None:
+            tag_base = layout.iss_start(g)
+            core = [m | mask_of(tag) << tag_base for m, tag in zip(core, families[g].sets)]
+        masks.extend(core)
 
     if d > 0:
-        core_ids = tuple(range(layout.core_size))
+        core_mask = (1 << layout.core_size) - 1
         dull_start = layout.dull_start
-        for subset in range(1 << d):
-            extra = tuple(dull_start + t for t in range(d) if (subset >> t) & 1)
-            sets.append(core_ids + extra)
+        masks.extend(core_mask | subset << dull_start for subset in range(1 << d))
 
-    if len(set(sets)) != len(sets):
+    if len(set(masks)) != len(masks):
         raise ValueError(
             "constructed family contains duplicate sets; "
             "this can only happen with tags disabled (or r = 1), refusing to deduplicate"
         )
 
-    instance = SetPackingInstance(universe_size=layout.universe_size, sets=tuple(sets), r=r)
+    instance = SetPackingInstance(universe_size=layout.universe_size, masks=tuple(masks), r=r)
     witness = WitnessMap(
         layout=layout,
         domains=tuple(group.domain for group in groups),
@@ -443,20 +475,27 @@ def witness_to_text(witness: WitnessMap) -> str:
     index = 0
     for g in range(witness.r):
         domain = witness.domains[g]
-        k = len(domain)
-        if not witness.codes[g]:
-            lines.append(" ".join(["g", str(g), *map(str, domain)]))
+        codes = witness.codes[g]
+        group = " ".join([str(g), *map(str, domain)])
+        if not codes:
+            lines.append(f"g {group}")
             continue
-        for code in witness.codes[g]:
-            bits = format(code, f"0{k}b") if k else "-"
-            lines.append(" ".join([str(index), str(g), *map(str, domain), bits]))
-            index += 1
+        if domain:
+            spec = f"0{len(domain)}b"
+            lines.extend(f"{i} {group} {code:{spec}}" for i, code in enumerate(codes, start=index))
+        else:
+            lines.extend(f"{i} {group} -" for i in range(index, index + len(codes)))
+        index += len(codes)
     lines.append(f"pad {witness.pad_first} {witness.pad_count}")
     return "\n".join(lines) + "\n"
 
 
 def witness_from_text(text: str) -> WitnessMap:
-    """Parse the witness grammar; inverse of witness_to_text."""
+    """Parse the witness grammar; inverse of witness_to_text.
+
+    Raises only WitnessFormatError, also for a layout whose universe exceeds
+    MAX_UNIVERSE.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise WitnessFormatError("empty witness text")
@@ -470,9 +509,17 @@ def witness_from_text(text: str) -> WitnessMap:
         raise WitnessFormatError(f"malformed header line: {lines[0]!r}") from None
     if len(iss_widths) != r:
         raise WitnessFormatError(f"header declares r={r} but carries {len(iss_widths)} tag widths")
-    layout = ElementLayout(n=n, r=r, iss_widths=iss_widths, dull_width=d)
+    try:
+        layout = ElementLayout(n=n, r=r, iss_widths=iss_widths, dull_width=d)
+    except ValueError as exc:
+        raise WitnessFormatError(f"malformed header line: {exc}") from None
+    if layout.universe_size > MAX_UNIVERSE:
+        raise WitnessFormatError(f"layout universe {layout.universe_size} exceeds MAX_UNIVERSE = {MAX_UNIVERSE}")
 
     domains: dict[int, tuple[int, ...]] = {}
+    # The domain tokens of each group's first set line and their values, so
+    # that later lines spelled the same way skip the int conversion.
+    spelled: dict[int, tuple[list[str], tuple[int, ...]]] = {}
     codes: dict[int, list[int]] = {g: [] for g in range(r)}
     pad_line: tuple[int, int] | None = None
     expected_index = 0
@@ -481,27 +528,34 @@ def witness_from_text(text: str) -> WitnessMap:
         if parts[0] == "pad":
             if pad_line is not None or len(parts) != 3:
                 raise WitnessFormatError(f"malformed pad line: {line!r}")
-            pad_line = (int(parts[1]), int(parts[2]))
+            try:
+                pad_line = (int(parts[1]), int(parts[2]))
+            except ValueError:
+                raise WitnessFormatError(f"malformed pad line: {line!r}") from None
             continue
         if pad_line is not None:
             raise WitnessFormatError("set lines after the pad line")
         if parts[0] == "g":
-            if len(parts) < 2:
-                raise WitnessFormatError(f"malformed group line: {line!r}")
-            g = int(parts[1])
+            try:
+                g = int(parts[1])
+                domain = tuple(map(int, parts[2:]))
+            except (ValueError, IndexError):
+                raise WitnessFormatError(f"malformed group line: {line!r}") from None
             if not 0 <= g < r:
                 raise WitnessFormatError(f"group {g} out of range [0, {r})")
             if domains.get(g) is not None or codes[g]:
                 raise WitnessFormatError(f"group line for nonempty or repeated group {g}")
-            domains[g] = tuple(int(tok) for tok in parts[2:])
+            domains[g] = domain
             continue
         if len(parts) < 3:
             raise WitnessFormatError(f"malformed set line: {line!r}")
+        bits = parts[-1]
+        tokens = parts[2:-1]
         try:
             set_index = int(parts[0])
             g = int(parts[1])
-            bits = parts[-1]
-            domain = tuple(int(tok) for tok in parts[2:-1])
+            known = spelled.get(g)
+            domain = known[1] if known is not None and known[0] == tokens else tuple(map(int, tokens))
         except ValueError:
             raise WitnessFormatError(f"malformed set line: {line!r}") from None
         if set_index != expected_index:
@@ -514,7 +568,7 @@ def witness_from_text(text: str) -> WitnessMap:
                 raise WitnessFormatError(f"set {set_index}: bits '-' with nonempty domain")
             code = 0
         else:
-            if len(bits) != len(domain) or any(c not in "01" for c in bits):
+            if len(bits) != len(domain) or not _BIT_CHARS.issuperset(bits):
                 raise WitnessFormatError(f"set {set_index}: bits {bits!r} do not match domain size {len(domain)}")
             code = int(bits, 2)
         if g in domains:
@@ -522,6 +576,7 @@ def witness_from_text(text: str) -> WitnessMap:
                 raise WitnessFormatError(f"set {set_index}: domain differs from earlier lines of group {g}")
         else:
             domains[g] = domain
+            spelled[g] = (tokens, domain)
         if codes[g] and code <= codes[g][-1]:
             raise WitnessFormatError(f"set {set_index}: group {g} codes not strictly increasing")
         codes[g].append(code)
@@ -530,11 +585,14 @@ def witness_from_text(text: str) -> WitnessMap:
     for g in range(r):
         if g not in domains:
             raise WitnessFormatError(f"no domain information for group {g}")
-    witness = WitnessMap(
-        layout=layout,
-        domains=tuple(domains[g] for g in range(r)),
-        codes=tuple(tuple(codes[g]) for g in range(r)),
-    )
+    try:
+        witness = WitnessMap(
+            layout=layout,
+            domains=tuple(domains[g] for g in range(r)),
+            codes=tuple(tuple(codes[g]) for g in range(r)),
+        )
+    except ValueError as exc:
+        raise WitnessFormatError(str(exc)) from None
     if pad_line != (witness.pad_first, witness.pad_count):
         raise WitnessFormatError(
             f"pad line {pad_line} does not match core count {witness.pad_first} "

@@ -192,7 +192,7 @@ def test_criterion_4a_intra_group_intersection(gadget_corpus):
     pairs_checked = 0
     failures = 0
     for instance, witness in gadget_corpus:
-        masks = instance.masks()
+        masks = instance.masks
         offsets = witness.group_offsets
         for g in range(witness.r):
             lo = offsets[g]
@@ -264,7 +264,7 @@ def test_criterion_5_padding_neutrality():
                 verdict_mismatches += 1
             # a packing of cardinality >= 2 containing a padding set can never
             # verify: padding sets contain the whole core universe
-            masks = padded.masks()
+            masks = padded.masks
             pad_idx = witness.pad_first + rng.randrange(witness.pad_count)
             for other in range(padded.set_count):
                 if other != pad_idx and not masks[pad_idx] & masks[other]:

@@ -62,6 +62,19 @@ def test_reduce_r1_with_padding_fails(tmp_path, capsys):
     assert "padding requires r >= 2" in capsys.readouterr().err
 
 
+def test_universe_above_bound_exits_1(tmp_path, capsys):
+    r = 8
+    n = packing.MAX_UNIVERSE // (r * r) + 1
+    cnf_path = write(tmp_path / "wide.cnf", f"p cnf {n} 1\n1 2 3 0\n")
+    out = tmp_path / "wide.sp"
+    assert cli.main(["reduce", cnf_path, "--r", str(r), "--no-pad", "--output", str(out)]) == 1
+    assert "MAX_UNIVERSE" in capsys.readouterr().err
+    assert not out.exists()
+    huge = write(tmp_path / "huge.sp", "p sp 99999999999999 1 1\ns 1 999999999999\n")
+    assert cli.main(["solve", huge]) == 1
+    assert "MAX_UNIVERSE" in capsys.readouterr().err
+
+
 def test_missing_input_file(tmp_path, capsys):
     rc = cli.main(["reduce", str(tmp_path / "nope.cnf"), "--r", "2", "--output", str(tmp_path / "x.sp")])
     assert rc == 1

@@ -1,0 +1,100 @@
+"""Fuzz tests of the three text parsers.
+
+On any text, each parser raises only its declared error type, and whatever
+it accepts serializes to canonical text that parses back to the same object.
+Inputs are arbitrary strings and valid files with random edits spliced in.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cspack import cnf, packing, reduction
+
+
+def _valid_files():
+    rng = random.Random(5)
+    instances, witnesses, formulas = [], [], []
+    for _ in range(6):
+        n = rng.randint(1, 5)
+        formula = cnf.gen_random_3cnf(max(n, 3), rng.randint(1, 6), seed=rng.randrange(1 << 30))
+        r = rng.choice((1, 2, 3))
+        inst, wit = reduction.reduce_to_packing(formula, r, dull_width=rng.choice((0, 2)) if r > 1 else 0)
+        instances.append(packing.serialize_instance(inst))
+        witnesses.append(reduction.witness_to_text(wit))
+        formulas.append(cnf.to_dimacs(formula))
+    contradiction = cnf.CnfFormula(num_vars=1, clauses=((1,), (-1,)))
+    witnesses.append(reduction.witness_to_text(reduction.reduce_to_packing(contradiction, 3, dull_width=0)[1]))
+    instances.append("p sp 4 3 2\ns 0\ns 2 0 3\ns 1 2\n")
+    formulas.append("c comment\np cnf 3 2\n1 -2\n3 0 -1 0\n")
+    return instances, witnesses, formulas
+
+
+INSTANCE_TEXTS, WITNESS_TEXTS, DIMACS_TEXTS = _valid_files()
+
+# Characters the grammars use, some they do not, and some that int() or
+# str.split() treat specially.
+EDIT_ALPHABET = "0123456789 -+_\n\t\r\x0bspgwadcfnx٣ "
+
+
+@st.composite
+def edited(draw, texts):
+    """A valid text with a few slices replaced by short random strings."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        start = draw(st.integers(min_value=0, max_value=len(text)))
+        end = min(len(text), start + draw(st.integers(min_value=0, max_value=3)))
+        text = text[:start] + draw(st.text(alphabet=EDIT_ALPHABET, max_size=4)) + text[end:]
+    return text
+
+
+def inputs(texts):
+    return st.one_of(st.text(max_size=120), st.text(alphabet=EDIT_ALPHABET, max_size=120), edited(texts))
+
+
+@given(inputs(INSTANCE_TEXTS))
+@settings(max_examples=400, deadline=None)
+def test_parse_instance_raises_only_its_error_and_round_trips(text):
+    try:
+        instance = packing.parse_instance(text)
+    except packing.InstanceFormatError:
+        return
+    canonical = packing.serialize_instance(instance)
+    assert packing.parse_instance(canonical) == instance
+    assert packing.serialize_instance(packing.parse_instance(canonical)) == canonical
+
+
+@given(inputs(WITNESS_TEXTS))
+@settings(max_examples=400, deadline=None)
+def test_witness_from_text_raises_only_its_error_and_round_trips(text):
+    try:
+        witness = reduction.witness_from_text(text)
+    except reduction.WitnessFormatError:
+        return
+    canonical = reduction.witness_to_text(witness)
+    assert reduction.witness_from_text(canonical) == witness
+    assert reduction.witness_to_text(reduction.witness_from_text(canonical)) == canonical
+
+
+@given(inputs(DIMACS_TEXTS))
+@settings(max_examples=400, deadline=None)
+def test_parse_dimacs_raises_only_its_error_and_round_trips(text):
+    try:
+        formula = cnf.parse_dimacs(text)
+    except cnf.DimacsError:
+        return
+    canonical = cnf.to_dimacs(formula)
+    assert cnf.parse_dimacs(canonical) == formula
+    assert cnf.to_dimacs(cnf.parse_dimacs(canonical)) == canonical
+
+
+def test_valid_files_parse():
+    for text in INSTANCE_TEXTS:
+        assert packing.serialize_instance(packing.parse_instance(text)) == text
+    for text in WITNESS_TEXTS:
+        assert reduction.witness_to_text(reduction.witness_from_text(text)) == text
+    for text in DIMACS_TEXTS[:-1]:
+        assert cnf.to_dimacs(cnf.parse_dimacs(text)) == text

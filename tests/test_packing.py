@@ -17,7 +17,7 @@ PHI_TWO_WIDE = CnfFormula(num_vars=3, clauses=((1, 2, 3), (-1, -2, -3)))
 def make_instance(sets, r, universe_size=None):
     if universe_size is None:
         universe_size = 1 + max((e for s in sets for e in s), default=-1)
-    return packing.SetPackingInstance(
+    return packing.SetPackingInstance.from_sets(
         universe_size=universe_size,
         sets=tuple(tuple(sorted(s)) for s in sets),
         r=r,
@@ -37,15 +37,50 @@ def brute_force_packing(instance):
 
 def test_instance_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
-        packing.SetPackingInstance(universe_size=4, sets=((1, 0),), r=1)
+        packing.SetPackingInstance.from_sets(universe_size=4, sets=((1, 0),), r=1)
     with pytest.raises(ValueError, match="strictly increasing"):
-        packing.SetPackingInstance(universe_size=4, sets=((1, 1),), r=1)
+        packing.SetPackingInstance.from_sets(universe_size=4, sets=((1, 1),), r=1)
     with pytest.raises(ValueError, match="out of range"):
-        packing.SetPackingInstance(universe_size=2, sets=((0, 2),), r=1)
+        packing.SetPackingInstance.from_sets(universe_size=2, sets=((0, 2),), r=1)
     with pytest.raises(ValueError, match="duplicate"):
-        packing.SetPackingInstance(universe_size=2, sets=((0,), (0,)), r=1)
+        packing.SetPackingInstance.from_sets(universe_size=2, sets=((0,), (0,)), r=1)
     with pytest.raises(ValueError, match="positive"):
-        packing.SetPackingInstance(universe_size=2, sets=((0,),), r=0)
+        packing.SetPackingInstance.from_sets(universe_size=2, sets=((0,),), r=0)
+
+
+def test_instance_mask_validation():
+    inst = packing.SetPackingInstance(universe_size=4, masks=[0b0011, 0b1100], r=2)
+    assert inst.masks == (0b0011, 0b1100)
+    assert inst.sets == ((0, 1), (2, 3))
+    with pytest.raises(ValueError, match="element ID 4 out of range"):
+        packing.SetPackingInstance(universe_size=4, masks=(0b1, 0b10000), r=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        packing.SetPackingInstance(universe_size=4, masks=(-1,), r=1)
+    with pytest.raises(ValueError, match="duplicate"):
+        packing.SetPackingInstance(universe_size=4, masks=(0b101, 0b101), r=1)
+
+
+def test_universe_bound_in_constructors():
+    limit = packing.MAX_UNIVERSE
+    assert packing.SetPackingInstance(universe_size=limit, masks=(1 << (limit - 1),), r=1).set_count == 1
+    with pytest.raises(ValueError, match="MAX_UNIVERSE"):
+        packing.SetPackingInstance(universe_size=limit + 1, masks=(), r=1)
+    with pytest.raises(ValueError, match="MAX_UNIVERSE"):
+        packing.SetPackingInstance.from_sets(universe_size=10**12, sets=((10**12 - 1,),), r=1)
+
+
+def test_parse_checks_universe_bound_before_set_lines():
+    # The set line would need a 10^12-bit mask; the header is refused first.
+    with pytest.raises(packing.InstanceFormatError, match="MAX_UNIVERSE"):
+        packing.parse_instance("p sp 99999999999999 1 1\ns 1 999999999999\n")
+    with pytest.raises(packing.InstanceFormatError, match="MAX_UNIVERSE"):
+        packing.parse_instance(f"p sp {packing.MAX_UNIVERSE + 1} 0 1\n")
+    with pytest.raises(packing.InstanceFormatError, match="nonnegative"):
+        packing.parse_instance("p sp -1 0 1\n")
+    with pytest.raises(packing.InstanceFormatError, match="out of range"):
+        packing.parse_instance("p sp 4 1 1\ns 1 999999999999\n")
+    with pytest.raises(packing.InstanceFormatError, match="out of range"):
+        packing.parse_instance("p sp 4 1 1\ns 1 -1\n")
 
 
 def test_parse_example():
@@ -82,6 +117,47 @@ def test_parse_errors():
         packing.parse_instance("p sp 2 1 1\ns 1 5\n")
     with pytest.raises(packing.InstanceFormatError, match="set line"):
         packing.parse_instance("p sp 2 1 1\nq 1 0\n")
+    with pytest.raises(packing.InstanceFormatError, match="strictly increasing"):
+        packing.parse_instance("p sp 4 1 1\ns 2 1 1\n")
+    with pytest.raises(packing.InstanceFormatError, match="malformed"):
+        packing.parse_instance("p sp 4 1 1\ns 1 x\n")
+    with pytest.raises(packing.InstanceFormatError, match="duplicate"):
+        packing.parse_instance("p sp 4 2 1\ns 1 2\ns 1 2\n")
+
+
+def test_parse_accepts_noncanonical_ids_and_serializes_them_canonically():
+    inst = packing.parse_instance("p sp 300 2 1\ns 2 +1 007\ns 3 1 7 0299\n")
+    assert inst.sets == ((1, 7), (1, 7, 299))
+    assert packing.serialize_instance(inst) == "p sp 300 2 1\ns 2 1 7\ns 3 1 7 299\n"
+
+
+def reference_serialize(universe_size, sets, r):
+    """The tuple-based serializer the mask-based one must match byte for byte."""
+    lines = [f"p sp {universe_size} {len(sets)} {r}"]
+    for ids in sets:
+        lines.append(" ".join(["s", str(len(ids)), *map(str, ids)]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def id_families(draw):
+    universe = draw(st.integers(min_value=0, max_value=600))
+    ids = st.integers(min_value=0, max_value=max(universe - 1, 0))
+    members = st.sets(ids, max_size=min(universe, 40)) if universe else st.just(set())
+    family = draw(st.lists(members.map(lambda m: tuple(sorted(m))), max_size=12, unique=True))
+    return universe, tuple(family), draw(st.integers(min_value=1, max_value=4))
+
+
+@given(id_families())
+@settings(max_examples=300)
+def test_from_sets_masks_and_text_match_the_tuples(case):
+    universe, family, r = case
+    inst = packing.SetPackingInstance.from_sets(universe, family, r)
+    assert inst.sets == family
+    assert [bin(m).count("1") for m in inst.masks] == [len(ids) for ids in family]
+    text = packing.serialize_instance(inst)
+    assert text == reference_serialize(universe, family, r)
+    assert packing.parse_instance(text) == inst
 
 
 # -- exact solver --------------------------------------------------------------
@@ -121,7 +197,7 @@ def small_instances(draw):
         ids = draw(st.sets(st.integers(min_value=0, max_value=universe - 1), max_size=universe))
         sets.add(tuple(sorted(ids)))
     r = draw(st.integers(min_value=1, max_value=4))
-    return packing.SetPackingInstance(universe_size=universe, sets=tuple(sorted(sets)), r=r)
+    return packing.SetPackingInstance.from_sets(universe_size=universe, sets=tuple(sorted(sets)), r=r)
 
 
 @given(small_instances())

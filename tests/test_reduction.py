@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from cspack import cnf, reduction
-from cspack.packing import solve_exact, verify_packing
+from cspack.packing import MAX_UNIVERSE, solve_exact, verify_packing
 
 PHI_CONTRADICTION = cnf.CnfFormula(num_vars=1, clauses=((1,), (-1,)))
 PHI_TWO_WIDE = cnf.CnfFormula(num_vars=3, clauses=((1, 2, 3), (-1, -2, -3)))
@@ -159,6 +159,30 @@ def test_reduce_grid_portion_matches_grid_edges():
         for v, value in alpha.items():
             expected |= reduction.grid_edges(v - 1, g, value, wit.layout)
         assert {e for e in inst.sets[idx] if e < grid_size} == expected
+
+
+def test_reduce_grid_masks_across_lookup_chunks():
+    # Domains of 9 to 12 variables are split over two lookup tables.
+    rng = random.Random(31)
+    for _ in range(6):
+        f = cnf.gen_random_3cnf(12, 8, seed=rng.randrange(1 << 30))
+        inst, wit = reduction.reduce_to_packing(f, 1, dull_width=0)
+        assert max(len(d) for d in wit.domains) > reduction.CODE_CHUNK_BITS
+        grid_mask = (1 << wit.layout.grid_size) - 1
+        for idx in range(wit.core_count):
+            g, code = wit.entry(idx)
+            expected = set()
+            for v, value in reduction.decode_assignment(wit.domains[g], code).items():
+                expected |= reduction.grid_edges(v - 1, g, value, wit.layout)
+            assert inst.masks[idx] & grid_mask == sum(1 << e for e in expected)
+
+
+def test_reduce_refuses_universe_above_bound():
+    r = 8
+    n = MAX_UNIVERSE // (r * r) + 1  # the grid alone exceeds the bound
+    f = cnf.CnfFormula(num_vars=n, clauses=((1, 2, 3),))
+    with pytest.raises(ValueError, match="MAX_UNIVERSE"):
+        reduction.reduce_to_packing(f, r, dull_width=0)
 
 
 def test_reduce_padding_grows_counts():
@@ -393,6 +417,66 @@ def test_witness_format_errors():
         reduction.witness_from_text(good.replace("1 1 1 0", "5 1 1 0"))
     with pytest.raises(reduction.WitnessFormatError, match="missing pad"):
         reduction.witness_from_text(good.replace("pad 2 0\n", ""))
+
+
+def test_witness_parser_raises_only_its_error_type():
+    bad = [
+        "w 1 1 0 1\npad x y\n",  # pad counts are not integers
+        "w 1 1 0 1\ng 0 a\npad 0 0\n",  # group domain is not integers
+        "w 1 1 0 1\ng\npad 0 0\n",
+        "w 0 1 0 1\npad 0 0\n",  # n = 0 is not a layout
+        "w 2 1 0 1\n0 0 5 1\npad 1 0\n",  # domain variable beyond n
+        f"w {MAX_UNIVERSE} 1 0 1\npad 0 0\n",  # universe above the bound
+        "w 1 1 99999999999 1\npad 0 0\n",  # 2^d padding sets, d huge
+    ]
+    for text in bad:
+        with pytest.raises(reduction.WitnessFormatError):
+            reduction.witness_from_text(text)
+
+
+def test_witness_parser_accepts_noncanonical_domain_spelling():
+    wit = reduction.witness_from_text("w 2 1 0 1\n0 0 1 02 00\n1 0 01 2 01\npad 2 0\n")
+    assert wit.domains == ((1, 2),) and wit.codes == ((0, 1),)
+    with pytest.raises(reduction.WitnessFormatError, match="domain differs"):
+        reduction.witness_from_text("w 2 1 0 1\n0 0 1 2 00\n1 0 1 1 01\npad 2 0\n")
+
+
+def reference_witness_text(witness):
+    """The line-by-line witness writer the grouped one must match byte for byte."""
+    layout = witness.layout
+    lines = [" ".join(["w", str(layout.n), str(layout.r), str(layout.dull_width), *map(str, layout.iss_widths)])]
+    index = 0
+    for g in range(witness.r):
+        domain = witness.domains[g]
+        k = len(domain)
+        if not witness.codes[g]:
+            lines.append(" ".join(["g", str(g), *map(str, domain)]))
+            continue
+        for code in witness.codes[g]:
+            bits = format(code, f"0{k}b") if k else "-"
+            lines.append(" ".join([str(index), str(g), *map(str, domain), bits]))
+            index += 1
+    lines.append(f"pad {witness.pad_first} {witness.pad_count}")
+    return "\n".join(lines) + "\n"
+
+
+def test_witness_text_matches_reference_writer():
+    cases = [wit for _, _, wit in sample_instances(20, seed=13, r_choices=(1, 2, 3, 5))]
+    cases.append(reduction.reduce_to_packing(PHI_CONTRADICTION, 4, dull_width=2)[1])
+    for wit in cases:
+        assert reduction.witness_to_text(wit) == reference_witness_text(wit)
+
+
+def test_group_offsets_cached_and_entry_matches_linear_scan():
+    # Clause k goes to group k mod 5; groups 1, 2 and 4 are contradictory and have no sets.
+    clauses = ((1, 2), (3,), (4,), (1, 5), (2,), (-1, 2), (-3,), (-4,), (5, 2), (-2,))
+    _, wit = reduction.reduce_to_packing(cnf.CnfFormula(num_vars=5, clauses=clauses), 5, dull_width=0)
+    assert [bool(codes) for codes in wit.codes] == [True, False, False, True, False]
+    assert wit.group_offsets is wit.group_offsets
+    for idx in range(wit.core_count):
+        group = max(g for g in range(wit.r) if wit.group_offsets[g] <= idx)
+        assert wit.entry(idx) == (group, wit.codes[group][idx - wit.group_offsets[group]])
+        assert wit.set_index_of(*wit.entry(idx)) == idx
 
 
 def test_witness_bits_match_domain():
