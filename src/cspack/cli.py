@@ -9,7 +9,6 @@ Exit codes: 0 = done / verdicts agree, 1 = usage or I/O error,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from . import bench, cnf, packing, reduction
@@ -51,12 +50,7 @@ def _dull_width(args: argparse.Namespace) -> int | None:
 
 
 def cmd_gen_cnf(args: argparse.Namespace) -> int:
-    if args.planted:
-        rng = random.Random(args.seed)
-        alpha = bench.planted_assignment(args.n, rng)
-        formula = cnf.gen_random_3cnf(args.n, args.m, rng.randrange(2**62), planted=alpha)
-    else:
-        formula = cnf.gen_random_3cnf(args.n, args.m, args.seed)
+    formula = bench.make_formula(args.n, args.m, args.seed, args.planted)
     text = cnf.to_dimacs(formula)
     if args.output:
         _write(args.output, text)

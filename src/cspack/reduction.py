@@ -35,10 +35,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cnf import Assignment, CnfFormula
-from .iss import build_iss
+from .iss import build_iss, minimal_iss_universe
 from .packing import MAX_UNIVERSE, SetPackingInstance, check_universe_size, mask_of
 
 DEFAULT_DULL_CAP = 16
+
+# Sets reduce_to_packing materializes at most, padding included, unless told
+# otherwise; a family that would be larger is refused before any mask is built.
+DEFAULT_MAX_SETS = 1 << 20
 
 _BIT_CHARS = frozenset("01")
 
@@ -114,36 +118,82 @@ def enumerate_group_assignments(
     formula: CnfFormula,
     partition: ClausePartition,
     group_index: int,
+    *,
+    limit: int | None = None,
 ) -> GroupAssignments:
     """Enumerate every assignment over the group's variables satisfying all its clauses.
 
     An empty group yields the single empty assignment; a contradictory group
-    yields an empty list.
+    yields an empty list. With a limit, raises ValueError as soon as more
+    than limit assignments are found.
+
+    The search is an iterative depth-first walk over the domain variables in
+    order, False before True, so codes come out ascending. Each clause is
+    checked when its last domain variable is about to be assigned: if the
+    prefix falsifies all its other literals, the value falsifying its last
+    literal is not branched on. No prefix that falsifies a clause is ever
+    extended, so the work follows the partial assignments that satisfy the
+    clauses they complete rather than all 2^|domain| codes. A tautological
+    clause is skipped; its variables stay in the domain.
     """
     if not 0 <= group_index < partition.r:
         raise ValueError(f"group index {group_index} out of range [0, {partition.r})")
     clause_ids = partition.groups[group_index]
     domain = tuple(sorted({abs(lit) for ci in clause_ids for lit in formula.clauses[ci]}))
     k = len(domain)
-    bit_of = {v: 1 << (k - 1 - j) for j, v in enumerate(domain)}
-    clause_masks = []
+    position = {v: j for j, v in enumerate(domain)}
+    # checks[j][value]: (mask, neg) pairs over the j-bit prefix of variables
+    # 0..j-1 (variable i at bit j-1-i); variable j may not take value when
+    # prefix & mask == neg for some pair.
+    checks: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = [([], []) for _ in range(k)]
     for ci in clause_ids:
-        pos = 0
-        neg = 0
-        for lit in formula.clauses[ci]:
-            if lit > 0:
-                pos |= bit_of[lit]
+        lits = set(formula.clauses[ci])
+        if any(-lit in lits for lit in lits):
+            continue  # a tautology is always satisfied
+        last = max(position[abs(lit)] for lit in lits)
+        mask = neg = 0
+        for lit in lits:
+            j = position[abs(lit)]
+            if j == last:
+                banned_value = lit < 0  # the value that falsifies the last literal
             else:
-                neg |= bit_of[-lit]
-        clause_masks.append((pos, neg))
-    codes = []
-    append = codes.append
-    for code in range(1 << k):
-        for pos, neg in clause_masks:
-            if not (code & pos) and (code & neg) == neg:
+                bit = 1 << (last - 1 - j)
+                mask |= bit
+                if lit < 0:
+                    neg |= bit
+        checks[last][banned_value].append((mask, neg))
+
+    cap = math.inf if limit is None else limit
+    codes = [] if k else [0]
+    stack = [(0, 0)] if k else []  # (depth, prefix of that many bits)
+    while stack:
+        depth, prefix = stack.pop()
+        if_false, if_true = checks[depth]
+        can_false = True
+        for mask, neg in if_false:
+            if prefix & mask == neg:
+                can_false = False
+                break
+        can_true = True
+        for mask, neg in if_true:
+            if prefix & mask == neg:
+                can_true = False
+                break
+        child = prefix << 1
+        if depth + 1 == k:
+            if can_false:
+                codes.append(child)
+            if can_true:
+                codes.append(child | 1)
+            if len(codes) > cap:
                 break
         else:
-            append(code)
+            if can_true:
+                stack.append((depth + 1, child | 1))
+            if can_false:
+                stack.append((depth + 1, child))
+    if len(codes) > cap:
+        raise ValueError(f"group {group_index} has more than {limit} satisfying assignments")
     return GroupAssignments(group_index=group_index, domain=domain, codes=tuple(codes))
 
 
@@ -239,6 +289,12 @@ class WitnessMap:
                 raise ValueError(f"group {g}: assignment code out of range for domain size {len(domain)}")
             if any(a >= b for a, b in zip(self.codes[g], self.codes[g][1:])):
                 raise ValueError(f"group {g}: codes must be strictly increasing")
+            # minimal_iss_universe(count) <= width iff count <= iss_capacity(width),
+            # since the capacity grows with the width; this form never computes
+            # the binomial of a huge width. Width 0 means tags are disabled.
+            width = self.layout.iss_widths[g]
+            if width > 0 and minimal_iss_universe(len(self.codes[g])) > width:
+                raise ValueError(f"group {g}: {len(self.codes[g])} sets do not fit a tag block of width {width}")
 
     @property
     def r(self) -> int:
@@ -333,6 +389,7 @@ def reduce_to_packing(
     dull_width: int | None = None,
     include_iss: bool = True,
     dull_cap: int = DEFAULT_DULL_CAP,
+    max_sets: int = DEFAULT_MAX_SETS,
 ) -> tuple[SetPackingInstance, WitnessMap]:
     """Build the set packing instance and its witness map for the formula.
 
@@ -342,7 +399,13 @@ def reduce_to_packing(
     padding sets are materialized. include_iss=False drops the tag blocks;
     that is only sound while the family stays duplicate-free, which is
     checked here and otherwise refused. A universe above MAX_UNIVERSE is
-    refused with ValueError before the family is built.
+    refused with ValueError before the family is built, and a grid plus dull
+    block above it before any group is enumerated.
+
+    A family of more than max_sets sets is refused with ValueError: the 2^d
+    padding sets are counted first, and each group's enumeration gets the
+    remaining allowance and stops as soon as it is exceeded, before any mask
+    is built.
 
     Each set is the OR of precomputed masks: the grid mask of its code (from
     grid_edges, per variable, group and value) and its tag mask; a padding
@@ -359,9 +422,24 @@ def reduce_to_packing(
         raise ValueError(f"dull_width {d} exceeds cap {dull_cap} (2^d padding sets are materialized)")
     if r == 1 and d > 0:
         raise ValueError("padding requires r >= 2: with r = 1 any padding set alone is a packing")
+    if n * r * r + d > MAX_UNIVERSE:
+        raise ValueError(
+            f"universe_size of at least {n * r * r + d} (grid {n * r * r} + dull {d}) "
+            f"exceeds MAX_UNIVERSE = {MAX_UNIVERSE}"
+        )
 
+    allowance = max_sets - ((1 << d) if d > 0 else 0)
+    if allowance < 0:
+        raise ValueError(f"the {1 << d} padding sets alone exceed max_sets = {max_sets}")
     partition = partition_clauses(m, r)
-    groups = [enumerate_group_assignments(formula, partition, g) for g in range(r)]
+    groups = []
+    for g in range(r):
+        try:
+            group = enumerate_group_assignments(formula, partition, g, limit=allowance)
+        except ValueError as exc:
+            raise ValueError(f"family exceeds max_sets = {max_sets}: {exc}") from None
+        groups.append(group)
+        allowance -= group.count
     if include_iss:
         families = [build_iss(group.count) for group in groups]
         iss_widths = tuple(fam.universe_width for fam in families)

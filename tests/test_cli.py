@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from cspack import cli, packing, reduction
-from cspack.cnf import parse_dimacs
+from cspack import bench, cli, packing, reduction
+from cspack.cnf import parse_dimacs, to_dimacs
 
 PHI1 = "p cnf 1 2\n1 0\n-1 0\n"
 PHI2 = "p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n"
@@ -30,6 +30,13 @@ def test_gen_cnf_planted_deterministic(tmp_path):
     assert cli.main(["gen-cnf", "--n", "6", "--m", "9", "--seed", "4", "--planted", "--output", str(a)]) == 0
     assert cli.main(["gen-cnf", "--n", "6", "--m", "9", "--seed", "4", "--planted", "--output", str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+def test_gen_cnf_prints_make_formula(capsys):
+    for planted in (False, True):
+        argv = ["gen-cnf", "--n", "7", "--m", "12", "--seed", "9"] + (["--planted"] if planted else [])
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == to_dimacs(bench.make_formula(7, 12, 9, planted))
 
 
 def test_reduce_writes_instance_and_witness(tmp_path, capsys):

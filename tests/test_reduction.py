@@ -4,6 +4,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cspack import cnf, reduction
 from cspack.packing import MAX_UNIVERSE, solve_exact, verify_packing
@@ -88,6 +90,38 @@ def test_enumerate_matches_brute_force():
             assert list(ga.domain) == domain
             got = [ga.assignment(i) for i in range(ga.count)]
             assert got == expected  # same set and same encoding order
+
+
+def test_enumerate_keeps_tautologies_and_repeated_literals():
+    # (x1 or not x1 or x2) is always true: all four codes of (x1, x2) stay.
+    f = cnf.CnfFormula(num_vars=2, clauses=((1, -1, 2),))
+    ga = reduction.enumerate_group_assignments(f, reduction.partition_clauses(1, 1), 0)
+    assert ga.domain == (1, 2) and ga.codes == (0, 1, 2, 3)
+    # (x1 or x1 or not x2) excludes only x1 = False, x2 = True.
+    f = cnf.CnfFormula(num_vars=2, clauses=((1, 1, -2),))
+    ga = reduction.enumerate_group_assignments(f, reduction.partition_clauses(1, 1), 0)
+    assert ga.codes == (0, 2, 3)
+
+
+literals = st.integers(1, 6).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clauses=st.lists(st.lists(literals, min_size=1, max_size=3), max_size=12), r=st.integers(1, 5))
+def test_enumerate_matches_brute_force_on_any_clauses(clauses, r):
+    # 1-3 literal clauses with repeats, tautologies, empty groups (r > m) and
+    # contradictory groups, against the filter over all 0/1 maps.
+    f = cnf.CnfFormula(num_vars=6, clauses=tuple(map(tuple, clauses)))
+    part = reduction.partition_clauses(len(clauses), r)
+    for g in range(r):
+        ga = reduction.enumerate_group_assignments(f, part, g)
+        domain, expected = brute_force_group(f, part.groups[g])
+        assert list(ga.domain) == domain
+        assert [ga.assignment(i) for i in range(ga.count)] == expected
+        if expected:
+            assert reduction.enumerate_group_assignments(f, part, g, limit=len(expected)) == ga
+            with pytest.raises(ValueError, match="more than"):
+                reduction.enumerate_group_assignments(f, part, g, limit=len(expected) - 1)
 
 
 def test_encode_decode_inverse():
@@ -183,6 +217,17 @@ def test_reduce_refuses_universe_above_bound():
     f = cnf.CnfFormula(num_vars=n, clauses=((1, 2, 3),))
     with pytest.raises(ValueError, match="MAX_UNIVERSE"):
         reduction.reduce_to_packing(f, r, dull_width=0)
+
+
+def test_reduce_max_sets_boundary():
+    full, _ = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
+    total = full.set_count  # 7 + 7 core sets and 4 padding sets
+    inst, _ = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2, max_sets=total)
+    assert inst == full
+    with pytest.raises(ValueError, match="max_sets"):
+        reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2, max_sets=total - 1)
+    with pytest.raises(ValueError, match="padding sets alone"):
+        reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2, max_sets=3)
 
 
 def test_reduce_padding_grows_counts():
@@ -434,11 +479,22 @@ def test_witness_parser_raises_only_its_error_type():
             reduction.witness_from_text(text)
 
 
+def test_witness_tag_block_must_hold_its_group():
+    # A width-1 tag block holds one tag, but the group has two sets.
+    with pytest.raises(reduction.WitnessFormatError, match="tag block"):
+        reduction.witness_from_text("w 1 1 0 1\n0 0 1 0\n1 0 1 1\npad 2 0\n")
+    # Width 0 (tags disabled) stays legal.
+    _, wit = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0, include_iss=False)
+    assert wit.layout.iss_widths == (0, 0)
+    assert reduction.witness_from_text(reduction.witness_to_text(wit)) == wit
+
+
 def test_witness_parser_accepts_noncanonical_domain_spelling():
-    wit = reduction.witness_from_text("w 2 1 0 1\n0 0 1 02 00\n1 0 01 2 01\npad 2 0\n")
+    # A width-3 tag block holds C(3, 2) = 3 tags, enough for the group's 2 sets.
+    wit = reduction.witness_from_text("w 2 1 0 3\n0 0 1 02 00\n1 0 01 2 01\npad 2 0\n")
     assert wit.domains == ((1, 2),) and wit.codes == ((0, 1),)
     with pytest.raises(reduction.WitnessFormatError, match="domain differs"):
-        reduction.witness_from_text("w 2 1 0 1\n0 0 1 2 00\n1 0 1 1 01\npad 2 0\n")
+        reduction.witness_from_text("w 2 1 0 3\n0 0 1 2 00\n1 0 1 1 01\npad 2 0\n")
 
 
 def reference_witness_text(witness):
