@@ -40,9 +40,13 @@ from .packing import MAX_UNIVERSE, SetPackingInstance, check_universe_size, mask
 
 DEFAULT_DULL_CAP = 16
 
-# Sets reduce_to_packing materializes at most, padding included, unless told
-# otherwise; a family that would be larger is refused before any mask is built.
-DEFAULT_MAX_SETS = 1 << 20
+# Sets reduce_to_packing materializes at most, padding included; a family
+# that would be larger is refused before any mask is built.
+MAX_SETS = 1 << 20
+
+# Partial assignments a group's search may visit per set it may still keep
+# (see enumerate_group_assignments).
+SEARCH_NODES_PER_SET = 4
 
 _BIT_CHARS = frozenset("01")
 
@@ -114,6 +118,33 @@ def encode_assignment(domain: tuple[int, ...], assignment: Assignment) -> int:
     return code
 
 
+def propagate_units(clauses: list[set[int]]) -> dict[int, bool] | None:
+    """Values forced by unit propagation over the clauses; None if it falsifies one.
+
+    A clause none of whose literals is true and only one is unassigned forces
+    that literal true. Each clause is rechecked only when one of its
+    variables is forced, so the work is linear in the literal occurrences.
+    """
+    occurs: dict[int, list[int]] = {}
+    for i, lits in enumerate(clauses):
+        for lit in lits:
+            occurs.setdefault(abs(lit), []).append(i)
+    forced: dict[int, bool] = {}
+    pending = list(range(len(clauses)))
+    while pending:
+        lits = clauses[pending.pop()]
+        if any(forced.get(abs(lit)) == (lit > 0) for lit in lits):
+            continue
+        open_lits = [lit for lit in lits if abs(lit) not in forced]
+        if not open_lits:
+            return None
+        if len(open_lits) == 1:
+            lit = open_lits[0]
+            forced[abs(lit)] = lit > 0
+            pending.extend(occurs[abs(lit)])
+    return forced
+
+
 def enumerate_group_assignments(
     formula: CnfFormula,
     partition: ClausePartition,
@@ -125,31 +156,44 @@ def enumerate_group_assignments(
 
     An empty group yields the single empty assignment; a contradictory group
     yields an empty list. With a limit, raises ValueError as soon as more
-    than limit assignments are found.
+    than limit assignments are found, or once the search has visited more
+    than |domain| + SEARCH_NODES_PER_SET * (limit + 1) partial assignments,
+    so the work is bounded as well as the output.
 
-    The search is an iterative depth-first walk over the domain variables in
-    order, False before True, so codes come out ascending. Each clause is
-    checked when its last domain variable is about to be assigned: if the
-    prefix falsifies all its other literals, the value falsifying its last
-    literal is not branched on. No prefix that falsifies a clause is ever
-    extended, so the work follows the partial assignments that satisfy the
-    clauses they complete rather than all 2^|domain| codes. A tautological
-    clause is skipped; its variables stay in the domain.
+    Tautological clauses are dropped (their variables stay in the domain),
+    then unit clauses are propagated over the group (propagate_units): a
+    conflict yields no assignments at once, each forced variable may take
+    only its forced value, clauses a forced value satisfies are dropped and
+    literals it falsifies are removed. The search is an iterative depth-first
+    walk over the domain variables in order, False before True, so codes come
+    out ascending. Each clause is checked when its last domain variable is
+    about to be assigned: if the prefix falsifies all its other literals, the
+    value falsifying its last literal is not branched on, so no prefix that
+    falsifies a clause is ever extended. A prefix that no extension can
+    satisfy is still extended until a clause it completes fails, which is
+    why the search work needs its own bound.
     """
     if not 0 <= group_index < partition.r:
         raise ValueError(f"group index {group_index} out of range [0, {partition.r})")
     clause_ids = partition.groups[group_index]
     domain = tuple(sorted({abs(lit) for ci in clause_ids for lit in formula.clauses[ci]}))
+    clauses = [set(formula.clauses[ci]) for ci in clause_ids]
+    clauses = [lits for lits in clauses if not any(-lit in lits for lit in lits)]
+    forced = propagate_units(clauses)
+    if forced is None:
+        return GroupAssignments(group_index=group_index, domain=domain, codes=())
     k = len(domain)
     position = {v: j for j, v in enumerate(domain)}
     # checks[j][value]: (mask, neg) pairs over the j-bit prefix of variables
     # 0..j-1 (variable i at bit j-1-i); variable j may not take value when
-    # prefix & mask == neg for some pair.
+    # prefix & mask == neg for some pair. (0, 0) always bans the value.
     checks: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = [([], []) for _ in range(k)]
-    for ci in clause_ids:
-        lits = set(formula.clauses[ci])
-        if any(-lit in lits for lit in lits):
-            continue  # a tautology is always satisfied
+    for v, value in forced.items():
+        checks[position[v]][not value].append((0, 0))
+    for lits in clauses:
+        if any(forced.get(abs(lit)) == (lit > 0) for lit in lits):
+            continue
+        lits = [lit for lit in lits if abs(lit) not in forced]  # at least two remain
         last = max(position[abs(lit)] for lit in lits)
         mask = neg = 0
         for lit in lits:
@@ -164,9 +208,14 @@ def enumerate_group_assignments(
         checks[last][banned_value].append((mask, neg))
 
     cap = math.inf if limit is None else limit
+    budget = math.inf if limit is None else k + SEARCH_NODES_PER_SET * (limit + 1)
+    visited = 0
     codes = [] if k else [0]
     stack = [(0, 0)] if k else []  # (depth, prefix of that many bits)
     while stack:
+        visited += 1
+        if visited > budget:
+            raise ValueError(f"group {group_index}: search visited more than {budget} partial assignments")
         depth, prefix = stack.pop()
         if_false, if_true = checks[depth]
         can_false = True
@@ -389,7 +438,6 @@ def reduce_to_packing(
     dull_width: int | None = None,
     include_iss: bool = True,
     dull_cap: int = DEFAULT_DULL_CAP,
-    max_sets: int = DEFAULT_MAX_SETS,
 ) -> tuple[SetPackingInstance, WitnessMap]:
     """Build the set packing instance and its witness map for the formula.
 
@@ -402,10 +450,12 @@ def reduce_to_packing(
     refused with ValueError before the family is built, and a grid plus dull
     block above it before any group is enumerated.
 
-    A family of more than max_sets sets is refused with ValueError: the 2^d
+    A family of more than MAX_SETS sets is refused with ValueError: the 2^d
     padding sets are counted first, and each group's enumeration gets the
     remaining allowance and stops as soon as it is exceeded, before any mask
-    is built.
+    is built. The allowance also bounds each group's search work (see
+    enumerate_group_assignments), so a group whose search would outrun it is
+    refused too, even if few of its assignments survive.
 
     Each set is the OR of precomputed masks: the grid mask of its code (from
     grid_edges, per variable, group and value) and its tag mask; a padding
@@ -422,22 +472,18 @@ def reduce_to_packing(
         raise ValueError(f"dull_width {d} exceeds cap {dull_cap} (2^d padding sets are materialized)")
     if r == 1 and d > 0:
         raise ValueError("padding requires r >= 2: with r = 1 any padding set alone is a packing")
-    if n * r * r + d > MAX_UNIVERSE:
-        raise ValueError(
-            f"universe_size of at least {n * r * r + d} (grid {n * r * r} + dull {d}) "
-            f"exceeds MAX_UNIVERSE = {MAX_UNIVERSE}"
-        )
+    check_universe_size(n * r * r + d)  # the grid and dull blocks, before any enumeration
 
-    allowance = max_sets - ((1 << d) if d > 0 else 0)
+    allowance = MAX_SETS - ((1 << d) if d > 0 else 0)
     if allowance < 0:
-        raise ValueError(f"the {1 << d} padding sets alone exceed max_sets = {max_sets}")
+        raise ValueError(f"the {1 << d} padding sets alone exceed MAX_SETS = {MAX_SETS}")
     partition = partition_clauses(m, r)
     groups = []
     for g in range(r):
         try:
             group = enumerate_group_assignments(formula, partition, g, limit=allowance)
         except ValueError as exc:
-            raise ValueError(f"family exceeds max_sets = {max_sets}: {exc}") from None
+            raise ValueError(f"family refused under MAX_SETS = {MAX_SETS}: {exc}") from None
         groups.append(group)
         allowance -= group.count
     if include_iss:

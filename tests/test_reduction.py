@@ -119,9 +119,40 @@ def test_enumerate_matches_brute_force_on_any_clauses(clauses, r):
         assert list(ga.domain) == domain
         assert [ga.assignment(i) for i in range(ga.count)] == expected
         if expected:
-            assert reduction.enumerate_group_assignments(f, part, g, limit=len(expected)) == ga
-            with pytest.raises(ValueError, match="more than"):
-                reduction.enumerate_group_assignments(f, part, g, limit=len(expected) - 1)
+            with pytest.MonkeyPatch.context() as mp:
+                # Search budget for every node of a 6-variable tree, so only the count limit acts.
+                mp.setattr(reduction, "SEARCH_NODES_PER_SET", 1 << 6)
+                assert reduction.enumerate_group_assignments(f, part, g, limit=len(expected)) == ga
+                with pytest.raises(ValueError, match="satisfying assignments"):
+                    reduction.enumerate_group_assignments(f, part, g, limit=len(expected) - 1)
+
+
+# 14 disjoint 3-clauses over x1..x42: 7^14 prefixes of x1..x42 satisfy them.
+DISJOINT = tuple((3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(14))
+
+
+def test_enumerate_propagates_units_before_searching():
+    # (x15) and (not x15) conflict at once, so no prefix of x1..x12 is explored
+    # (tests/test_refusals.py runs the same case over x1..x42).
+    f = cnf.CnfFormula(num_vars=15, clauses=DISJOINT[:4] + ((15,), (-15,)))
+    ga = reduction.enumerate_group_assignments(f, reduction.partition_clauses(6, 1), 0, limit=1)
+    assert ga.domain == tuple(range(1, 13)) + (15,) and ga.codes == ()
+    # x3 is forced false, then x2 true by (x2 or x3): only x1 stays free.
+    f = cnf.CnfFormula(num_vars=3, clauses=((1, 2, 3), (-3,), (2, 3)))
+    ga = reduction.enumerate_group_assignments(f, reduction.partition_clauses(3, 1), 0)
+    assert ga.codes == (0b010, 0b110)
+
+
+def test_enumerate_bounds_search_work():
+    # No unit clause, but x13 and x14 admit no value: every one of the 7^4
+    # prefixes of x1..x12 survives until x14.
+    core = ((13, 14), (13, -14), (-13, 14), (-13, -14))
+    f = cnf.CnfFormula(num_vars=14, clauses=DISJOINT[:4] + core)
+    part = reduction.partition_clauses(8, 1)
+    assert reduction.enumerate_group_assignments(f, part, 0).codes == ()
+    budget = 14 + reduction.SEARCH_NODES_PER_SET * 11
+    with pytest.raises(ValueError, match=f"search visited more than {budget} partial"):
+        reduction.enumerate_group_assignments(f, part, 0, limit=10)
 
 
 def test_encode_decode_inverse():
@@ -219,15 +250,27 @@ def test_reduce_refuses_universe_above_bound():
         reduction.reduce_to_packing(f, r, dull_width=0)
 
 
-def test_reduce_max_sets_boundary():
+def test_reduce_max_sets_boundary(monkeypatch):
     full, _ = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
     total = full.set_count  # 7 + 7 core sets and 4 padding sets
-    inst, _ = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2, max_sets=total)
+    monkeypatch.setattr(reduction, "MAX_SETS", total)
+    inst, _ = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
     assert inst == full
-    with pytest.raises(ValueError, match="max_sets"):
-        reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2, max_sets=total - 1)
+    monkeypatch.setattr(reduction, "MAX_SETS", total - 1)
+    with pytest.raises(ValueError, match=f"MAX_SETS = {total - 1}: group 1 has more than 6 satisfying"):
+        reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
+    monkeypatch.setattr(reduction, "MAX_SETS", 3)
     with pytest.raises(ValueError, match="padding sets alone"):
-        reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2, max_sets=3)
+        reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
+
+
+def test_reduce_refuses_search_beyond_allowance(monkeypatch):
+    # Few sets, but a search over 7^6 dead prefixes: refused under a small cap.
+    core = ((19, 20), (19, -20), (-19, 20), (-19, -20))
+    f = cnf.CnfFormula(num_vars=20, clauses=DISJOINT[:6] + core)
+    monkeypatch.setattr(reduction, "MAX_SETS", 100)
+    with pytest.raises(ValueError, match="MAX_SETS = 100: group 0: search visited more than"):
+        reduction.reduce_to_packing(f, 1)
 
 
 def test_reduce_padding_grows_counts():

@@ -48,12 +48,12 @@ def test_dense_planted_formula_refused_under_default_cap(tmp_path):
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
-    assert f"max_sets = {1 << 20}" in out
+    assert f"MAX_SETS = {1 << 20}" in out
     path = tmp_path / "dense.cnf"
     path.write_text(cnf.to_dimacs(bench.make_formula(30, 60, 0, True)))
     done = run_child(["-m", "cspack", "reduce", str(path), "--r", "5", "--output", str(tmp_path / "dense.sp")])
     assert done.returncode == 1
-    assert "max_sets" in done.stderr
+    assert "MAX_SETS" in done.stderr
     assert not (tmp_path / "dense.sp").exists()
 
 
@@ -65,6 +65,33 @@ def test_oversize_grid_refused_before_enumeration():
         "    print(exc)\n"
     )
     assert "exceeds MAX_UNIVERSE" in out
+
+
+# 14 disjoint 3-clauses over x1..x42, whose 7^14 prefixes all satisfy them.
+DISJOINT = "tuple((3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(14))"
+
+
+def test_contradictory_unit_clauses_past_a_wide_prefix_give_no_sets():
+    out = run_python(
+        f"f = cnf.CnfFormula(num_vars=45, clauses={DISJOINT} + ((45,), (-45,)))\n"
+        "inst, wit = reduction.reduce_to_packing(f, 1)\n"
+        "print(inst.set_count, wit.codes)\n"
+    )
+    assert out.split() == ["0", "((),)"]
+
+
+def test_search_that_outruns_the_allowance_is_refused():
+    # No unit clause, but x44 and x45 admit no value, so without a work
+    # bound every prefix of x1..x42 would be extended.
+    out = run_python(
+        "core = ((44, 45), (44, -45), (-44, 45), (-44, -45))\n"
+        f"f = cnf.CnfFormula(num_vars=45, clauses={DISJOINT} + core)\n"
+        "try:\n"
+        "    reduction.reduce_to_packing(f, 1)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert f"MAX_SETS = {1 << 20}: group 0: search visited more than" in out
 
 
 def test_deep_domain_of_unit_clauses_gives_one_set():
