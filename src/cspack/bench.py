@@ -40,6 +40,12 @@ class SweepDisagreement(Exception):
     """A sweep row's packing verdict contradicted the SAT oracle."""
 
 
+def _require_int(name: str, value: object) -> None:
+    # bool is an int subclass, but true/false in a config is a typo, not a number.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One benchmark sweep.
@@ -62,25 +68,41 @@ class SweepConfig:
     planted: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_values, (list, tuple)):
+            raise ValueError(f"n_values must be a list of integers, got {self.n_values!r}")
         object.__setattr__(self, "n_values", tuple(self.n_values))
+        for n in self.n_values:
+            _require_int("every n in n_values", n)
         if not self.n_values or any(n < 3 for n in self.n_values):
             raise ValueError("n_values must be nonempty with every n >= 3")
+        for name in ("instances", "seed", "budget", "oracle_cap"):
+            _require_int(name, getattr(self, name))
         if self.instances < 1:
             raise ValueError("instances per point must be positive")
         if isinstance(self.r_rule, str):
             if self.r_rule != "log2":
                 raise ValueError(f"unknown r rule {self.r_rule!r}")
-        elif self.r_rule < 1:
-            raise ValueError(f"fixed r must be positive, got {self.r_rule}")
-        if isinstance(self.padding, str) and self.padding not in ("none", "default"):
-            raise ValueError(f"padding must be 'none', 'default', or an integer, got {self.padding!r}")
-        if self.density <= 0:
-            raise ValueError("density must be positive")
+        else:
+            _require_int("a fixed r_rule", self.r_rule)
+            if self.r_rule < 1:
+                raise ValueError(f"fixed r must be positive, got {self.r_rule}")
+        if isinstance(self.padding, str):
+            if self.padding not in ("none", "default"):
+                raise ValueError(f"padding must be 'none', 'default', or an integer, got {self.padding!r}")
+        else:
+            _require_int("an explicit padding width", self.padding)
+        density = self.density
+        if isinstance(density, bool) or not isinstance(density, (int, float)) or not 0 < density < math.inf:
+            raise ValueError(f"density must be a positive finite number, got {density!r}")
+        if not isinstance(self.planted, bool):
+            raise ValueError(f"planted must be true or false, got {self.planted!r}")
 
 
 def load_sweep_config(path: str) -> SweepConfig:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"sweep config must be a JSON object, got {type(raw).__name__}")
     known = {
         "n_values", "r_rule", "instances", "seed", "density",
         "padding", "budget", "oracle_cap", "planted",

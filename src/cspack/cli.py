@@ -18,6 +18,9 @@ EXIT_USAGE = 1
 EXIT_DISAGREE = 2
 EXIT_INCONCLUSIVE = 3
 
+# reduce warns when m/n exceeds this: the reduction is meant for sparse formulas.
+DENSITY_WARNING = 8.0
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; keep 2 reserved for disagreements.
@@ -62,10 +65,10 @@ def cmd_gen_cnf(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     formula = cnf.parse_dimacs(_read(args.input))
-    report = cnf.check_sparsity(formula, density_bound=args.density)
-    if not report.ok:
+    if formula.num_clauses > DENSITY_WARNING * formula.num_vars:
         print(
-            f"warning: density m/n = {report.ratio:.2f} exceeds bound {args.density:g}",
+            f"warning: density m/n = {formula.num_clauses / formula.num_vars:.2f} "
+            f"exceeds bound {DENSITY_WARNING:g}",
             file=sys.stderr,
         )
     instance, witness = reduction.reduce_to_packing(formula, args.r, dull_width=_dull_width(args))
@@ -174,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="DIMACS CNF path")
     p.add_argument("--r", type=int, required=True, help="number of clause groups / packing parameter")
     _add_pad_flags(p)
-    p.add_argument("--density", type=float, default=cnf.DEFAULT_DENSITY_BOUND,
-                   help="advisory sparsity bound on m/n")
     p.add_argument("--output", required=True, help="instance output path")
     p.add_argument("--witness", help="witness output path (default: OUTPUT.wit)")
     p.set_defaults(func=cmd_reduce)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 Assignment = dict[int, bool]
 
 DEFAULT_ORACLE_CAP = 24
-DEFAULT_DENSITY_BOUND = 8.0
 
 
 class DimacsError(ValueError):
@@ -155,21 +154,6 @@ def brute_force_sat(formula: CnfFormula, cap: int = DEFAULT_ORACLE_CAP) -> Assig
         else:
             return assignment_from_code(n, code)
     return None
-
-
-@dataclass(frozen=True)
-class SparsityReport:
-    num_vars: int
-    num_clauses: int
-    ratio: float
-    ok: bool
-
-
-def check_sparsity(formula: CnfFormula, density_bound: float = DEFAULT_DENSITY_BOUND) -> SparsityReport:
-    """Advisory check that the clause count stays within density_bound * num_vars."""
-    n = formula.num_vars
-    m = formula.num_clauses
-    return SparsityReport(num_vars=n, num_clauses=m, ratio=m / n, ok=m <= density_bound * n)
 
 
 def gen_random_3cnf(

@@ -38,7 +38,8 @@ from .cnf import Assignment, CnfFormula
 from .iss import build_iss, minimal_iss_universe
 from .packing import MAX_UNIVERSE, SetPackingInstance, check_universe_size, mask_of
 
-DEFAULT_DULL_CAP = 16
+# Widest dull block reduce_to_packing builds: 2^d padding sets are materialized.
+MAX_DULL_WIDTH = 16
 
 # Sets reduce_to_packing materializes at most, padding included; a family
 # that would be larger is refused before any mask is built.
@@ -282,10 +283,6 @@ class ElementLayout:
         return self.grid_size + self.iss_total
 
     @property
-    def dull_start(self) -> int:
-        return self.core_size
-
-    @property
     def universe_size(self) -> int:
         return self.core_size + self.dull_width
 
@@ -340,9 +337,9 @@ class WitnessMap:
                 raise ValueError(f"group {g}: codes must be strictly increasing")
             # minimal_iss_universe(count) <= width iff count <= iss_capacity(width),
             # since the capacity grows with the width; this form never computes
-            # the binomial of a huge width. Width 0 means tags are disabled.
+            # the binomial of a huge width.
             width = self.layout.iss_widths[g]
-            if width > 0 and minimal_iss_universe(len(self.codes[g])) > width:
+            if minimal_iss_universe(len(self.codes[g])) > width:
                 raise ValueError(f"group {g}: {len(self.codes[g])} sets do not fit a tag block of width {width}")
 
     @property
@@ -424,11 +421,11 @@ def code_masks(codes: tuple[int, ...], value_masks: list[tuple[int, int]]) -> li
     return out
 
 
-def default_dull_width(n: int, r: int, cap: int = DEFAULT_DULL_CAP) -> int:
-    """Default padding width ceil(n * log2(max(r, 2)) / r), capped; 0 when r == 1."""
+def default_dull_width(n: int, r: int) -> int:
+    """Default padding width ceil(n * log2(r) / r), capped at MAX_DULL_WIDTH; 0 when r == 1."""
     if r == 1:
         return 0
-    return min(cap, math.ceil(n * math.log2(max(r, 2)) / r))
+    return min(MAX_DULL_WIDTH, math.ceil(n * math.log2(r) / r))
 
 
 def reduce_to_packing(
@@ -436,19 +433,15 @@ def reduce_to_packing(
     r: int,
     *,
     dull_width: int | None = None,
-    include_iss: bool = True,
-    dull_cap: int = DEFAULT_DULL_CAP,
 ) -> tuple[SetPackingInstance, WitnessMap]:
     """Build the set packing instance and its witness map for the formula.
 
     dull_width None picks the default padding width; 0 disables padding.
     Padding needs r >= 2 (with r = 1 a padding set alone is a packing, which
-    would break the equivalence). The width is capped because 2^dull_width
-    padding sets are materialized. include_iss=False drops the tag blocks;
-    that is only sound while the family stays duplicate-free, which is
-    checked here and otherwise refused. A universe above MAX_UNIVERSE is
-    refused with ValueError before the family is built, and a grid plus dull
-    block above it before any group is enumerated.
+    would break the equivalence). The width is capped at MAX_DULL_WIDTH
+    because 2^dull_width padding sets are materialized. A universe above
+    MAX_UNIVERSE is refused with ValueError before the family is built, and a
+    grid plus dull block above it before any group is enumerated.
 
     A family of more than MAX_SETS sets is refused with ValueError: the 2^d
     padding sets are counted first, and each group's enumeration gets the
@@ -465,11 +458,11 @@ def reduce_to_packing(
     m = formula.num_clauses
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    d = default_dull_width(n, r, cap=dull_cap) if dull_width is None else dull_width
+    d = default_dull_width(n, r) if dull_width is None else dull_width
     if d < 0:
         raise ValueError(f"dull_width must be nonnegative, got {d}")
-    if d > dull_cap:
-        raise ValueError(f"dull_width {d} exceeds cap {dull_cap} (2^d padding sets are materialized)")
+    if d > MAX_DULL_WIDTH:
+        raise ValueError(f"dull_width {d} exceeds cap {MAX_DULL_WIDTH} (2^d padding sets are materialized)")
     if r == 1 and d > 0:
         raise ValueError("padding requires r >= 2: with r = 1 any padding set alone is a packing")
     check_universe_size(n * r * r + d)  # the grid and dull blocks, before any enumeration
@@ -486,12 +479,8 @@ def reduce_to_packing(
             raise ValueError(f"family refused under MAX_SETS = {MAX_SETS}: {exc}") from None
         groups.append(group)
         allowance -= group.count
-    if include_iss:
-        families = [build_iss(group.count) for group in groups]
-        iss_widths = tuple(fam.universe_width for fam in families)
-    else:
-        families = None
-        iss_widths = (0,) * r
+    families = [build_iss(group.count) for group in groups]
+    iss_widths = tuple(fam.universe_width for fam in families)
     layout = ElementLayout(n=n, r=r, iss_widths=iss_widths, dull_width=d)
     check_universe_size(layout.universe_size)
 
@@ -502,21 +491,13 @@ def reduce_to_packing(
             for v in group.domain
         ]
         core = code_masks(group.codes, value_masks)
-        if families is not None:
-            tag_base = layout.iss_start(g)
-            core = [m | mask_of(tag) << tag_base for m, tag in zip(core, families[g].sets)]
-        masks.extend(core)
+        tag_base = layout.iss_start(g)
+        masks.extend(m | mask_of(tag) << tag_base for m, tag in zip(core, families[g].sets))
 
     if d > 0:
-        core_mask = (1 << layout.core_size) - 1
-        dull_start = layout.dull_start
-        masks.extend(core_mask | subset << dull_start for subset in range(1 << d))
-
-    if len(set(masks)) != len(masks):
-        raise ValueError(
-            "constructed family contains duplicate sets; "
-            "this can only happen with tags disabled (or r = 1), refusing to deduplicate"
-        )
+        core_size = layout.core_size
+        core_mask = (1 << core_size) - 1
+        masks.extend(core_mask | subset << core_size for subset in range(1 << d))
 
     instance = SetPackingInstance(universe_size=layout.universe_size, masks=tuple(masks), r=r)
     witness = WitnessMap(
@@ -563,7 +544,7 @@ def lift_packing_to_assignment(witness: WitnessMap, packing: list[int] | tuple[i
     for idx in packing:
         if not 0 <= idx < total_sets:
             raise ValueError(f"set index {idx} out of range [0, {total_sets})")
-        if idx >= witness.pad_first and witness.pad_count > 0:
+        if idx >= witness.pad_first:
             raise ValueError(f"set index {idx} is a padding set and carries no assignment")
         group, code = witness.entry(idx)
         if group in seen_groups:

@@ -62,6 +62,16 @@ def test_reduce_reparse_matches_in_memory(tmp_path):
     assert packing.parse_instance(out.read_text()) == inst
 
 
+@pytest.mark.parametrize("m, warning", [
+    (24, ""),  # m = 8n is within the bound
+    (30, "warning: density m/n = 10.00 exceeds bound 8\n"),
+], ids=["at-bound", "above-bound"])
+def test_reduce_density_warning(tmp_path, capsys, m, warning):
+    cnf_path = write(tmp_path / "dense.cnf", f"p cnf 3 {m}\n" + "1 2 3 0\n" * m)
+    assert cli.main(["reduce", cnf_path, "--r", "2", "--no-pad", "--output", str(tmp_path / "x.sp")]) == 0
+    assert capsys.readouterr().err == warning
+
+
 def test_reduce_r1_with_padding_fails(tmp_path, capsys):
     cnf_path = write(tmp_path / "phi2.cnf", PHI2)
     rc = cli.main(["reduce", cnf_path, "--r", "1", "--pad", "1", "--output", str(tmp_path / "x.sp")])
@@ -190,6 +200,28 @@ def test_bench_bad_config(tmp_path, capsys):
     config.write_text(json.dumps({"n_values": []}))
     rc = cli.main(["bench", str(config)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("config", [
+    {"n_values": 5},
+    {"n_values": [6.0]},
+    {"n_values": [6], "instances": "3"},
+    {"n_values": [6], "seed": None},
+    {"n_values": [6], "density": None},
+    {"n_values": [6], "density": float("inf")},
+    {"n_values": [6], "density": float("nan")},
+    {"n_values": [6], "r_rule": 2.5},
+    {"n_values": [6], "r_rule": True},
+    {"n_values": [6], "padding": True},
+    {"n_values": [6], "planted": "yes"},
+    [1, 2],
+])
+def test_bench_config_type_errors(tmp_path, capsys, config):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["bench", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cspack: ") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code(capsys):

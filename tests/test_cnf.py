@@ -182,26 +182,6 @@ def test_oracle_agrees_with_enumeration(formula):
         assert result is None
 
 
-# -- sparsity --------------------------------------------------------------
-
-def test_sparsity_pass():
-    f = cnf.gen_random_3cnf(10, 30, seed=1)
-    report = cnf.check_sparsity(f, density_bound=4)
-    assert report.ok and report.ratio == pytest.approx(3.0)
-
-
-def test_sparsity_fail():
-    f = cnf.gen_random_3cnf(10, 50, seed=1)
-    report = cnf.check_sparsity(f, density_bound=4)
-    assert not report.ok and report.ratio == pytest.approx(5.0)
-
-
-def test_sparsity_empty():
-    f = cnf.CnfFormula(num_vars=1, clauses=())
-    report = cnf.check_sparsity(f, density_bound=4)
-    assert report.ok and report.ratio == 0.0
-
-
 # -- random generation -----------------------------------------------------
 
 def test_gen_shape_and_determinism():

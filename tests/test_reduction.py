@@ -324,22 +324,6 @@ def test_reduce_r_larger_than_m():
     assert cnf.evaluate(sat, lifted)
 
 
-def test_reduce_duplicate_guard_with_tags_off():
-    # two empty groups without tags would both produce the empty set
-    f = cnf.CnfFormula(num_vars=3, clauses=((1, 2, 3),))
-    with pytest.raises(ValueError, match="duplicate"):
-        reduction.reduce_to_packing(f, 3, dull_width=0, include_iss=False)
-
-
-def test_reduce_without_tags_still_correct_when_distinct():
-    inst, wit = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0, include_iss=False)
-    assert wit.layout.iss_total == 0
-    assert inst.universe_size == 12
-    result = solve_exact(inst)
-    assert result.verdict == "yes"
-    assert cnf.evaluate(PHI_TWO_WIDE, reduction.lift_packing_to_assignment(wit, list(result.packing)))
-
-
 # -- structural invariants over random formulas -------------------------------
 
 def sample_instances(count, seed, r_choices=(2, 3), max_n=8):
@@ -526,10 +510,12 @@ def test_witness_tag_block_must_hold_its_group():
     # A width-1 tag block holds one tag, but the group has two sets.
     with pytest.raises(reduction.WitnessFormatError, match="tag block"):
         reduction.witness_from_text("w 1 1 0 1\n0 0 1 0\n1 0 1 1\npad 2 0\n")
-    # Width 0 (tags disabled) stays legal.
-    _, wit = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0, include_iss=False)
-    assert wit.layout.iss_widths == (0, 0)
-    assert reduction.witness_from_text(reduction.witness_to_text(wit)) == wit
+    # A width-0 block holds no tag, not even for a group without sets
+    # (build_iss(0) has width 1).
+    with pytest.raises(reduction.WitnessFormatError, match="tag block"):
+        reduction.witness_from_text("w 1 1 0 0\n0 0 1 0\n1 0 1 1\npad 2 0\n")
+    with pytest.raises(reduction.WitnessFormatError, match="tag block"):
+        reduction.witness_from_text("w 1 1 0 0\ng 0 1\npad 0 0\n")
 
 
 def test_witness_parser_accepts_noncanonical_domain_spelling():
