@@ -79,6 +79,8 @@ class SweepConfig:
             _require_int(name, getattr(self, name))
         if self.instances < 1:
             raise ValueError("instances per point must be positive")
+        if self.budget < 1:
+            raise ValueError(f"budget must be positive, got {self.budget}")
         if isinstance(self.r_rule, str):
             if self.r_rule != "log2":
                 raise ValueError(f"unknown r rule {self.r_rule!r}")

@@ -217,7 +217,10 @@ def solve_exact(instance: SetPackingInstance, budget: int = DEFAULT_NODE_BUDGET)
     sets as a bit-vector, skips candidates that intersect it, and cuts a
     level short once too few indices remain to complete a packing. The first
     packing found is therefore the lexicographically least index list.
+    Raises ValueError for a budget below 1.
     """
+    if budget < 1:
+        raise ValueError(f"node budget must be positive, got {budget}")
     r = instance.r
     masks = instance.masks
     count = len(masks)
@@ -319,8 +322,8 @@ def audit_compactness(
     """Compute the compactness ratio universe_size / (r^3 * log2(set_count)).
 
     With a witness map, also break the universe into its grid, tag, and dull
-    components and cross-check them against the instance. Requires at least
-    2 sets, since log2(1) = 0.
+    components and cross-check its r, universe and set count against the
+    instance. Requires at least 2 sets, since log2(1) = 0.
     """
     if instance.set_count < 2:
         raise ValueError(f"need at least 2 sets to audit, got {instance.set_count}")
@@ -332,6 +335,8 @@ def audit_compactness(
         grid = layout.grid_size
         iss = layout.iss_total
         dull = layout.dull_width
+        if witness.r != instance.r:
+            raise ValueError(f"witness r {witness.r} does not match instance r {instance.r}")
         if layout.universe_size != instance.universe_size:
             raise ValueError(
                 f"witness universe {layout.universe_size} does not match instance {instance.universe_size}"

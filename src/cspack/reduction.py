@@ -36,7 +36,7 @@ from functools import cached_property
 
 from .cnf import Assignment, CnfFormula
 from .iss import build_iss, minimal_iss_universe
-from .packing import MAX_UNIVERSE, SetPackingInstance, check_universe_size, mask_of
+from .packing import SetPackingInstance, check_universe_size, mask_of
 
 # Widest dull block reduce_to_packing builds: 2^d padding sets are materialized.
 MAX_DULL_WIDTH = 16
@@ -48,8 +48,6 @@ MAX_SETS = 1 << 20
 # Partial assignments a group's search may visit per set it may still keep
 # (see enumerate_group_assignments).
 SEARCH_NODES_PER_SET = 4
-
-_BIT_CHARS = frozenset("01")
 
 # Domain variables per lookup table when grid masks are combined per code
 # (see code_masks); a table holds 2^width entries.
@@ -314,45 +312,39 @@ class WitnessMap:
 
     Core set indices are laid out group by group, in assignment-encoding
     order within each group; padding sets (if any) come after all core sets.
+    The element layout follows from the fields: each group's tag block is
+    the minimal intersecting-family universe for its set count, as build_iss
+    builds it.
     """
 
-    layout: ElementLayout
+    num_vars: int
+    dull_width: int
     domains: tuple[tuple[int, ...], ...]
     codes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        r = self.layout.r
-        if len(self.domains) != r or len(self.codes) != r:
-            raise ValueError(f"need domains and codes for all {r} groups")
-        for g in range(r):
-            domain = self.domains[g]
-            if any(not 1 <= v <= self.layout.n for v in domain):
-                raise ValueError(f"group {g}: domain variable out of range [1, {self.layout.n}]")
+        if len(self.domains) != len(self.codes):
+            raise ValueError(f"need one domain per group, got {len(self.domains)} for {len(self.codes)} groups")
+        check_universe_size(self.layout.universe_size)
+        for g, (domain, codes) in enumerate(zip(self.domains, self.codes)):
+            if any(not 1 <= v <= self.num_vars for v in domain):
+                raise ValueError(f"group {g}: domain variable out of range [1, {self.num_vars}]")
             if any(a >= b for a, b in zip(domain, domain[1:])):
                 raise ValueError(f"group {g}: domain must be strictly increasing")
             top = 1 << len(domain)
-            if any(not 0 <= c < top for c in self.codes[g]):
+            if any(not 0 <= c < top for c in codes):
                 raise ValueError(f"group {g}: assignment code out of range for domain size {len(domain)}")
-            if any(a >= b for a, b in zip(self.codes[g], self.codes[g][1:])):
+            if any(a >= b for a, b in zip(codes, codes[1:])):
                 raise ValueError(f"group {g}: codes must be strictly increasing")
-            # minimal_iss_universe(count) <= width iff count <= iss_capacity(width),
-            # since the capacity grows with the width; this form never computes
-            # the binomial of a huge width.
-            width = self.layout.iss_widths[g]
-            if minimal_iss_universe(len(self.codes[g])) > width:
-                raise ValueError(f"group {g}: {len(self.codes[g])} sets do not fit a tag block of width {width}")
 
     @property
     def r(self) -> int:
-        return self.layout.r
+        return len(self.codes)
 
-    @property
-    def num_vars(self) -> int:
-        return self.layout.n
-
-    @property
-    def dull_width(self) -> int:
-        return self.layout.dull_width
+    @cached_property
+    def layout(self) -> ElementLayout:
+        iss_widths = tuple(minimal_iss_universe(len(codes)) for codes in self.codes)
+        return ElementLayout(n=self.num_vars, r=self.r, iss_widths=iss_widths, dull_width=self.dull_width)
 
     @cached_property
     def group_offsets(self) -> tuple[int, ...]:
@@ -479,10 +471,13 @@ def reduce_to_packing(
             raise ValueError(f"family refused under MAX_SETS = {MAX_SETS}: {exc}") from None
         groups.append(group)
         allowance -= group.count
-    families = [build_iss(group.count) for group in groups]
-    iss_widths = tuple(fam.universe_width for fam in families)
-    layout = ElementLayout(n=n, r=r, iss_widths=iss_widths, dull_width=d)
-    check_universe_size(layout.universe_size)
+    witness = WitnessMap(
+        num_vars=n,
+        dull_width=d,
+        domains=tuple(group.domain for group in groups),
+        codes=tuple(group.codes for group in groups),
+    )
+    layout = witness.layout
 
     masks: list[int] = []
     for g, group in enumerate(groups):
@@ -492,7 +487,7 @@ def reduce_to_packing(
         ]
         core = code_masks(group.codes, value_masks)
         tag_base = layout.iss_start(g)
-        masks.extend(m | mask_of(tag) << tag_base for m, tag in zip(core, families[g].sets))
+        masks.extend(m | mask_of(tag) << tag_base for m, tag in zip(core, build_iss(group.count).sets))
 
     if d > 0:
         core_size = layout.core_size
@@ -500,11 +495,6 @@ def reduce_to_packing(
         masks.extend(core_mask | subset << core_size for subset in range(1 << d))
 
     instance = SetPackingInstance(universe_size=layout.universe_size, masks=tuple(masks), r=r)
-    witness = WitnessMap(
-        layout=layout,
-        domains=tuple(group.domain for group in groups),
-        codes=tuple(group.codes for group in groups),
-    )
     return instance, witness
 
 
@@ -564,34 +554,23 @@ def witness_to_text(witness: WitnessMap) -> str:
 
     Grammar (whitespace-separated tokens, LF endings):
 
-        w <n> <r> <d> <u_0> ... <u_last>
-        g <group> <v_1> ... <v_k>            (only for groups with no sets)
-        <set_index> <group> <v_1> ... <v_k> <bits>
-        pad <first> <count>
+        w <n> <r> <d>
+        g <count> <v_1> ... <v_k>            (one block per group, in group order)
+        <bits>                               (exactly <count> lines per block)
 
-    One numbered line per core set, in index order; <bits> is the assignment
-    over the sorted domain variables, most significant bit first, written as
-    "-" when the domain is empty. The "g" lines keep empty groups' domains
-    from being lost. The pad line is always present (count 0 when unpadded).
+    A block's <bits> lines are its satisfying assignments in core set order,
+    each over the sorted domain variables, most significant bit first,
+    written as "-" when the domain is empty. Set indices, tag widths and the
+    padding sets follow from the counts and d.
     """
-    layout = witness.layout
-    head = ["w", str(layout.n), str(layout.r), str(layout.dull_width), *map(str, layout.iss_widths)]
-    lines = [" ".join(head)]
-    index = 0
-    for g in range(witness.r):
-        domain = witness.domains[g]
-        codes = witness.codes[g]
-        group = " ".join([str(g), *map(str, domain)])
-        if not codes:
-            lines.append(f"g {group}")
-            continue
+    lines = [f"w {witness.num_vars} {witness.r} {witness.dull_width}"]
+    for domain, codes in zip(witness.domains, witness.codes):
+        lines.append(" ".join(["g", str(len(codes)), *map(str, domain)]))
         if domain:
             spec = f"0{len(domain)}b"
-            lines.extend(f"{i} {group} {code:{spec}}" for i, code in enumerate(codes, start=index))
+            lines.extend(f"{code:{spec}}" for code in codes)
         else:
-            lines.extend(f"{i} {group} -" for i in range(index, index + len(codes)))
-        index += len(codes)
-    lines.append(f"pad {witness.pad_first} {witness.pad_count}")
+            lines.extend("-" for _ in codes)
     return "\n".join(lines) + "\n"
 
 
@@ -601,106 +580,52 @@ def witness_from_text(text: str) -> WitnessMap:
     Raises only WitnessFormatError, also for a layout whose universe exceeds
     MAX_UNIVERSE.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line.split() for line in text.splitlines() if line.strip()]
     if not lines:
         raise WitnessFormatError("empty witness text")
-    head = lines[0].split()
-    if len(head) < 4 or head[0] != "w":
-        raise WitnessFormatError(f"malformed header line: {lines[0]!r}")
+    head = lines[0]
     try:
-        n, r, d = int(head[1]), int(head[2]), int(head[3])
-        iss_widths = tuple(int(tok) for tok in head[4:])
+        if len(head) != 4 or head[0] != "w":
+            raise ValueError
+        n, r, d = map(int, head[1:])
     except ValueError:
-        raise WitnessFormatError(f"malformed header line: {lines[0]!r}") from None
-    if len(iss_widths) != r:
-        raise WitnessFormatError(f"header declares r={r} but carries {len(iss_widths)} tag widths")
-    try:
-        layout = ElementLayout(n=n, r=r, iss_widths=iss_widths, dull_width=d)
-    except ValueError as exc:
-        raise WitnessFormatError(f"malformed header line: {exc}") from None
-    if layout.universe_size > MAX_UNIVERSE:
-        raise WitnessFormatError(f"layout universe {layout.universe_size} exceeds MAX_UNIVERSE = {MAX_UNIVERSE}")
-
-    domains: dict[int, tuple[int, ...]] = {}
-    # The domain tokens of each group's first set line and their values, so
-    # that later lines spelled the same way skip the int conversion.
-    spelled: dict[int, tuple[list[str], tuple[int, ...]]] = {}
-    codes: dict[int, list[int]] = {g: [] for g in range(r)}
-    pad_line: tuple[int, int] | None = None
-    expected_index = 0
-    for line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "pad":
-            if pad_line is not None or len(parts) != 3:
-                raise WitnessFormatError(f"malformed pad line: {line!r}")
-            try:
-                pad_line = (int(parts[1]), int(parts[2]))
-            except ValueError:
-                raise WitnessFormatError(f"malformed pad line: {line!r}") from None
-            continue
-        if pad_line is not None:
-            raise WitnessFormatError("set lines after the pad line")
-        if parts[0] == "g":
-            try:
-                g = int(parts[1])
-                domain = tuple(map(int, parts[2:]))
-            except (ValueError, IndexError):
-                raise WitnessFormatError(f"malformed group line: {line!r}") from None
-            if not 0 <= g < r:
-                raise WitnessFormatError(f"group {g} out of range [0, {r})")
-            if domains.get(g) is not None or codes[g]:
-                raise WitnessFormatError(f"group line for nonempty or repeated group {g}")
-            domains[g] = domain
-            continue
-        if len(parts) < 3:
-            raise WitnessFormatError(f"malformed set line: {line!r}")
-        bits = parts[-1]
-        tokens = parts[2:-1]
-        try:
-            set_index = int(parts[0])
-            g = int(parts[1])
-            known = spelled.get(g)
-            domain = known[1] if known is not None and known[0] == tokens else tuple(map(int, tokens))
-        except ValueError:
-            raise WitnessFormatError(f"malformed set line: {line!r}") from None
-        if set_index != expected_index:
-            raise WitnessFormatError(f"set index {set_index} out of order, expected {expected_index}")
-        expected_index += 1
-        if not 0 <= g < r:
-            raise WitnessFormatError(f"group {g} out of range [0, {r})")
-        if bits == "-":
-            if domain:
-                raise WitnessFormatError(f"set {set_index}: bits '-' with nonempty domain")
-            code = 0
-        else:
-            if len(bits) != len(domain) or not _BIT_CHARS.issuperset(bits):
-                raise WitnessFormatError(f"set {set_index}: bits {bits!r} do not match domain size {len(domain)}")
-            code = int(bits, 2)
-        if g in domains:
-            if domains[g] != domain:
-                raise WitnessFormatError(f"set {set_index}: domain differs from earlier lines of group {g}")
-        else:
-            domains[g] = domain
-            spelled[g] = (tokens, domain)
-        if codes[g] and code <= codes[g][-1]:
-            raise WitnessFormatError(f"set {set_index}: group {g} codes not strictly increasing")
-        codes[g].append(code)
-    if pad_line is None:
-        raise WitnessFormatError("missing pad line")
+        raise WitnessFormatError(f"malformed header line: {' '.join(head)!r}") from None
+    domains = []
+    codes = []
+    pos = 1
     for g in range(r):
-        if g not in domains:
-            raise WitnessFormatError(f"no domain information for group {g}")
+        if pos == len(lines):
+            raise WitnessFormatError(f"missing the block of group {g}")
+        line = lines[pos]
+        try:
+            if len(line) < 2 or line[0] != "g":
+                raise ValueError
+            count = int(line[1])
+            domain = tuple(map(int, line[2:]))
+        except ValueError:
+            raise WitnessFormatError(f"malformed group line: {' '.join(line)!r}") from None
+        if count < 0:
+            raise WitnessFormatError(f"group {g}: negative set count {count}")
+        pos += 1
+        block = lines[pos : pos + count]
+        if len(block) != count:
+            raise WitnessFormatError(f"group {g}: {len(block)} of its {count} bit lines present")
+        pos += count
+        group_codes = []
+        for tokens in block:
+            bits = tokens[0]
+            if domain:
+                valid = len(bits) == len(domain) and bits.strip("01") == ""
+            else:
+                valid = bits == "-"
+            if len(tokens) != 1 or not valid:
+                raise WitnessFormatError(f"group {g}: {' '.join(tokens)!r} is not bits over {len(domain)} variables")
+            group_codes.append(int(bits, 2) if domain else 0)
+        domains.append(domain)
+        codes.append(tuple(group_codes))
+    if pos != len(lines):
+        raise WitnessFormatError(f"{len(lines) - pos} lines after the last group block")
     try:
-        witness = WitnessMap(
-            layout=layout,
-            domains=tuple(domains[g] for g in range(r)),
-            codes=tuple(tuple(codes[g]) for g in range(r)),
-        )
+        return WitnessMap(num_vars=n, dull_width=d, domains=tuple(domains), codes=tuple(codes))
     except ValueError as exc:
         raise WitnessFormatError(str(exc)) from None
-    if pad_line != (witness.pad_first, witness.pad_count):
-        raise WitnessFormatError(
-            f"pad line {pad_line} does not match core count {witness.pad_first} "
-            f"and padding count {witness.pad_count}"
-        )
-    return witness

@@ -34,6 +34,9 @@ def test_config_validation():
         bench.SweepConfig(n_values=(6,), padding="lots")
     with pytest.raises(ValueError):
         bench.SweepConfig(n_values=(6,), instances=0)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            bench.SweepConfig(n_values=(6,), budget=budget)
 
 
 def test_load_config(tmp_path):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from cspack import bench, cli, packing, reduction
-from cspack.cnf import parse_dimacs, to_dimacs
+from cspack.cnf import gen_random_3cnf, parse_dimacs, to_dimacs
 
 PHI1 = "p cnf 1 2\n1 0\n-1 0\n"
 PHI2 = "p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n"
@@ -130,6 +130,19 @@ def test_solve_budget_exit_code(tmp_path, capsys):
     assert "verdict budget" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_nonpositive_budget_exits_1(tmp_path, capsys, budget):
+    cnf_path = write(tmp_path / "phi2.cnf", PHI2)
+    out = tmp_path / "phi2.sp"
+    cli.main(["reduce", cnf_path, "--r", "2", "--no-pad", "--output", str(out)])
+    capsys.readouterr()
+    for argv in (["solve", str(out)], ["roundtrip", cnf_path, "--r", "2", "--no-pad"]):
+        assert cli.main([*argv, "--budget", budget]) == 1
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert captured.err == f"cspack: node budget must be positive, got {budget}\n"
+
+
 def test_roundtrip_unsat_agrees(tmp_path, capsys):
     cnf_path = write(tmp_path / "phi1.cnf", PHI1)
     rc = cli.main(["roundtrip", cnf_path, "--r", "2", "--no-pad"])
@@ -175,6 +188,21 @@ def test_audit_with_witness(tmp_path, capsys):
     assert "ratio" in printed and "breakdown: grid 12 iss 10 dull 0" in printed
 
 
+def test_audit_refuses_witness_of_another_r(tmp_path, capsys):
+    cnf_path = write(tmp_path / "f.cnf", to_dimacs(gen_random_3cnf(6, 8, seed=1)))
+    out = tmp_path / "f.sp"
+    cli.main(["reduce", cnf_path, "--r", "2", "--no-pad", "--output", str(out)])
+    assert "universe 39 " in capsys.readouterr().out
+    # One group of 72 sets over 30 variables: universe 30 + 9 = 39 and 72
+    # sets, like the r = 2 instance, whose grid is 6 * 2^2 = 24.
+    codes = "".join(f"{code:07b}\n" for code in range(72))
+    wit = write(tmp_path / "r1.wit", "w 30 1 0\ng 72 1 2 3 4 5 6 7\n" + codes)
+    assert cli.main(["audit", str(out), "--witness", wit]) == 1
+    captured = capsys.readouterr()
+    assert "breakdown" not in captured.out
+    assert captured.err == "cspack: witness r 1 does not match instance r 2\n"
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({
@@ -214,6 +242,7 @@ def test_bench_bad_config(tmp_path, capsys):
     {"n_values": [6], "r_rule": True},
     {"n_values": [6], "padding": True},
     {"n_values": [6], "planted": "yes"},
+    {"n_values": [6], "budget": 0},
     [1, 2],
 ])
 def test_bench_config_type_errors(tmp_path, capsys, config):

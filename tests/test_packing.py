@@ -180,6 +180,14 @@ def test_solve_r_exceeds_set_count():
     assert result.verdict == "no" and result.nodes == 0
 
 
+def test_solve_refuses_nonpositive_budget():
+    # The second instance has r > set count, which the solver answers without a search.
+    for inst in (make_instance([{0}, {1}], r=2), make_instance([{0}], r=2)):
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                packing.solve_exact(inst, budget=budget)
+
+
 def test_solve_reduced_instance():
     inst, _ = reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0)
     assert brute_force_packing(inst) is not None
@@ -294,6 +302,13 @@ def test_audit_rejects_mismatched_witness():
     inst, _ = reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0)
     _, other = reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
     with pytest.raises(ValueError, match="does not match"):
+        packing.audit_compactness(inst, other)
+
+
+def test_audit_rejects_witness_of_another_r():
+    inst, _ = reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0)
+    _, other = reduce_to_packing(PHI_TWO_WIDE, 1, dull_width=0)
+    with pytest.raises(ValueError, match="witness r 1 does not match instance r 2"):
         packing.audit_compactness(inst, other)
 
 

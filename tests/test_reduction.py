@@ -474,82 +474,76 @@ def test_witness_round_trip_with_padding_and_empty_groups():
     assert reduction.witness_from_text(reduction.witness_to_text(wit2)) == wit2
 
 
+def test_witness_text_literal_examples():
+    # At r = 4, (x1) goes to group 0 and (not x1) to group 1; groups 2 and 3
+    # have no clauses and hold the single empty assignment.
+    _, wit = reduction.reduce_to_packing(PHI_CONTRADICTION, 4, dull_width=2)
+    assert reduction.witness_to_text(wit) == "w 1 4 2\ng 1 1\n1\ng 1 1\n0\ng 1\n-\ng 1\n-\n"
+    # Group 0 holds (x1) and (not x1): it has no sets but keeps its domain.
+    f = cnf.CnfFormula(num_vars=2, clauses=((1,), (2,), (-1,)))
+    _, wit2 = reduction.reduce_to_packing(f, 2, dull_width=0)
+    assert reduction.witness_to_text(wit2) == "w 2 2 0\ng 0 1\ng 1 2\n1\n"
+    for w in (wit, wit2):
+        assert reduction.witness_from_text(reduction.witness_to_text(w)) == w
+
+
 def test_witness_format_errors():
-    _, wit = reduction.reduce_to_packing(PHI_CONTRADICTION, 2, dull_width=0)
-    good = reduction.witness_to_text(wit)
-    with pytest.raises(reduction.WitnessFormatError):
-        reduction.witness_from_text("")
-    with pytest.raises(reduction.WitnessFormatError, match="header"):
-        reduction.witness_from_text("x 1 2 0 1 1\n")
-    with pytest.raises(reduction.WitnessFormatError, match="tag widths"):
-        reduction.witness_from_text("w 1 2 0 1\n0 0 1 1\npad 1 0\n")
-    with pytest.raises(reduction.WitnessFormatError, match="pad"):
-        reduction.witness_from_text(good.replace("pad 2 0", "pad 3 0"))
-    with pytest.raises(reduction.WitnessFormatError, match="out of order"):
-        reduction.witness_from_text(good.replace("1 1 1 0", "5 1 1 0"))
-    with pytest.raises(reduction.WitnessFormatError, match="missing pad"):
-        reduction.witness_from_text(good.replace("pad 2 0\n", ""))
+    good = "w 3 2 0\ng 2 1 2\n00\n11\ng 1\n-\n"
+    wit = reduction.witness_from_text(good)
+    assert wit.domains == ((1, 2), ()) and wit.codes == ((0, 3), (0,))
+    bad = [
+        ("", "empty"),
+        ("x 3 2 0\ng 2 1 2\n00\n11\ng 1\n-\n", "header"),
+        ("w 3 2 0\ng 3 1 2\n00\n11\ng 1\n-\n", "not bits"),  # truncated block
+        ("w 3 2 0\ng 2 1 2\n00\n11\ng 2\n-\n", "1 of its 2 bit lines"),  # truncated last block
+        ("w 3 2 0\ng 1 1 2\n00\n11\ng 1\n-\n", "malformed group line"),  # extra bit line
+        (good + "-\n", "1 lines after the last group block"),
+        (good + "g 1\n-\n", "2 lines after the last group block"),
+        ("w 3 2 0\ng 2 1 2\n00\n11\n", "missing the block of group 1"),
+        ("w 3 2 0\ng 2 1 2\n00\n-\ng 1\n-\n", "not bits"),  # "-" for a nonempty domain
+        ("w 3 2 0\ng 2 1 2\n00\n11\ng 1\n0\n", "not bits"),  # bits for an empty domain
+        ("w 3 2 0\ng -1 1 2\ng 1\n-\n", "negative"),
+        ("w 3 2 0\ng 99999999999999999999 1 2\n00\n11\ng 1\n-\n", "4 of its 99999999999999999999 bit lines"),
+        ("w 3 1 0\ng 2 1 2\n11\n00\n", "strictly increasing"),  # codes out of order
+        ("w 3 1 0\ng 2 1 2\n11\n11\n", "strictly increasing"),  # a repeated code
+        ("w 3 1 0\ng 1 2 1\n11\n", "strictly increasing"),  # domain out of order
+        # Old formats: set-numbered lines, tag widths in the header and a pad
+        # line; in the second, group 1's lines come first.
+        ("w 3 2 0 3 3\n0 0 1 2 01\n1 0 1 2 10\n2 0 1 2 11\n3 1 1 3 01\n4 1 1 3 10\n5 1 1 3 11\npad 6 0\n", "header"),
+        ("w 3 2 0 3 3\n0 1 1 3 01\n1 1 1 3 10\n2 1 1 3 11\n3 0 1 2 01\n4 0 1 2 10\n5 0 1 2 11\npad 6 0\n", "header"),
+        ("w 1 4 2 1 1 1 1\n0 0 1 1\n1 1 1 0\n2 2 -\n3 3 -\npad 4 4\n", "header"),
+        ("w 2 2 0 1 1\ng 0 1\n0 1 2 1\npad 1 0\n", "header"),
+    ]
+    for text, match in bad:
+        with pytest.raises(reduction.WitnessFormatError, match=match):
+            reduction.witness_from_text(text)
 
 
 def test_witness_parser_raises_only_its_error_type():
     bad = [
-        "w 1 1 0 1\npad x y\n",  # pad counts are not integers
-        "w 1 1 0 1\ng 0 a\npad 0 0\n",  # group domain is not integers
-        "w 1 1 0 1\ng\npad 0 0\n",
-        "w 0 1 0 1\npad 0 0\n",  # n = 0 is not a layout
-        "w 2 1 0 1\n0 0 5 1\npad 1 0\n",  # domain variable beyond n
-        f"w {MAX_UNIVERSE} 1 0 1\npad 0 0\n",  # universe above the bound
-        "w 1 1 99999999999 1\npad 0 0\n",  # 2^d padding sets, d huge
+        "w 1 1 0 1\ng 0\n",  # a tag width in the header
+        "w 1 1 x\ng 0\n",  # d is not an integer
+        "w 1 1 0\ng 0 a\n",  # group domain is not integers
+        "w 1 1 0\ng x 1\n",  # set count is not an integer
+        "w 1 1 0\ng\n",
+        "w 0 1 0\ng 0\n",  # n = 0 is not a layout
+        "w 1 0 0\n",  # r = 0 is not a layout
+        "w 1 -1 0\n",
+        "w 1 1 -1\ng 0\n",  # negative d
+        "w 2 1 0\ng 1 5\n1\n",  # domain variable beyond n
+        "w 2 1 0\ng 1 0\n1\n",  # domain variable 0
+        f"w {MAX_UNIVERSE} 1 0\ng 0\n",  # universe above the bound
+        "w 1 1 99999999999\ng 0\n",  # 2^d padding sets, d huge
     ]
     for text in bad:
         with pytest.raises(reduction.WitnessFormatError):
             reduction.witness_from_text(text)
 
 
-def test_witness_tag_block_must_hold_its_group():
-    # A width-1 tag block holds one tag, but the group has two sets.
-    with pytest.raises(reduction.WitnessFormatError, match="tag block"):
-        reduction.witness_from_text("w 1 1 0 1\n0 0 1 0\n1 0 1 1\npad 2 0\n")
-    # A width-0 block holds no tag, not even for a group without sets
-    # (build_iss(0) has width 1).
-    with pytest.raises(reduction.WitnessFormatError, match="tag block"):
-        reduction.witness_from_text("w 1 1 0 0\n0 0 1 0\n1 0 1 1\npad 2 0\n")
-    with pytest.raises(reduction.WitnessFormatError, match="tag block"):
-        reduction.witness_from_text("w 1 1 0 0\ng 0 1\npad 0 0\n")
-
-
 def test_witness_parser_accepts_noncanonical_domain_spelling():
-    # A width-3 tag block holds C(3, 2) = 3 tags, enough for the group's 2 sets.
-    wit = reduction.witness_from_text("w 2 1 0 3\n0 0 1 02 00\n1 0 01 2 01\npad 2 0\n")
+    wit = reduction.witness_from_text("w 2 1 0\ng 02 01 2\n00\n01\n")
     assert wit.domains == ((1, 2),) and wit.codes == ((0, 1),)
-    with pytest.raises(reduction.WitnessFormatError, match="domain differs"):
-        reduction.witness_from_text("w 2 1 0 3\n0 0 1 2 00\n1 0 1 1 01\npad 2 0\n")
-
-
-def reference_witness_text(witness):
-    """The line-by-line witness writer the grouped one must match byte for byte."""
-    layout = witness.layout
-    lines = [" ".join(["w", str(layout.n), str(layout.r), str(layout.dull_width), *map(str, layout.iss_widths)])]
-    index = 0
-    for g in range(witness.r):
-        domain = witness.domains[g]
-        k = len(domain)
-        if not witness.codes[g]:
-            lines.append(" ".join(["g", str(g), *map(str, domain)]))
-            continue
-        for code in witness.codes[g]:
-            bits = format(code, f"0{k}b") if k else "-"
-            lines.append(" ".join([str(index), str(g), *map(str, domain), bits]))
-            index += 1
-    lines.append(f"pad {witness.pad_first} {witness.pad_count}")
-    return "\n".join(lines) + "\n"
-
-
-def test_witness_text_matches_reference_writer():
-    cases = [wit for _, _, wit in sample_instances(20, seed=13, r_choices=(1, 2, 3, 5))]
-    cases.append(reduction.reduce_to_packing(PHI_CONTRADICTION, 4, dull_width=2)[1])
-    for wit in cases:
-        assert reduction.witness_to_text(wit) == reference_witness_text(wit)
+    assert reduction.witness_to_text(wit) == "w 2 1 0\ng 2 1 2\n00\n01\n"
 
 
 def test_group_offsets_cached_and_entry_matches_linear_scan():
@@ -565,5 +559,6 @@ def test_group_offsets_cached_and_entry_matches_linear_scan():
 
 
 def test_witness_bits_match_domain():
-    with pytest.raises(reduction.WitnessFormatError, match="bits"):
-        reduction.witness_from_text("w 2 1 0 1\n0 0 1 2 0\npad 1 0\n")
+    for bits in ("0", "000", "0a", "2", "0-"):
+        with pytest.raises(reduction.WitnessFormatError, match="bits"):
+            reduction.witness_from_text(f"w 2 1 0\ng 1 1 2\n{bits}\n")
