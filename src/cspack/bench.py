@@ -13,28 +13,12 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from . import cnf
 from .cnf import Assignment, CnfFormula
 from .packing import DEFAULT_NODE_BUDGET, solve_exact, verify_packing
 from .reduction import lift_packing_to_assignment, reduce_to_packing
-
-CSV_COLUMNS = (
-    "n",
-    "m",
-    "r",
-    "universe_size",
-    "set_count",
-    "log2_set_count",
-    "reduce_time",
-    "solve_time",
-    "solver_nodes",
-    "verdict",
-    "oracle_verdict",
-    "agreement",
-)
-
 
 class SweepDisagreement(Exception):
     """A sweep row's packing verdict contradicted the SAT oracle."""
@@ -81,6 +65,8 @@ class SweepConfig:
             raise ValueError("instances per point must be positive")
         if self.budget < 1:
             raise ValueError(f"budget must be positive, got {self.budget}")
+        if self.oracle_cap < 0:
+            raise ValueError(f"oracle_cap must be nonnegative, got {self.oracle_cap}")
         if isinstance(self.r_rule, str):
             if self.r_rule != "log2":
                 raise ValueError(f"unknown r rule {self.r_rule!r}")
@@ -105,11 +91,7 @@ def load_sweep_config(path: str) -> SweepConfig:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"sweep config must be a JSON object, got {type(raw).__name__}")
-    known = {
-        "n_values", "r_rule", "instances", "seed", "density",
-        "padding", "budget", "oracle_cap", "planted",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(SweepConfig)}
     if unknown:
         raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
     if "n_values" not in raw:
@@ -143,6 +125,9 @@ class SweepRow:
     verdict: str
     oracle_verdict: str
     agreement: str
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def planted_assignment(n: int, rng: random.Random) -> Assignment:
@@ -179,10 +164,13 @@ def run_roundtrip_row(
 
     With skip_oracle_over_cap (bench mode) the oracle is skipped, verdict
     "skip", when n exceeds the cap; without it (roundtrip mode) the cap
-    violation raises. A found packing is verified and lifted, and the lifted
-    assignment is evaluated; failures there raise, since they mean the
-    toolkit itself is broken.
+    violation raises ValueError before the formula is reduced. A found
+    packing is verified and lifted, and the lifted assignment is evaluated;
+    failures there raise, since they mean the toolkit itself is broken.
     """
+    over_cap = formula.num_vars > oracle_cap
+    if over_cap and not skip_oracle_over_cap:
+        raise ValueError(f"formula has {formula.num_vars} variables, oracle cap is {oracle_cap}")
     t0 = time.perf_counter()
     instance, witness = reduce_to_packing(formula, r, dull_width=dull_width)
     reduce_time = time.perf_counter() - t0
@@ -199,7 +187,7 @@ def run_roundtrip_row(
         if not cnf.evaluate(formula, lifted):
             raise RuntimeError("lifted assignment does not satisfy the formula")
 
-    if skip_oracle_over_cap and formula.num_vars > oracle_cap:
+    if over_cap:
         oracle_verdict = "skip"
     else:
         oracle_verdict = "sat" if cnf.brute_force_sat(formula, cap=oracle_cap) is not None else "unsat"
@@ -244,24 +232,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
+    """One header line of CSV_COLUMNS, then one line per row: floats with 6 decimals, the rest as str."""
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.n),
-                    str(row.m),
-                    str(row.r),
-                    str(row.universe_size),
-                    str(row.set_count),
-                    f"{row.log2_set_count:.6f}",
-                    f"{row.reduce_time:.6f}",
-                    f"{row.solve_time:.6f}",
-                    str(row.solver_nodes),
-                    row.verdict,
-                    row.oracle_verdict,
-                    row.agreement,
-                )
-            )
-        )
+        lines.append(",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in astuple(row)))
     return "\n".join(lines) + "\n"

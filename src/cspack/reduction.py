@@ -59,27 +59,6 @@ class WitnessFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class ClausePartition:
-    """r disjoint groups of clause indices covering 0..m-1, sizes within 1 of m/r."""
-
-    r: int
-    groups: tuple[tuple[int, ...], ...]
-
-
-def partition_clauses(m: int, r: int) -> ClausePartition:
-    """Round-robin partition: clause k goes to group k mod r.
-
-    Group sizes are ceil(m/r) or floor(m/r), so the balance bound holds.
-    Groups may be empty when r > m.
-    """
-    if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    return ClausePartition(r=r, groups=tuple(tuple(range(g, m, r)) for g in range(r)))
-
-
-@dataclass(frozen=True)
 class GroupAssignments:
     """All satisfying partial assignments of one clause group.
 
@@ -89,16 +68,12 @@ class GroupAssignments:
     order, with no misses and no duplicates.
     """
 
-    group_index: int
     domain: tuple[int, ...]
     codes: tuple[int, ...]
 
     @property
     def count(self) -> int:
         return len(self.codes)
-
-    def assignment(self, position: int) -> Assignment:
-        return decode_assignment(self.domain, self.codes[position])
 
 
 def decode_assignment(domain: tuple[int, ...], code: int) -> Assignment:
@@ -144,20 +119,14 @@ def propagate_units(clauses: list[set[int]]) -> dict[int, bool] | None:
     return forced
 
 
-def enumerate_group_assignments(
-    formula: CnfFormula,
-    partition: ClausePartition,
-    group_index: int,
-    *,
-    limit: int | None = None,
-) -> GroupAssignments:
+def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, limit: int) -> GroupAssignments:
     """Enumerate every assignment over the group's variables satisfying all its clauses.
 
     An empty group yields the single empty assignment; a contradictory group
-    yields an empty list. With a limit, raises ValueError as soon as more
-    than limit assignments are found, or once the search has visited more
-    than |domain| + SEARCH_NODES_PER_SET * (limit + 1) partial assignments,
-    so the work is bounded as well as the output.
+    yields an empty list. Raises ValueError as soon as more than limit
+    assignments are found, or once the search has visited more than
+    |domain| + SEARCH_NODES_PER_SET * (limit + 1) partial assignments, so the
+    work is bounded as well as the output.
 
     Tautological clauses are dropped (their variables stay in the domain),
     then unit clauses are propagated over the group (propagate_units): a
@@ -172,15 +141,12 @@ def enumerate_group_assignments(
     satisfy is still extended until a clause it completes fails, which is
     why the search work needs its own bound.
     """
-    if not 0 <= group_index < partition.r:
-        raise ValueError(f"group index {group_index} out of range [0, {partition.r})")
-    clause_ids = partition.groups[group_index]
-    domain = tuple(sorted({abs(lit) for ci in clause_ids for lit in formula.clauses[ci]}))
-    clauses = [set(formula.clauses[ci]) for ci in clause_ids]
+    domain = tuple(sorted({abs(lit) for clause in group_clauses for lit in clause}))
+    clauses = [set(clause) for clause in group_clauses]
     clauses = [lits for lits in clauses if not any(-lit in lits for lit in lits)]
     forced = propagate_units(clauses)
     if forced is None:
-        return GroupAssignments(group_index=group_index, domain=domain, codes=())
+        return GroupAssignments(domain=domain, codes=())
     k = len(domain)
     position = {v: j for j, v in enumerate(domain)}
     # checks[j][value]: (mask, neg) pairs over the j-bit prefix of variables
@@ -206,15 +172,14 @@ def enumerate_group_assignments(
                     neg |= bit
         checks[last][banned_value].append((mask, neg))
 
-    cap = math.inf if limit is None else limit
-    budget = math.inf if limit is None else k + SEARCH_NODES_PER_SET * (limit + 1)
+    budget = k + SEARCH_NODES_PER_SET * (limit + 1)
     visited = 0
     codes = [] if k else [0]
     stack = [(0, 0)] if k else []  # (depth, prefix of that many bits)
     while stack:
         visited += 1
         if visited > budget:
-            raise ValueError(f"group {group_index}: search visited more than {budget} partial assignments")
+            raise ValueError(f"search visited more than {budget} partial assignments")
         depth, prefix = stack.pop()
         if_false, if_true = checks[depth]
         can_false = True
@@ -233,16 +198,16 @@ def enumerate_group_assignments(
                 codes.append(child)
             if can_true:
                 codes.append(child | 1)
-            if len(codes) > cap:
+            if len(codes) > limit:
                 break
         else:
             if can_true:
                 stack.append((depth + 1, child | 1))
             if can_false:
                 stack.append((depth + 1, child))
-    if len(codes) > cap:
-        raise ValueError(f"group {group_index} has more than {limit} satisfying assignments")
-    return GroupAssignments(group_index=group_index, domain=domain, codes=tuple(codes))
+    if len(codes) > limit:
+        raise ValueError(f"more than {limit} satisfying assignments")
+    return GroupAssignments(domain=domain, codes=tuple(codes))
 
 
 @dataclass(frozen=True)
@@ -287,23 +252,17 @@ class ElementLayout:
     def grid_id(self, x: int, i: int, j: int) -> int:
         return x * self.r * self.r + i * self.r + j
 
+    def grid_mask(self, x: int, g: int, value: bool) -> int:
+        """Mask of the grid IDs group g's sets claim in variable block x for the given truth value.
 
-def grid_edges(x: int, g: int, value: bool, layout: ElementLayout) -> frozenset[int]:
-    """Grid IDs a set claims in variable block x for the given truth value.
-
-    value False claims row g (IDs id(x, g, j) for all j); value True claims
-    column g (IDs id(x, j, g) for all j). Always exactly r IDs. A row and a
-    column of the same block share exactly one ID, which is what makes
-    conflicting truth values collide.
-    """
-    if not 0 <= x < layout.n:
-        raise ValueError(f"variable block {x} out of range [0, {layout.n})")
-    if not 0 <= g < layout.r:
-        raise ValueError(f"group {g} out of range [0, {layout.r})")
-    r = layout.r
-    if value:
-        return frozenset(layout.grid_id(x, j, g) for j in range(r))
-    return frozenset(layout.grid_id(x, g, j) for j in range(r))
+        value False claims row g (IDs id(x, g, j) for all j); value True claims
+        column g (IDs id(x, j, g) for all j). Always exactly r IDs. A row and a
+        column of the same block share exactly one ID, which is what makes
+        conflicting truth values collide.
+        """
+        if value:
+            return sum(1 << self.grid_id(x, j, g) for j in range(self.r))
+        return sum(1 << self.grid_id(x, g, j) for j in range(self.r))
 
 
 @dataclass(frozen=True)
@@ -359,10 +318,6 @@ class WitnessMap:
     @property
     def core_count(self) -> int:
         return sum(len(codes) for codes in self.codes)
-
-    @property
-    def pad_first(self) -> int:
-        return self.core_count
 
     @property
     def pad_count(self) -> int:
@@ -443,11 +398,10 @@ def reduce_to_packing(
     refused too, even if few of its assignments survive.
 
     Each set is the OR of precomputed masks: the grid mask of its code (from
-    grid_edges, per variable, group and value) and its tag mask; a padding
-    set is the core mask with a subset of the dull block.
+    ElementLayout.grid_mask, per variable, group and value) and its tag mask;
+    a padding set is the core mask with a subset of the dull block.
     """
     n = formula.num_vars
-    m = formula.num_clauses
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     d = default_dull_width(n, r) if dull_width is None else dull_width
@@ -462,13 +416,12 @@ def reduce_to_packing(
     allowance = MAX_SETS - ((1 << d) if d > 0 else 0)
     if allowance < 0:
         raise ValueError(f"the {1 << d} padding sets alone exceed MAX_SETS = {MAX_SETS}")
-    partition = partition_clauses(m, r)
     groups = []
     for g in range(r):
         try:
-            group = enumerate_group_assignments(formula, partition, g, limit=allowance)
+            group = enumerate_group_assignments(formula.clauses[g::r], limit=allowance)
         except ValueError as exc:
-            raise ValueError(f"family refused under MAX_SETS = {MAX_SETS}: {exc}") from None
+            raise ValueError(f"family refused under MAX_SETS = {MAX_SETS}: group {g}: {exc}") from None
         groups.append(group)
         allowance -= group.count
     witness = WitnessMap(
@@ -481,10 +434,7 @@ def reduce_to_packing(
 
     masks: list[int] = []
     for g, group in enumerate(groups):
-        value_masks = [
-            (mask_of(grid_edges(v - 1, g, False, layout)), mask_of(grid_edges(v - 1, g, True, layout)))
-            for v in group.domain
-        ]
+        value_masks = [(layout.grid_mask(v - 1, g, False), layout.grid_mask(v - 1, g, True)) for v in group.domain]
         core = code_masks(group.codes, value_masks)
         tag_base = layout.iss_start(g)
         masks.extend(m | mask_of(tag) << tag_base for m, tag in zip(core, build_iss(group.count).sets))
@@ -534,7 +484,7 @@ def lift_packing_to_assignment(witness: WitnessMap, packing: list[int] | tuple[i
     for idx in packing:
         if not 0 <= idx < total_sets:
             raise ValueError(f"set index {idx} out of range [0, {total_sets})")
-        if idx >= witness.pad_first:
+        if idx >= witness.core_count:
             raise ValueError(f"set index {idx} is a padding set and carries no assignment")
         group, code = witness.entry(idx)
         if group in seen_groups:

@@ -265,7 +265,7 @@ def test_criterion_5_padding_neutrality():
             # a packing of cardinality >= 2 containing a padding set can never
             # verify: padding sets contain the whole core universe
             masks = padded.masks
-            pad_idx = witness.pad_first + rng.randrange(witness.pad_count)
+            pad_idx = witness.core_count + rng.randrange(witness.pad_count)
             for other in range(padded.set_count):
                 if other != pad_idx and not masks[pad_idx] & masks[other]:
                     padding_pair_failures += 1

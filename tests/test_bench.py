@@ -37,6 +37,8 @@ def test_config_validation():
     for budget in (0, -5):
         with pytest.raises(ValueError, match="budget must be positive"):
             bench.SweepConfig(n_values=(6,), budget=budget)
+    with pytest.raises(ValueError, match="oracle_cap must be nonnegative, got -3"):
+        bench.SweepConfig(n_values=(6,), oracle_cap=-3)
 
 
 def test_load_config(tmp_path):
@@ -91,6 +93,25 @@ def test_csv_deterministic_outside_timing():
     assert header == ",".join(bench.CSV_COLUMNS)
 
 
+def test_csv_text_pinned_outside_timing():
+    config = bench.SweepConfig(n_values=(5, 7), r_rule=2, instances=3, seed=9, density=4.0,
+                               padding="default", oracle_cap=6)
+    lines = bench.rows_to_csv(bench.run_sweep(config)).splitlines()
+    for i in range(1, len(lines)):
+        cols = lines[i].split(",")
+        cols[6] = cols[7] = ""  # reduce_time and solve_time
+        lines[i] = ",".join(cols)
+    assert lines == [
+        "n,m,r,universe_size,set_count,log2_set_count,reduce_time,solve_time,solver_nodes,verdict,oracle_verdict,agreement",
+        "5,20,2,33,26,4.700440,,,350,no,unsat,agree",
+        "5,20,2,33,25,4.643856,,,324,no,unsat,agree",
+        "5,20,2,33,23,4.523562,,,9,yes,sat,agree",
+        "7,28,2,45,46,5.523562,,,194,yes,skip,na",
+        "7,28,2,45,56,5.807355,,,76,yes,skip,na",
+        "7,28,2,46,56,5.807355,,,242,yes,skip,na",
+    ]
+
+
 def test_padding_modes():
     assert bench.dull_width_arg("none") == 0
     assert bench.dull_width_arg("default") is None
@@ -122,8 +143,13 @@ def test_roundtrip_row_budget_is_inconclusive():
     assert row.agreement == "na"
 
 
-def test_roundtrip_row_strict_oracle_cap():
+def test_roundtrip_row_strict_oracle_cap(monkeypatch):
+    # The cap is checked before the formula is reduced, not after the solve.
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("reduce_to_packing called for a formula over the oracle cap")
+
+    monkeypatch.setattr(bench, "reduce_to_packing", no_reduction)
     formula = cnf.gen_random_3cnf(8, 8, seed=3)
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match="formula has 8 variables, oracle cap is 4"):
         bench.run_roundtrip_row(formula, 2, dull_width=0, budget=10**6, oracle_cap=4,
                                 skip_oracle_over_cap=False)

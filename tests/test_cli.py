@@ -244,6 +244,7 @@ def test_bench_bad_config(tmp_path, capsys):
     {"n_values": [6], "planted": "yes"},
     {"n_values": [6], "budget": 0},
     [1, 2],
+    {"n_values": [6], "oracle_cap": -3},
 ])
 def test_bench_config_type_errors(tmp_path, capsys, config):
     path = tmp_path / "sweep.json"

@@ -14,66 +14,45 @@ PHI_CONTRADICTION = cnf.CnfFormula(num_vars=1, clauses=((1,), (-1,)))
 PHI_TWO_WIDE = cnf.CnfFormula(num_vars=3, clauses=((1, 2, 3), (-1, -2, -3)))
 
 
-# -- clause partition --------------------------------------------------------
-
-def test_partition_examples():
-    assert reduction.partition_clauses(2, 2).groups == ((0,), (1,))
-    assert reduction.partition_clauses(5, 2).groups == ((0, 2, 4), (1, 3))
-    assert reduction.partition_clauses(2, 3).groups == ((0,), (1,), ())
-
-
-def test_partition_properties_exhaustive():
-    for m in range(0, 201):
-        for r in range(1, 21):
-            part = reduction.partition_clauses(m, r)
-            seen = [k for group in part.groups for k in group]
-            assert sorted(seen) == list(range(m))
-            assert len(seen) == len(set(seen))
-            for group in part.groups:
-                assert abs(len(group) - m / r) <= 1
-
-
-def test_partition_rejects_bad_args():
-    with pytest.raises(ValueError):
-        reduction.partition_clauses(5, 0)
-    with pytest.raises(ValueError):
-        reduction.partition_clauses(-1, 2)
-
-
 # -- group assignment enumeration --------------------------------------------
 
-def brute_force_group(formula, clause_ids):
+def brute_force_group(clauses):
     """Independent enumeration: filter all 0/1 maps over the group's variables."""
-    domain = sorted({abs(l) for ci in clause_ids for l in formula.clauses[ci]})
+    domain = sorted({abs(l) for clause in clauses for l in clause})
     result = []
     for bits in product([False, True], repeat=len(domain)):
         alpha = dict(zip(domain, bits))
-        if all(any(alpha[abs(l)] == (l > 0) for l in formula.clauses[ci]) for ci in clause_ids):
+        if all(any(alpha[abs(l)] == (l > 0) for l in clause) for clause in clauses):
             result.append(alpha)
     return domain, result
 
 
+def assignments(ga):
+    return [reduction.decode_assignment(ga.domain, code) for code in ga.codes]
+
+
+def enumerate_all(clauses):
+    return reduction.enumerate_group_assignments(clauses, limit=reduction.MAX_SETS)
+
+
 def test_enumerate_single_wide_clause():
     f = cnf.CnfFormula(num_vars=3, clauses=((1, 2, 3),))
-    part = reduction.partition_clauses(1, 1)
-    ga = reduction.enumerate_group_assignments(f, part, 0)
+    ga = enumerate_all(f.clauses)
     assert ga.domain == (1, 2, 3)
     assert ga.count == 7
     assert ga.codes == tuple(range(1, 8))
 
 
 def test_enumerate_contradictory_group():
-    part = reduction.partition_clauses(2, 1)
-    ga = reduction.enumerate_group_assignments(PHI_CONTRADICTION, part, 0)
+    ga = enumerate_all(PHI_CONTRADICTION.clauses)
     assert ga.codes == ()
 
 
 def test_enumerate_empty_group():
-    part = reduction.partition_clauses(2, 3)
-    ga = reduction.enumerate_group_assignments(PHI_CONTRADICTION, part, 2)
+    ga = enumerate_all(PHI_CONTRADICTION.clauses[2::3])
     assert ga.domain == ()
     assert ga.codes == (0,)
-    assert ga.assignment(0) == {}
+    assert reduction.decode_assignment(ga.domain, ga.codes[0]) == {}
 
 
 def test_enumerate_matches_brute_force():
@@ -83,23 +62,21 @@ def test_enumerate_matches_brute_force():
         m = rng.randint(1, 12)
         f = cnf.gen_random_3cnf(n, m, seed=rng.randrange(1 << 30))
         r = rng.randint(1, 4)
-        part = reduction.partition_clauses(m, r)
         for g in range(r):
-            ga = reduction.enumerate_group_assignments(f, part, g)
-            domain, expected = brute_force_group(f, part.groups[g])
+            ga = enumerate_all(f.clauses[g::r])
+            domain, expected = brute_force_group(f.clauses[g::r])
             assert list(ga.domain) == domain
-            got = [ga.assignment(i) for i in range(ga.count)]
-            assert got == expected  # same set and same encoding order
+            assert assignments(ga) == expected  # same set and same encoding order
 
 
 def test_enumerate_keeps_tautologies_and_repeated_literals():
     # (x1 or not x1 or x2) is always true: all four codes of (x1, x2) stay.
     f = cnf.CnfFormula(num_vars=2, clauses=((1, -1, 2),))
-    ga = reduction.enumerate_group_assignments(f, reduction.partition_clauses(1, 1), 0)
+    ga = enumerate_all(f.clauses)
     assert ga.domain == (1, 2) and ga.codes == (0, 1, 2, 3)
     # (x1 or x1 or not x2) excludes only x1 = False, x2 = True.
     f = cnf.CnfFormula(num_vars=2, clauses=((1, 1, -2),))
-    ga = reduction.enumerate_group_assignments(f, reduction.partition_clauses(1, 1), 0)
+    ga = enumerate_all(f.clauses)
     assert ga.codes == (0, 2, 3)
 
 
@@ -112,19 +89,19 @@ def test_enumerate_matches_brute_force_on_any_clauses(clauses, r):
     # 1-3 literal clauses with repeats, tautologies, empty groups (r > m) and
     # contradictory groups, against the filter over all 0/1 maps.
     f = cnf.CnfFormula(num_vars=6, clauses=tuple(map(tuple, clauses)))
-    part = reduction.partition_clauses(len(clauses), r)
     for g in range(r):
-        ga = reduction.enumerate_group_assignments(f, part, g)
-        domain, expected = brute_force_group(f, part.groups[g])
+        group = f.clauses[g::r]
+        ga = enumerate_all(group)
+        domain, expected = brute_force_group(group)
         assert list(ga.domain) == domain
-        assert [ga.assignment(i) for i in range(ga.count)] == expected
+        assert assignments(ga) == expected
         if expected:
             with pytest.MonkeyPatch.context() as mp:
                 # Search budget for every node of a 6-variable tree, so only the count limit acts.
                 mp.setattr(reduction, "SEARCH_NODES_PER_SET", 1 << 6)
-                assert reduction.enumerate_group_assignments(f, part, g, limit=len(expected)) == ga
+                assert reduction.enumerate_group_assignments(group, limit=len(expected)) == ga
                 with pytest.raises(ValueError, match="satisfying assignments"):
-                    reduction.enumerate_group_assignments(f, part, g, limit=len(expected) - 1)
+                    reduction.enumerate_group_assignments(group, limit=len(expected) - 1)
 
 
 # 14 disjoint 3-clauses over x1..x42: 7^14 prefixes of x1..x42 satisfy them.
@@ -135,11 +112,11 @@ def test_enumerate_propagates_units_before_searching():
     # (x15) and (not x15) conflict at once, so no prefix of x1..x12 is explored
     # (tests/test_refusals.py runs the same case over x1..x42).
     f = cnf.CnfFormula(num_vars=15, clauses=DISJOINT[:4] + ((15,), (-15,)))
-    ga = reduction.enumerate_group_assignments(f, reduction.partition_clauses(6, 1), 0, limit=1)
+    ga = reduction.enumerate_group_assignments(f.clauses, limit=1)
     assert ga.domain == tuple(range(1, 13)) + (15,) and ga.codes == ()
     # x3 is forced false, then x2 true by (x2 or x3): only x1 stays free.
     f = cnf.CnfFormula(num_vars=3, clauses=((1, 2, 3), (-3,), (2, 3)))
-    ga = reduction.enumerate_group_assignments(f, reduction.partition_clauses(3, 1), 0)
+    ga = enumerate_all(f.clauses)
     assert ga.codes == (0b010, 0b110)
 
 
@@ -148,11 +125,10 @@ def test_enumerate_bounds_search_work():
     # prefixes of x1..x12 survives until x14.
     core = ((13, 14), (13, -14), (-13, 14), (-13, -14))
     f = cnf.CnfFormula(num_vars=14, clauses=DISJOINT[:4] + core)
-    part = reduction.partition_clauses(8, 1)
-    assert reduction.enumerate_group_assignments(f, part, 0).codes == ()
+    assert enumerate_all(f.clauses).codes == ()
     budget = 14 + reduction.SEARCH_NODES_PER_SET * 11
     with pytest.raises(ValueError, match=f"search visited more than {budget} partial"):
-        reduction.enumerate_group_assignments(f, part, 0, limit=10)
+        reduction.enumerate_group_assignments(f.clauses, limit=10)
 
 
 def test_encode_decode_inverse():
@@ -170,9 +146,9 @@ def layout_for(n, r):
 
 def test_grid_edges_examples():
     layout = layout_for(1, 2)
-    assert reduction.grid_edges(0, 0, True, layout) == {0, 2}
-    assert reduction.grid_edges(0, 1, False, layout) == {2, 3}
-    assert reduction.grid_edges(0, 0, True, layout) & reduction.grid_edges(0, 1, False, layout) == {2}
+    assert layout.grid_mask(0, 0, True) == 0b0101
+    assert layout.grid_mask(0, 1, False) == 0b1100
+    assert layout.grid_mask(0, 0, True) & layout.grid_mask(0, 1, False) == 1 << 2
 
 
 def test_grid_edges_row_column_intersection():
@@ -180,21 +156,13 @@ def test_grid_edges_row_column_intersection():
     for x in range(3):
         for i in range(4):
             for j in range(4):
-                row = reduction.grid_edges(x, i, False, layout)
-                col = reduction.grid_edges(x, j, True, layout)
-                assert len(row) == 4 and len(col) == 4
-                assert row & col == {layout.grid_id(x, i, j)}
+                row = layout.grid_mask(x, i, False)
+                col = layout.grid_mask(x, j, True)
+                assert row.bit_count() == 4 and col.bit_count() == 4
+                assert row & col == 1 << layout.grid_id(x, i, j)
                 if i != j:
-                    other_row = reduction.grid_edges(x, j, False, layout)
+                    other_row = layout.grid_mask(x, j, False)
                     assert not row & other_row
-
-
-def test_grid_edges_bounds():
-    layout = layout_for(2, 2)
-    with pytest.raises(ValueError):
-        reduction.grid_edges(2, 0, False, layout)
-    with pytest.raises(ValueError):
-        reduction.grid_edges(0, 2, False, layout)
 
 
 # -- the reduction ------------------------------------------------------------
@@ -220,10 +188,10 @@ def test_reduce_grid_portion_matches_grid_edges():
     for idx in range(wit.core_count):
         g, code = wit.entry(idx)
         alpha = reduction.decode_assignment(wit.domains[g], code)
-        expected = set()
+        expected = 0
         for v, value in alpha.items():
-            expected |= reduction.grid_edges(v - 1, g, value, wit.layout)
-        assert {e for e in inst.sets[idx] if e < grid_size} == expected
+            expected |= wit.layout.grid_mask(v - 1, g, value)
+        assert inst.masks[idx] & ((1 << grid_size) - 1) == expected
 
 
 def test_reduce_grid_masks_across_lookup_chunks():
@@ -236,10 +204,29 @@ def test_reduce_grid_masks_across_lookup_chunks():
         grid_mask = (1 << wit.layout.grid_size) - 1
         for idx in range(wit.core_count):
             g, code = wit.entry(idx)
-            expected = set()
+            expected = 0
             for v, value in reduction.decode_assignment(wit.domains[g], code).items():
-                expected |= reduction.grid_edges(v - 1, g, value, wit.layout)
-            assert inst.masks[idx] & grid_mask == sum(1 << e for e in expected)
+                expected |= wit.layout.grid_mask(v - 1, g, value)
+            assert inst.masks[idx] & grid_mask == expected
+
+
+def test_reduce_partitions_clauses_round_robin():
+    # Clause k alone uses x(3k+1)..x(3k+3), so group g's domain names exactly
+    # its clauses g, g + r, ...; at most 3 clauses per group keep it small.
+    for m in range(0, 13):
+        for r in range(1, 7):
+            if m > 3 * r:
+                continue
+            clauses = tuple((3 * k + 1, -(3 * k + 2), 3 * k + 3) for k in range(m))
+            f = cnf.CnfFormula(num_vars=max(1, 3 * m), clauses=clauses)
+            _, wit = reduction.reduce_to_packing(f, r, dull_width=0)
+            assert wit.r == r
+            for g in range(r):
+                expected = tuple(v for k in range(g, m, r) for v in range(3 * k + 1, 3 * k + 4))
+                assert wit.domains[g] == expected
+                assert abs(len(expected) // 3 - m / r) <= 1
+                if g >= m:  # an empty group holds the single empty assignment
+                    assert wit.domains[g] == () and wit.codes[g] == (0,)
 
 
 def test_reduce_refuses_universe_above_bound():
@@ -257,7 +244,7 @@ def test_reduce_max_sets_boundary(monkeypatch):
     inst, _ = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
     assert inst == full
     monkeypatch.setattr(reduction, "MAX_SETS", total - 1)
-    with pytest.raises(ValueError, match=f"MAX_SETS = {total - 1}: group 1 has more than 6 satisfying"):
+    with pytest.raises(ValueError, match=f"MAX_SETS = {total - 1}: group 1: more than 6 satisfying"):
         reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
     monkeypatch.setattr(reduction, "MAX_SETS", 3)
     with pytest.raises(ValueError, match="padding sets alone"):
@@ -279,7 +266,7 @@ def test_reduce_padding_grows_counts():
     assert padded.set_count == base.set_count + 4
     assert padded.universe_size == base.universe_size + 2
     core_size = wit.layout.core_size
-    for idx in range(wit.pad_first, wit.pad_first + wit.pad_count):
+    for idx in range(wit.core_count, wit.core_count + wit.pad_count):
         assert set(padded.sets[idx]) >= set(range(core_size))
 
 
@@ -394,7 +381,7 @@ def test_padding_neutrality():
         assert solve_exact(plain).verdict == solve_exact(padded).verdict
         # a padding set intersects every other set, so no packing of
         # cardinality >= 2 can contain one
-        pad_idx = wit.pad_first
+        pad_idx = wit.core_count
         pad_set = set(padded.sets[pad_idx])
         for j in range(padded.set_count):
             if j != pad_idx:
@@ -444,7 +431,7 @@ def test_lift_defaults_unused_variable_to_false():
 def test_lift_rejects_corrupt_packings():
     inst, wit = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=1)
     with pytest.raises(ValueError, match="padding"):
-        reduction.lift_packing_to_assignment(wit, [0, wit.pad_first])
+        reduction.lift_packing_to_assignment(wit, [0, wit.core_count])
     with pytest.raises(ValueError, match="group"):
         reduction.lift_packing_to_assignment(wit, [0, 1])  # both from group 0
     with pytest.raises(ValueError, match="inconsistent"):
