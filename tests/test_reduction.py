@@ -210,23 +210,47 @@ def test_reduce_grid_masks_across_lookup_chunks():
             assert inst.masks[idx] & grid_mask == expected
 
 
-def test_reduce_partitions_clauses_round_robin():
-    # Clause k alone uses x(3k+1)..x(3k+3), so group g's domain names exactly
-    # its clauses g, g + r, ...; at most 3 clauses per group keep it small.
+def disjoint_clauses(m):
+    # Clause k alone uses x(3k+1)..x(3k+3), so a group's witness domain
+    # names exactly the clauses in it.
+    clauses = tuple((3 * k + 1, -(3 * k + 2), 3 * k + 3) for k in range(m))
+    return cnf.CnfFormula(num_vars=max(1, 3 * m), clauses=clauses)
+
+
+def clause_groups(m, r):
+    """The clause indices of each group, read from the witness domains."""
+    _, wit = reduction.reduce_to_packing(disjoint_clauses(m), r, dull_width=0)
+    assert wit.r == r
+    groups = []
+    for g in range(r):
+        domain = wit.domains[g]
+        assert len(domain) % 3 == 0
+        groups.append(tuple(domain[i] // 3 for i in range(0, len(domain), 3)))
+        if not domain:  # an empty group holds the single empty assignment
+            assert wit.codes[g] == (0,)
+    return tuple(groups)
+
+
+def test_partition_examples():
+    assert clause_groups(2, 2) == ((0,), (1,))
+    assert clause_groups(5, 2) == ((0, 2, 4), (1, 3))
+    assert clause_groups(2, 3) == ((0,), (1,), ())
+
+
+def test_partition_properties_exhaustive():
+    # At most 3 clauses per group keep each group's assignment family small.
     for m in range(0, 13):
         for r in range(1, 7):
             if m > 3 * r:
                 continue
-            clauses = tuple((3 * k + 1, -(3 * k + 2), 3 * k + 3) for k in range(m))
-            f = cnf.CnfFormula(num_vars=max(1, 3 * m), clauses=clauses)
-            _, wit = reduction.reduce_to_packing(f, r, dull_width=0)
-            assert wit.r == r
-            for g in range(r):
-                expected = tuple(v for k in range(g, m, r) for v in range(3 * k + 1, 3 * k + 4))
-                assert wit.domains[g] == expected
-                assert abs(len(expected) // 3 - m / r) <= 1
-                if g >= m:  # an empty group holds the single empty assignment
-                    assert wit.domains[g] == () and wit.codes[g] == (0,)
+            groups = clause_groups(m, r)
+            for g, group in enumerate(groups):
+                assert group == tuple(range(g, m, r))  # round robin
+            seen = [k for group in groups for k in group]
+            assert sorted(seen) == list(range(m))
+            assert len(seen) == len(set(seen))
+            for group in groups:
+                assert abs(len(group) - m / r) <= 1
 
 
 def test_reduce_refuses_universe_above_bound():
