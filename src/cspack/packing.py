@@ -1,18 +1,21 @@
 """Set packing instances: text format, exact solver, verifier, compactness audit.
 
 The decision problem: given a universe, a set family, and a parameter r, do r
-pairwise disjoint sets exist? The solver is a plain depth-first search over
-set indices with bit-vector disjointness tests. It deliberately knows nothing
-about how an instance was produced, so hardness claims about generated
-instances are exercised honestly.
+pairwise disjoint sets exist? The solver is a depth-first search over set
+indices with forward checking: each level holds the sets still disjoint from
+the packing so far as a bitset over set indices, filtered by per-element
+occurrence masks, and one node is one candidate popped from such a bitset.
+It deliberately knows nothing about how an instance was produced, so hardness
+claims about generated instances are exercised honestly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
+from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
 
 if TYPE_CHECKING:
@@ -201,8 +204,9 @@ class SolveResult:
     """Solver outcome: verdict "yes" (with the packing), "no", or "budget".
 
     "budget" means the node budget ran out before the search space was
-    exhausted; it is never a claim about the instance. nodes counts candidate
-    examinations in the DFS, so it is deterministic and monotone in budget.
+    exhausted; it is never a claim about the instance. nodes counts the
+    candidates the search popped from its filtered candidate bitsets, so it
+    is deterministic and monotone in budget.
     """
 
     verdict: str
@@ -210,14 +214,46 @@ class SolveResult:
     nodes: int
 
 
-def solve_exact(instance: SetPackingInstance, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
-    """Decide whether r pairwise disjoint sets exist, by ordered DFS.
+# Characters of binary text per slice of the occurrence-mask transpose, so
+# that its working memory stays a few MB at any universe size.
+_TRANSPOSE_CHARS = 1 << 22
 
-    Branches on set indices in ascending order, keeps the union of chosen
-    sets as a bit-vector, skips candidates that intersect it, and cuts a
-    level short once too few indices remain to complete a packing. The first
-    packing found is therefore the lexicographically least index list.
-    Raises ValueError for a budget below 1.
+
+def _occurrence_masks(masks: Sequence[int], universe_size: int) -> list[int]:
+    """occ[e]: the mask over set indices with bit i set iff set i contains element e.
+
+    Transposes the family slice by slice as binary text: the slice's masks
+    are packed into one int, one row of whole bytes per set, and written in
+    binary, which puts bit e of every row at a stride of the row width,
+    highest set index first.
+    """
+    row_bytes = (universe_size + 7) // 8
+    width = 8 * row_bytes
+    # Slices of a multiple of 8 sets give whole-byte column pieces to join.
+    chunk = max(8, _TRANSPOSE_CHARS // max(width, 1)) & ~7
+    columns: list[list[bytes]] = [[] for _ in range(universe_size)]
+    for base in range(0, len(masks), chunk):
+        part = masks[base : base + chunk]
+        packed = int.from_bytes(b"".join([m.to_bytes(row_bytes, "little") for m in part]), "little")
+        digits = format(packed, f"0{len(part) * width}b")
+        size = (len(part) + 7) // 8
+        for e, column in enumerate(columns):
+            column.append(int(digits[width - 1 - e :: width], 2).to_bytes(size, "little"))
+    return [int.from_bytes(b"".join(column), "little") for column in columns]
+
+
+def solve_exact(instance: SetPackingInstance, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
+    """Decide whether r pairwise disjoint sets exist, by forward checking.
+
+    Each search level holds its candidates as a bitset over set indices and
+    pops them lowest index first; each pop is one node. Choosing set i passes
+    the next level only the remaining candidates disjoint from it, found by
+    clearing the occurrence masks of i's elements, and a level stops once
+    fewer candidates remain than sets are still needed. Every feasible branch
+    is tried in ascending index order, so the first packing found is the
+    lexicographically least index list. The occurrence masks, built once
+    before the search, take universe_size * set_count bits; nothing is
+    cached per set. Raises ValueError for a budget below 1.
     """
     if budget < 1:
         raise ValueError(f"node budget must be positive, got {budget}")
@@ -226,31 +262,31 @@ def solve_exact(instance: SetPackingInstance, budget: int = DEFAULT_NODE_BUDGET)
     count = len(masks)
     if r > count:
         return SolveResult(verdict="no", packing=None, nodes=0)
+    occ = _occurrence_masks(masks, instance.universe_size)
 
     nodes = 0
     chosen: list[int] = []
 
-    def extend(start: int, union: int) -> str:
+    def extend(candidates: int, need: int) -> str:
         nonlocal nodes
-        need = r - len(chosen)
-        if need == 0:
-            return "yes"
-        for i in range(start, count - need + 1):
+        while candidates.bit_count() >= need:
+            low = candidates & -candidates
+            candidates ^= low
             nodes += 1
             if nodes > budget:
                 return "budget"
-            if masks[i] & union:
-                continue
+            i = low.bit_length() - 1
             chosen.append(i)
-            status = extend(i + 1, union | masks[i])
+            if need == 1:
+                return "yes"
+            conflict = reduce(or_, _members(masks[i], occ), 0)
+            status = extend(candidates & ~conflict, need - 1)
             if status != "no":
-                if status == "budget":
-                    chosen.pop()
                 return status
             chosen.pop()
         return "no"
 
-    verdict = extend(0, 0)
+    verdict = extend((1 << count) - 1, r)
     if verdict == "yes":
         return SolveResult(verdict="yes", packing=tuple(chosen), nodes=nodes)
     return SolveResult(verdict=verdict, packing=None, nodes=nodes)
@@ -276,7 +312,7 @@ def verify_packing(instance: SetPackingInstance, indices: Sequence[int]) -> Veri
         return VerifyResult(False, f"expected {instance.r} indices, got {len(indices)}")
     seen: set[int] = set()
     for idx in indices:
-        if not isinstance(idx, int):
+        if not isinstance(idx, int) or isinstance(idx, bool):
             return VerifyResult(False, f"non-integer index {idx!r}")
         if idx in seen:
             return VerifyResult(False, f"duplicate index {idx}")

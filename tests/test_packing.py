@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspack import packing
+from cspack import bench, cnf, packing
 from cspack.cnf import CnfFormula
-from cspack.reduction import reduce_to_packing
+from cspack.reduction import lift_packing_to_assignment, reduce_to_packing
 
 PHI_TWO_WIDE = CnfFormula(num_vars=3, clauses=((1, 2, 3), (-1, -2, -3)))
 
@@ -31,6 +32,45 @@ def brute_force_packing(instance):
         if all(not (as_sets[a] & as_sets[b]) for a, b in combinations(combo, 2)):
             return combo
     return None
+
+
+def reference_solve(instance, budget=packing.DEFAULT_NODE_BUDGET):
+    """Plain ordered DFS: the solver's reference for verdicts and first packings.
+
+    Branches on set indices in ascending order, keeps the union of chosen
+    sets as a bit-vector, skips candidates that intersect it, and cuts a
+    level short once too few indices remain. Its node counts differ from
+    solve_exact's: here a node is one index examined.
+    """
+    r = instance.r
+    masks = instance.masks
+    count = len(masks)
+    if r > count:
+        return packing.SolveResult(verdict="no", packing=None, nodes=0)
+
+    nodes = 0
+    chosen = []
+
+    def extend(start, union):
+        nonlocal nodes
+        need = r - len(chosen)
+        if need == 0:
+            return "yes"
+        for i in range(start, count - need + 1):
+            nodes += 1
+            if nodes > budget:
+                return "budget"
+            if masks[i] & union:
+                continue
+            chosen.append(i)
+            status = extend(i + 1, union | masks[i])
+            if status != "no":
+                return status
+            chosen.pop()
+        return "no"
+
+    verdict = extend(0, 0)
+    return packing.SolveResult(verdict=verdict, packing=tuple(chosen) if verdict == "yes" else None, nodes=nodes)
 
 
 # -- instance model and format ----------------------------------------------
@@ -160,6 +200,18 @@ def test_from_sets_masks_and_text_match_the_tuples(case):
     assert packing.parse_instance(text) == inst
 
 
+@given(id_families())
+@settings(max_examples=200)
+def test_occurrence_masks_transpose_the_family(case):
+    universe, family, r = case
+    inst = packing.SetPackingInstance.from_sets(universe, family, r)
+    expected = [packing.mask_of(i for i, ids in enumerate(family) if e in ids) for e in range(universe)]
+    assert packing._occurrence_masks(inst.masks, universe) == expected
+    # The smallest slice holds 8 sets, so a family of 9 to 12 spans two.
+    with mock.patch.object(packing, "_TRANSPOSE_CHARS", 1):
+        assert packing._occurrence_masks(inst.masks, universe) == expected
+
+
 # -- exact solver --------------------------------------------------------------
 
 def test_solve_only_disjoint_pair():
@@ -221,6 +273,41 @@ def test_solver_matches_exhaustive_enumeration(inst):
         assert packing.verify_packing(inst, result.packing).ok
 
 
+@given(small_instances())
+@settings(max_examples=300)
+def test_solver_matches_reference_dfs(inst):
+    expected = reference_solve(inst)
+    result = packing.solve_exact(inst)
+    assert (result.verdict, result.packing) == (expected.verdict, expected.packing)
+
+
+def test_solver_matches_reference_dfs_on_reductions():
+    # 952 reductions, random ones at m = 5n mostly unsatisfiable. Where the
+    # reference decides within its budget (all but a few), verdict and first
+    # packing must agree; the solver itself must decide every case.
+    compared = decided = 0
+    for n in range(5, 11):
+        for m in (2 * n, 5 * n):
+            for seed in range(3 if n < 9 else 1):
+                for planted in (False, True):
+                    formula = bench.make_formula(n, m, seed, planted)
+                    for r in range(1, 6):
+                        for dull_width in (0, 1, 3, None) if r > 1 else (0,):
+                            inst, witness = reduce_to_packing(formula, r, dull_width=dull_width)
+                            result = packing.solve_exact(inst)
+                            assert result.verdict != "budget"
+                            if result.verdict == "yes":
+                                assert packing.verify_packing(inst, result.packing).ok
+                                assert cnf.evaluate(formula, lift_packing_to_assignment(witness, list(result.packing)))
+                            expected = reference_solve(inst, budget=200_000)
+                            compared += 1
+                            if expected.verdict != "budget":
+                                decided += 1
+                                assert (result.verdict, result.packing) == (expected.verdict, expected.packing)
+    assert compared >= 500
+    assert decided >= 0.9 * compared
+
+
 def test_solver_determinism():
     inst, _ = reduce_to_packing(PHI_TWO_WIDE, 3, dull_width=2)
     a = packing.solve_exact(inst)
@@ -273,6 +360,12 @@ def test_verify_wrong_count_and_range():
     assert "expected 2 indices" in packing.verify_packing(inst, [0]).reason
     assert "out of range" in packing.verify_packing(inst, [0, 7]).reason
     assert not packing.verify_packing(inst, [0, "x"]).ok
+
+
+def test_verify_refuses_bool_indices():
+    inst = make_instance([{0, 1}, {2, 3}, {1, 2}], r=2)
+    result = packing.verify_packing(inst, [True, False])
+    assert not result.ok and result.reason == "non-integer index True"
 
 
 # -- compactness audit -----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Inputs the reduction must refuse or finish quickly, each run in a child process.
+"""Inputs the reduction must refuse or finish quickly, and instances the solver
+must decide within its default budget, each run in a child process.
 
 A regression to scanning all 2^|domain| codes of a group would make these
 cases run for hours or exhaust memory. The child has a wall-clock timeout and
@@ -13,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cspack
 from cspack import bench, cnf
 
@@ -23,7 +26,7 @@ SRC = str(Path(cspack.__file__).resolve().parent.parent)
 PRELUDE = f"""
 import resource
 resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_LIMIT}, {MEMORY_LIMIT}))
-from cspack import bench, cnf, reduction
+from cspack import bench, cnf, packing, reduction
 """
 
 
@@ -101,3 +104,24 @@ def test_deep_domain_of_unit_clauses_gives_one_set():
         "print(inst.set_count, len(wit.domains[0]), wit.codes[0] == ((1 << 1500) - 1,))\n"
     )
     assert out.split() == ["1", "1500", "True"]
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, planted, r, dull_width, verdict",
+    [
+        (14, 60, 5, False, 4, 4, "no"),
+        (14, 60, 6, False, 4, 4, "no"),
+        (20, 40, 7, True, 5, 0, "yes"),
+    ],
+)
+def test_solver_decides_rows_within_default_budget(n, m, seed, planted, r, dull_width, verdict):
+    # A plain ordered DFS spends its whole budget on each of these rows.
+    out = run_python(
+        f"f = bench.make_formula({n}, {m}, {seed}, {planted})\n"
+        f"inst, wit = reduction.reduce_to_packing(f, {r}, dull_width={dull_width})\n"
+        "res = packing.solve_exact(inst, budget=packing.DEFAULT_NODE_BUDGET)\n"
+        "lifted = res.verdict == 'yes' and packing.verify_packing(inst, res.packing).ok and "
+        "cnf.evaluate(f, reduction.lift_packing_to_assignment(wit, list(res.packing)))\n"
+        "print(res.verdict, lifted, res.nodes)\n"
+    )
+    assert out.split()[:2] == [verdict, str(verdict == "yes")]
