@@ -72,11 +72,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     instance, witness = reduction.reduce_to_packing(formula, args.r, dull_width=_dull_width(args))
-    layout = witness.layout
-    widths = " ".join(map(str, layout.iss_widths))
+    widths = " ".join(map(str, witness.iss_widths))
     print(
-        f"universe {instance.universe_size} = grid {layout.grid_size} "
-        f"+ iss {layout.iss_total} (widths {widths}) + dull {layout.dull_width}"
+        f"universe {instance.universe_size} = grid {witness.grid_size} "
+        f"+ iss {witness.iss_total} (widths {widths}) + dull {witness.dull_width}"
     )
     group_sizes = " ".join(str(len(c)) for c in witness.codes)
     print(f"sets {instance.set_count} = core {witness.core_count} (per group: {group_sizes}) "

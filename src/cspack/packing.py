@@ -251,45 +251,43 @@ def solve_exact(instance: SetPackingInstance, budget: int = DEFAULT_NODE_BUDGET)
     clearing the occurrence masks of i's elements, and a level stops once
     fewer candidates remain than sets are still needed. Every feasible branch
     is tried in ascending index order, so the first packing found is the
-    lexicographically least index list. The occurrence masks, built once
-    before the search, take universe_size * set_count bits; nothing is
-    cached per set. Raises ValueError for a budget below 1.
+    lexicographically least index list. Of r disjoint sets at most one is
+    empty, so r > universe_size + 1 is "no" with 0 nodes, and the levels, an
+    explicit stack, hold at most universe_size + 1 bitsets of set_count bits:
+    the order of the occurrence masks, built once before the search. Raises
+    ValueError for a budget below 1.
     """
     if budget < 1:
         raise ValueError(f"node budget must be positive, got {budget}")
     r = instance.r
     masks = instance.masks
     count = len(masks)
-    if r > count:
+    if r > min(count, instance.universe_size + 1):
         return SolveResult(verdict="no", packing=None, nodes=0)
     occ = _occurrence_masks(masks, instance.universe_size)
 
     nodes = 0
     chosen: list[int] = []
-
-    def extend(candidates: int, need: int) -> str:
-        nonlocal nodes
-        while candidates.bit_count() >= need:
-            low = candidates & -candidates
-            candidates ^= low
-            nodes += 1
-            if nodes > budget:
-                return "budget"
-            i = low.bit_length() - 1
-            chosen.append(i)
-            if need == 1:
-                return "yes"
-            conflict = reduce(or_, _members(masks[i], occ), 0)
-            status = extend(candidates & ~conflict, need - 1)
-            if status != "no":
-                return status
+    levels = [(1 << count) - 1]  # levels[k]: candidates left for set k + 1
+    while True:
+        candidates = levels[-1]
+        need = r - len(chosen)
+        if candidates.bit_count() < need:
+            if not chosen:
+                return SolveResult(verdict="no", packing=None, nodes=nodes)
+            levels.pop()
             chosen.pop()
-        return "no"
-
-    verdict = extend((1 << count) - 1, r)
-    if verdict == "yes":
-        return SolveResult(verdict="yes", packing=tuple(chosen), nodes=nodes)
-    return SolveResult(verdict=verdict, packing=None, nodes=nodes)
+            continue
+        low = candidates & -candidates
+        levels[-1] = candidates = candidates ^ low
+        nodes += 1
+        if nodes > budget:
+            return SolveResult(verdict="budget", packing=None, nodes=nodes)
+        i = low.bit_length() - 1
+        chosen.append(i)
+        if need == 1:
+            return SolveResult(verdict="yes", packing=tuple(chosen), nodes=nodes)
+        levels.append(candidates & ~reduce(or_, _members(masks[i], occ), 0))
 
 
 @dataclass(frozen=True)
@@ -367,15 +365,14 @@ def audit_compactness(
     ratio = instance.universe_size / (instance.r**3 * log2_count)
     grid = iss = dull = None
     if witness is not None:
-        layout = witness.layout
-        grid = layout.grid_size
-        iss = layout.iss_total
-        dull = layout.dull_width
+        grid = witness.grid_size
+        iss = witness.iss_total
+        dull = witness.dull_width
         if witness.r != instance.r:
             raise ValueError(f"witness r {witness.r} does not match instance r {instance.r}")
-        if layout.universe_size != instance.universe_size:
+        if witness.universe_size != instance.universe_size:
             raise ValueError(
-                f"witness universe {layout.universe_size} does not match instance {instance.universe_size}"
+                f"witness universe {witness.universe_size} does not match instance {instance.universe_size}"
             )
         if witness.core_count + witness.pad_count != instance.set_count:
             raise ValueError(

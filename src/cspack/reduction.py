@@ -211,28 +211,50 @@ def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, l
 
 
 @dataclass(frozen=True)
-class ElementLayout:
-    """How element IDs are apportioned between grid, tag, and dull blocks.
+class WitnessMap:
+    """Bookkeeping that links core sets to (group, assignment) pairs.
 
-    IDs [0, n*r^2) are the per-variable grids with id(x, i, j) = x*r^2 + i*r + j.
-    Then come r tag blocks of the recorded widths, in group order, then
-    dull_width padding-only IDs.
+    Core set indices are laid out group by group, in assignment-encoding
+    order within each group; padding sets (if any) come after all core sets.
+    The element layout follows from the fields: IDs [0, n*r^2) are the
+    per-variable grids, then come r tag blocks in group order, each the
+    minimal intersecting-family universe for its group's set count (as
+    build_iss builds it), then dull_width padding-only IDs.
     """
 
-    n: int
-    r: int
-    iss_widths: tuple[int, ...]
+    num_vars: int
     dull_width: int
+    domains: tuple[tuple[int, ...], ...]
+    codes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.r < 1 or self.dull_width < 0:
-            raise ValueError("layout requires n >= 1, r >= 1, dull_width >= 0")
-        if len(self.iss_widths) != self.r or any(w < 0 for w in self.iss_widths):
-            raise ValueError(f"need {self.r} nonnegative tag-block widths, got {self.iss_widths}")
+        if self.num_vars < 1 or self.r < 1 or self.dull_width < 0:
+            raise ValueError("witness requires n >= 1, r >= 1, dull_width >= 0")
+        if len(self.domains) != len(self.codes):
+            raise ValueError(f"need one domain per group, got {len(self.domains)} for {len(self.codes)} groups")
+        check_universe_size(self.universe_size)
+        for g, (domain, codes) in enumerate(zip(self.domains, self.codes)):
+            if any(not 1 <= v <= self.num_vars for v in domain):
+                raise ValueError(f"group {g}: domain variable out of range [1, {self.num_vars}]")
+            if any(a >= b for a, b in zip(domain, domain[1:])):
+                raise ValueError(f"group {g}: domain must be strictly increasing")
+            top = 1 << len(domain)
+            if any(not 0 <= c < top for c in codes):
+                raise ValueError(f"group {g}: assignment code out of range for domain size {len(domain)}")
+            if any(a >= b for a, b in zip(codes, codes[1:])):
+                raise ValueError(f"group {g}: codes must be strictly increasing")
+
+    @property
+    def r(self) -> int:
+        return len(self.codes)
+
+    @cached_property
+    def iss_widths(self) -> tuple[int, ...]:
+        return tuple(minimal_iss_universe(len(codes)) for codes in self.codes)
 
     @property
     def grid_size(self) -> int:
-        return self.n * self.r * self.r
+        return self.num_vars * self.r * self.r
 
     @property
     def iss_total(self) -> int:
@@ -263,47 +285,6 @@ class ElementLayout:
         if value:
             return sum(1 << self.grid_id(x, j, g) for j in range(self.r))
         return sum(1 << self.grid_id(x, g, j) for j in range(self.r))
-
-
-@dataclass(frozen=True)
-class WitnessMap:
-    """Bookkeeping that links core sets to (group, assignment) pairs.
-
-    Core set indices are laid out group by group, in assignment-encoding
-    order within each group; padding sets (if any) come after all core sets.
-    The element layout follows from the fields: each group's tag block is
-    the minimal intersecting-family universe for its set count, as build_iss
-    builds it.
-    """
-
-    num_vars: int
-    dull_width: int
-    domains: tuple[tuple[int, ...], ...]
-    codes: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.domains) != len(self.codes):
-            raise ValueError(f"need one domain per group, got {len(self.domains)} for {len(self.codes)} groups")
-        check_universe_size(self.layout.universe_size)
-        for g, (domain, codes) in enumerate(zip(self.domains, self.codes)):
-            if any(not 1 <= v <= self.num_vars for v in domain):
-                raise ValueError(f"group {g}: domain variable out of range [1, {self.num_vars}]")
-            if any(a >= b for a, b in zip(domain, domain[1:])):
-                raise ValueError(f"group {g}: domain must be strictly increasing")
-            top = 1 << len(domain)
-            if any(not 0 <= c < top for c in codes):
-                raise ValueError(f"group {g}: assignment code out of range for domain size {len(domain)}")
-            if any(a >= b for a, b in zip(codes, codes[1:])):
-                raise ValueError(f"group {g}: codes must be strictly increasing")
-
-    @property
-    def r(self) -> int:
-        return len(self.codes)
-
-    @cached_property
-    def layout(self) -> ElementLayout:
-        iss_widths = tuple(minimal_iss_universe(len(codes)) for codes in self.codes)
-        return ElementLayout(n=self.num_vars, r=self.r, iss_widths=iss_widths, dull_width=self.dull_width)
 
     @cached_property
     def group_offsets(self) -> tuple[int, ...]:
@@ -398,7 +379,7 @@ def reduce_to_packing(
     refused too, even if few of its assignments survive.
 
     Each set is the OR of precomputed masks: the grid mask of its code (from
-    ElementLayout.grid_mask, per variable, group and value) and its tag mask;
+    WitnessMap.grid_mask, per variable, group and value) and its tag mask;
     a padding set is the core mask with a subset of the dull block.
     """
     n = formula.num_vars
@@ -430,21 +411,20 @@ def reduce_to_packing(
         domains=tuple(group.domain for group in groups),
         codes=tuple(group.codes for group in groups),
     )
-    layout = witness.layout
 
     masks: list[int] = []
     for g, group in enumerate(groups):
-        value_masks = [(layout.grid_mask(v - 1, g, False), layout.grid_mask(v - 1, g, True)) for v in group.domain]
+        value_masks = [(witness.grid_mask(v - 1, g, False), witness.grid_mask(v - 1, g, True)) for v in group.domain]
         core = code_masks(group.codes, value_masks)
-        tag_base = layout.iss_start(g)
+        tag_base = witness.iss_start(g)
         masks.extend(m | mask_of(tag) << tag_base for m, tag in zip(core, build_iss(group.count).sets))
 
     if d > 0:
-        core_size = layout.core_size
+        core_size = witness.core_size
         core_mask = (1 << core_size) - 1
         masks.extend(core_mask | subset << core_size for subset in range(1 << d))
 
-    instance = SetPackingInstance(universe_size=layout.universe_size, masks=tuple(masks), r=r)
+    instance = SetPackingInstance(universe_size=witness.universe_size, masks=tuple(masks), r=r)
     return instance, witness
 
 

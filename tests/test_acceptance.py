@@ -47,18 +47,16 @@ class CaseOutcome:
 
 def run_case(formula_id, formula, r, oracle_assignment) -> CaseOutcome:
     instance, witness = reduction.reduce_to_packing(formula, r, dull_width=0)
-    layout = witness.layout
-
     sizes_ok = (
-        instance.universe_size == layout.n * layout.r**2 + layout.iss_total + layout.dull_width
+        instance.universe_size == witness.num_vars * witness.r**2 + witness.iss_total + witness.dull_width
         and witness.core_count == sum(len(codes) for codes in witness.codes)
         and instance.set_count == witness.core_count + witness.pad_count
     )
     if sizes_ok:
-        grid_size = layout.grid_size
+        grid_size = witness.grid_size
         for idx in range(witness.core_count):
             g, _ = witness.entry(idx)
-            expected = layout.r * len(witness.domains[g])
+            expected = witness.r * len(witness.domains[g])
             if sum(1 for e in instance.sets[idx] if e < grid_size) != expected:
                 sizes_ok = False
                 break

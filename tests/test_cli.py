@@ -48,7 +48,7 @@ def test_reduce_writes_instance_and_witness(tmp_path, capsys):
     assert text.splitlines()[0] == "p sp 6 2 2"
     inst = packing.parse_instance(text)
     wit = reduction.witness_from_text((tmp_path / "phi1.sp.wit").read_text())
-    assert inst.universe_size == wit.layout.universe_size
+    assert inst.universe_size == wit.universe_size
     printed = capsys.readouterr().out
     assert "universe 6" in printed and "core 2" in printed
 
@@ -119,6 +119,13 @@ def test_solve_and_verify(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().out
 
 
+def test_solve_packing_deeper_than_the_recursion_limit(tmp_path, capsys):
+    inst = packing.SetPackingInstance.from_sets(1200, [(e,) for e in range(1200)], 1200)
+    path = write(tmp_path / "singletons.sp", packing.serialize_instance(inst))
+    assert cli.main(["solve", path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "verdict yes nodes 1200"
+
+
 def test_solve_budget_exit_code(tmp_path, capsys):
     gen = tmp_path / "g.cnf"
     cli.main(["gen-cnf", "--n", "8", "--m", "16", "--seed", "5", "--output", str(gen)])
@@ -186,6 +193,21 @@ def test_audit_with_witness(tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "ratio" in printed and "breakdown: grid 12 iss 10 dull 0" in printed
+
+
+def test_reduce_and_audit_print_the_quick_start_breakdown(tmp_path, capsys):
+    # The README's quick start: default padding at r = 2.
+    cnf_path = str(tmp_path / "f.cnf")
+    out = str(tmp_path / "f.sp")
+    assert cli.main(["gen-cnf", "--n", "8", "--m", "16", "--seed", "5", "--planted", "--output", cnf_path]) == 0
+    capsys.readouterr()
+    assert cli.main(["reduce", cnf_path, "--r", "2", "--output", out]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "universe 53 = grid 32 + iss 17 (widths 9 8) + dull 4",
+        "sets 131 = core 115 (per group: 78 37) + padding 16",
+    ]
+    assert cli.main(["audit", out, "--witness", out + ".wit"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "breakdown: grid 32 iss 17 dull 4"
 
 
 def test_audit_refuses_witness_of_another_r(tmp_path, capsys):

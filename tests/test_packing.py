@@ -232,6 +232,22 @@ def test_solve_r_exceeds_set_count():
     assert result.verdict == "no" and result.nodes == 0
 
 
+def test_solve_pigeonhole_bound_on_r():
+    # Of r disjoint sets at most one is empty, so r <= universe_size + 1.
+    sets = [(), (0,), (1,), (0, 1)]
+    result = packing.solve_exact(packing.SetPackingInstance.from_sets(2, sets, 3))
+    assert result.verdict == "yes" and result.packing == (0, 1, 2)
+    result = packing.solve_exact(packing.SetPackingInstance.from_sets(2, sets, 4))
+    assert result.verdict == "no" and result.nodes == 0
+
+
+def test_solve_packing_deeper_than_the_recursion_limit():
+    inst = packing.SetPackingInstance.from_sets(1200, [(e,) for e in range(1200)], 1200)
+    result = packing.solve_exact(inst)
+    assert result.verdict == "yes" and result.nodes == 1200
+    assert result.packing == tuple(range(1200))
+
+
 def test_solve_refuses_nonpositive_budget():
     # The second instance has r > set count, which the solver answers without a search.
     for inst in (make_instance([{0}, {1}], r=2), make_instance([{0}], r=2)):

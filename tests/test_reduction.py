@@ -141,7 +141,7 @@ def test_encode_decode_inverse():
 # -- grid gadget --------------------------------------------------------------
 
 def layout_for(n, r):
-    return reduction.ElementLayout(n=n, r=r, iss_widths=(0,) * r, dull_width=0)
+    return reduction.WitnessMap(num_vars=n, dull_width=0, domains=((),) * r, codes=((),) * r)
 
 
 def test_grid_edges_examples():
@@ -179,18 +179,18 @@ def test_reduce_two_clause_fixture():
     inst, wit = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0)
     assert inst.universe_size == 22
     assert inst.set_count == 14
-    assert wit.layout.iss_widths == (5, 5)
+    assert wit.iss_widths == (5, 5)
 
 
 def test_reduce_grid_portion_matches_grid_edges():
     inst, wit = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0)
-    grid_size = wit.layout.grid_size
+    grid_size = wit.grid_size
     for idx in range(wit.core_count):
         g, code = wit.entry(idx)
         alpha = reduction.decode_assignment(wit.domains[g], code)
         expected = 0
         for v, value in alpha.items():
-            expected |= wit.layout.grid_mask(v - 1, g, value)
+            expected |= wit.grid_mask(v - 1, g, value)
         assert inst.masks[idx] & ((1 << grid_size) - 1) == expected
 
 
@@ -201,12 +201,12 @@ def test_reduce_grid_masks_across_lookup_chunks():
         f = cnf.gen_random_3cnf(12, 8, seed=rng.randrange(1 << 30))
         inst, wit = reduction.reduce_to_packing(f, 1, dull_width=0)
         assert max(len(d) for d in wit.domains) > reduction.CODE_CHUNK_BITS
-        grid_mask = (1 << wit.layout.grid_size) - 1
+        grid_mask = (1 << wit.grid_size) - 1
         for idx in range(wit.core_count):
             g, code = wit.entry(idx)
             expected = 0
             for v, value in reduction.decode_assignment(wit.domains[g], code).items():
-                expected |= wit.layout.grid_mask(v - 1, g, value)
+                expected |= wit.grid_mask(v - 1, g, value)
             assert inst.masks[idx] & grid_mask == expected
 
 
@@ -289,7 +289,7 @@ def test_reduce_padding_grows_counts():
     padded, wit = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
     assert padded.set_count == base.set_count + 4
     assert padded.universe_size == base.universe_size + 2
-    core_size = wit.layout.core_size
+    core_size = wit.core_size
     for idx in range(wit.core_count, wit.core_count + wit.pad_count):
         assert set(padded.sets[idx]) >= set(range(core_size))
 
@@ -352,14 +352,13 @@ def sample_instances(count, seed, r_choices=(2, 3), max_n=8):
 
 def test_size_identities():
     for f, inst, wit in sample_instances(40, seed=5):
-        layout = wit.layout
-        assert inst.universe_size == layout.n * layout.r**2 + layout.iss_total + layout.dull_width
+        assert inst.universe_size == wit.num_vars * wit.r**2 + wit.iss_total + wit.dull_width
         assert wit.core_count == sum(len(codes) for codes in wit.codes)
         assert inst.set_count == wit.core_count + wit.pad_count
         for idx in range(wit.core_count):
             g, _ = wit.entry(idx)
-            grid_part = [e for e in inst.sets[idx] if e < layout.grid_size]
-            assert len(grid_part) == layout.r * len(wit.domains[g])
+            grid_part = [e for e in inst.sets[idx] if e < wit.grid_size]
+            assert len(grid_part) == wit.r * len(wit.domains[g])
 
 
 def test_intra_group_sets_intersect():
