@@ -1,18 +1,30 @@
 """3-CNF formulas: DIMACS I/O, evaluation, generation, and an exhaustive SAT oracle.
 
-Clauses carry 1 to 3 signed literals. The oracle enumerates every total
+Clauses carry 1 to 3 signed literals. The oracle checks every total
 assignment, so it is only meant for small formulas; it exists to certify the
-set packing reduction, not to compete with real SAT solvers.
+set packing reduction, not to compete with real SAT solvers. It is
+bit-parallel: one big-int operation evaluates a clause on up to 2^20
+assignments at once, chunk by chunk in encoding order, so it still returns the
+least model. It shares no code with the reduction.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 Assignment = dict[int, bool]
 
 DEFAULT_ORACLE_CAP = 24
+
+# brute_force_sat evaluates 2^_CHUNK_BITS assignments per big-int operation.
+_CHUNK_BITS = 20
+
+# DIMACS header fields and literals: ASCII digits with an optional minus sign.
+_DIMACS_INT = re.compile(r"-?[0-9]+")
 
 
 class DimacsError(ValueError):
@@ -59,7 +71,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsError(f"malformed header line: {line!r}")
             try:
-                header = (int(parts[2]), int(parts[3]))
+                header = (_dimacs_int(parts[2]), _dimacs_int(parts[3]))
             except ValueError:
                 raise DimacsError(f"malformed header line: {line!r}") from None
             continue
@@ -74,7 +86,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     current: list[int] = []
     for tok in tokens:
         try:
-            lit = int(tok)
+            lit = _dimacs_int(tok)
         except ValueError:
             raise DimacsError(f"non-integer token {tok!r} in clause data") from None
         if lit == 0:
@@ -93,6 +105,13 @@ def parse_dimacs(text: str) -> CnfFormula:
     if len(clauses) != num_clauses:
         raise DimacsError(f"header declares {num_clauses} clauses but found {len(clauses)}")
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+
+
+def _dimacs_int(token: str) -> int:
+    """int(token), refusing the spellings int() accepts beyond ASCII -?[0-9]+ ('+1', '1_0', '٣')."""
+    if not _DIMACS_INT.fullmatch(token):
+        raise ValueError(f"not a DIMACS integer: {token!r}")
+    return int(token)
 
 
 def to_dimacs(formula: CnfFormula) -> str:
@@ -131,29 +150,61 @@ def brute_force_sat(formula: CnfFormula, cap: int = DEFAULT_ORACLE_CAP) -> Assig
     significant bit) and returns the first satisfying one, so the result is
     the minimal satisfying assignment under that encoding. Returns None when
     unsatisfiable. Raises ValueError when num_vars exceeds the cap.
+
+    The scan is bit-parallel: the codes are split into chunks of
+    2^min(n, 20) consecutive codes, and within a chunk each clause is one
+    big int with bit t set iff the chunk's t-th code satisfies it. Its
+    working memory is about 2·min(n, 20) patterns of 2^min(n, 20) bits
+    (about 5 MB once n >= 20).
     """
     n = formula.num_vars
     if n > cap:
         raise ValueError(f"formula has {n} variables, oracle cap is {cap}")
-    clause_masks = []
+    low = min(n, _CHUNK_BITS)
+    full = (1 << (1 << low)) - 1
+    true_at = _code_bit_patterns(low)
+    false_at = [full ^ pattern for pattern in true_at]
+    # Variable v is code bit k = n - v. Bits below `low` vary within a chunk
+    # and are read from the patterns; the higher bits are the chunk index.
+    clauses = []
     for clause in formula.clauses:
-        pos = 0
-        neg = 0
+        high_pos = high_neg = 0
+        lows = []
         for lit in clause:
-            bit = 1 << (n - abs(lit))
-            if lit > 0:
-                pos |= bit
+            k = n - abs(lit)
+            if k < low:
+                lows.append(true_at[k] if lit > 0 else false_at[k])
+            elif lit > 0:
+                high_pos |= 1 << (k - low)
             else:
-                neg |= bit
-        clause_masks.append((pos, neg))
-    # A clause is falsified iff all its positive vars are 0 and all its negated vars are 1.
-    for code in range(1 << n):
-        for pos, neg in clause_masks:
-            if not (code & pos) and (code & neg) == neg:
+                high_neg |= 1 << (k - low)
+        clauses.append((high_pos, high_neg, lows))
+    for chunk in range(1 << (n - low)):
+        models = full
+        for high_pos, high_neg, lows in clauses:
+            if chunk & high_pos or ~chunk & high_neg:
+                continue  # a high literal is true on the whole chunk
+            models &= reduce(or_, lows) if lows else 0
+            if not models:
                 break
-        else:
-            return assignment_from_code(n, code)
+        if models:
+            return assignment_from_code(n, chunk << low | ((models & -models).bit_length() - 1))
     return None
+
+
+def _code_bit_patterns(low: int) -> list[int]:
+    """For each k < low, the 2^low-bit int whose bit t is set iff bit k of t is 1."""
+    size = 1 << low
+    nbytes = max(1, size >> 3)
+    patterns = []
+    for k in range(low):
+        if k < 3:
+            unit = (b"\xaa", b"\xcc", b"\xf0")[k]
+        else:
+            unit = b"\0" * (1 << (k - 3)) + b"\xff" * (1 << (k - 3))
+        pattern = int.from_bytes(unit * (nbytes // len(unit)), "little")
+        patterns.append(pattern & ((1 << size) - 1))
+    return patterns
 
 
 def gen_random_3cnf(

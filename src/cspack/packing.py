@@ -12,6 +12,7 @@ claims about generated instances are exercised honestly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
@@ -32,6 +33,10 @@ MAX_UNIVERSE = 1 << 16
 # parse_instance keeps the bit of each canonically spelled ID below this
 # bound after its first use, which caps that cache at about 1 MiB.
 _CACHED_IDS = 1 << 12
+
+# Header fields and element IDs: ASCII digits with an optional minus sign,
+# which the range checks then refuse with their own messages.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
@@ -134,7 +139,7 @@ def parse_instance(text: str) -> SetPackingInstance:
     if len(head) != 5 or head[0] != "p" or head[1] != "sp":
         raise InstanceFormatError(f"malformed header line: {lines[0]!r}")
     try:
-        universe_size, set_count, r = int(head[2]), int(head[3]), int(head[4])
+        universe_size, set_count, r = map(_integer, head[2:])
     except ValueError:
         raise InstanceFormatError(f"malformed header line: {lines[0]!r}") from None
     try:
@@ -174,7 +179,7 @@ def parse_instance(text: str) -> SetPackingInstance:
 def _id_bit(token: str, lineno: int, universe_size: int, cache: dict[str, int]) -> int:
     """The bit of one ID token of a set line, after checking it; caches canonical low IDs."""
     try:
-        e = int(token)
+        e = _integer(token)
     except ValueError:
         raise InstanceFormatError(f"line {lineno}: malformed set line") from None
     if not 0 <= e < universe_size:
@@ -183,6 +188,13 @@ def _id_bit(token: str, lineno: int, universe_size: int, cache: dict[str, int]) 
     if e < _CACHED_IDS and token == str(e):
         cache[token] = bit
     return bit
+
+
+def _integer(token: str) -> int:
+    """int(token), refusing the spellings int() accepts beyond ASCII -?[0-9]+ ('+1', '1_0', '٣')."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token)
 
 
 def serialize_instance(instance: SetPackingInstance) -> str:

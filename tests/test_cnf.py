@@ -9,12 +9,21 @@ from hypothesis import strategies as st
 from cspack import cnf
 
 
-def formula_strategy(max_vars: int = 6, max_clauses: int = 8):
+def formula_strategy(max_vars: int = 6, max_clauses: int = 8, clauses_per_var: int | None = None):
+    """Formulas over 1..max_vars variables with up to max_clauses clauses, or
+    up to clauses_per_var * n when that is given. Besides clauses of 1-3 drawn
+    literals, some clauses repeat a literal and some hold a literal and its
+    complement."""
     def build(nvars):
         var_ids = st.integers(min_value=1, max_value=nvars)
         lit = st.builds(lambda v, sign: v if sign else -v, var_ids, st.booleans())
-        clause = st.lists(lit, min_size=1, max_size=3).map(tuple)
-        clauses = st.lists(clause, min_size=0, max_size=max_clauses).map(tuple)
+        clause = st.one_of(
+            st.lists(lit, min_size=1, max_size=3).map(tuple),
+            st.tuples(lit, lit).map(lambda p: (p[0], p[1], p[0])),
+            st.tuples(lit, lit).map(lambda p: (p[0], p[1], -p[0])),
+        )
+        most = max_clauses if clauses_per_var is None else clauses_per_var * nvars
+        clauses = st.lists(clause, min_size=0, max_size=most).map(tuple)
         return clauses.map(lambda cs: cnf.CnfFormula(num_vars=nvars, clauses=cs))
 
     return st.integers(min_value=1, max_value=max_vars).flatmap(build)
@@ -28,6 +37,30 @@ def all_total_assignments(n: int):
 
 def satisfies(clauses, alpha) -> bool:
     return all(any(alpha[abs(l)] == (l > 0) for l in c) for c in clauses)
+
+
+def reference_sat(formula):
+    """The scalar oracle: test every clause on one assignment at a time, in encoding order."""
+    n = formula.num_vars
+    clause_masks = []
+    for clause in formula.clauses:
+        pos = 0
+        neg = 0
+        for lit in clause:
+            bit = 1 << (n - abs(lit))
+            if lit > 0:
+                pos |= bit
+            else:
+                neg |= bit
+        clause_masks.append((pos, neg))
+    # A clause is falsified iff all its positive vars are 0 and all its negated vars are 1.
+    for code in range(1 << n):
+        for pos, neg in clause_masks:
+            if not (code & pos) and (code & neg) == neg:
+                break
+        else:
+            return cnf.assignment_from_code(n, code)
+    return None
 
 
 # -- parsing ---------------------------------------------------------------
@@ -81,6 +114,24 @@ def test_parse_rejects_clause_count_mismatch():
 def test_parse_rejects_unterminated_clause():
     with pytest.raises(cnf.DimacsError, match="zero-terminated"):
         cnf.parse_dimacs("p cnf 2 1\n1 2\n")
+
+
+# int() reads each of these as a number that the text does not spell in DIMACS.
+NON_DIMACS_INTEGERS = ["1_0", "+2", "-\u0663", "\u0663", "\uff13", "1" * 5000]
+
+
+@pytest.mark.parametrize("token", NON_DIMACS_INTEGERS)
+def test_parse_rejects_non_dimacs_literal(token):
+    with pytest.raises(cnf.DimacsError, match="non-integer token"):
+        cnf.parse_dimacs(f"p cnf 10 1\n{token} 1 0\n")
+
+
+@pytest.mark.parametrize("token", NON_DIMACS_INTEGERS)
+def test_parse_rejects_non_dimacs_header_field(token):
+    with pytest.raises(cnf.DimacsError, match="header"):
+        cnf.parse_dimacs(f"p cnf {token} 1\n1 0\n")
+    with pytest.raises(cnf.DimacsError, match="header"):
+        cnf.parse_dimacs(f"p cnf 3 {token}\n1 0\n")
 
 
 @given(formula_strategy())
@@ -142,6 +193,24 @@ def test_evaluate_tautological_clause():
 def test_oracle_unsat():
     f = cnf.CnfFormula(num_vars=1, clauses=((1,), (-1,)))
     assert cnf.brute_force_sat(f) is None
+    all_signs = tuple((a, 2 * b, 3 * c) for a in (1, -1) for b in (1, -1) for c in (1, -1))
+    assert cnf.brute_force_sat(cnf.CnfFormula(num_vars=3, clauses=all_signs)) is None
+
+
+def test_oracle_n1():
+    assert cnf.brute_force_sat(cnf.CnfFormula(num_vars=1, clauses=())) == {1: False}
+    assert cnf.brute_force_sat(cnf.CnfFormula(num_vars=1, clauses=((-1,),))) == {1: False}
+    assert cnf.brute_force_sat(cnf.CnfFormula(num_vars=1, clauses=((1,),))) == {1: True}
+    assert cnf.brute_force_sat(cnf.CnfFormula(num_vars=1, clauses=((1, -1),))) == {1: False}
+
+
+@pytest.mark.parametrize("n", [2, 7, 20, 21, 24])
+def test_oracle_model_at_first_and_last_code(n):
+    # All-negative units: only code 0; all-positive units: only code 2^n - 1.
+    negative = cnf.CnfFormula(num_vars=n, clauses=tuple((-v,) for v in range(1, n + 1)))
+    assert cnf.brute_force_sat(negative) == {v: False for v in range(1, n + 1)}
+    positive = cnf.CnfFormula(num_vars=n, clauses=tuple((v,) for v in range(1, n + 1)))
+    assert cnf.brute_force_sat(positive) == {v: True for v in range(1, n + 1)}
 
 
 def test_oracle_returns_minimal_encoding():
@@ -169,7 +238,7 @@ def test_oracle_cap():
         cnf.brute_force_sat(f, cap=4)
 
 
-@given(formula_strategy(max_vars=5, max_clauses=10))
+@given(formula_strategy(max_vars=8, max_clauses=24))
 @settings(max_examples=150)
 def test_oracle_agrees_with_enumeration(formula):
     witnesses = [a for a in all_total_assignments(formula.num_vars)
@@ -180,6 +249,32 @@ def test_oracle_agrees_with_enumeration(formula):
         assert cnf.evaluate(formula, result) is True
     else:
         assert result is None
+
+
+@given(formula_strategy(max_vars=12, clauses_per_var=5))
+@settings(max_examples=200, deadline=None)
+def test_oracle_agrees_with_reference(formula):
+    assert cnf.brute_force_sat(formula) == reference_sat(formula)
+
+
+@given(formula_strategy(max_vars=12, clauses_per_var=5))
+@settings(max_examples=100, deadline=None)
+def test_oracle_agrees_with_reference_in_2_bit_chunks(formula):
+    # Variables above the low two code bits become per-chunk constants, and
+    # the scan crosses up to 2^10 chunk boundaries.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cnf, "_CHUNK_BITS", 2)
+        assert cnf.brute_force_sat(formula) == reference_sat(formula)
+
+
+def test_oracle_finds_a_model_past_the_first_chunk():
+    # x1 (a chunk bit at n = 22) must be true, x22 (the lowest code bit) false.
+    f = cnf.CnfFormula(num_vars=22, clauses=((1,), (-22,), (2, 3)))
+    expected = {v: v in (1, 3) for v in range(1, 23)}
+    assert cnf.brute_force_sat(f) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cnf, "_CHUNK_BITS", 2)
+        assert cnf.brute_force_sat(f) == expected
 
 
 # -- random generation -----------------------------------------------------

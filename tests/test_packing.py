@@ -166,9 +166,31 @@ def test_parse_errors():
 
 
 def test_parse_accepts_noncanonical_ids_and_serializes_them_canonically():
-    inst = packing.parse_instance("p sp 300 2 1\ns 2 +1 007\ns 3 1 7 0299\n")
+    inst = packing.parse_instance("p sp 300 2 1\ns 2 01 007\ns 3 1 7 0299\n")
     assert inst.sets == ((1, 7), (1, 7, 299))
     assert packing.serialize_instance(inst) == "p sp 300 2 1\ns 2 1 7\ns 3 1 7 299\n"
+
+
+# int() reads each of these as a number that the text does not spell in decimal.
+NON_DECIMAL_INTEGERS = ["1_0", "+3", "\u0663", "\uff13", "1" * 5000]
+
+
+@pytest.mark.parametrize("token", NON_DECIMAL_INTEGERS)
+def test_parse_rejects_non_decimal_ids(token):
+    with pytest.raises(packing.InstanceFormatError, match="line 2: malformed set line"):
+        packing.parse_instance(f"p sp 12 1 1\ns 2 2 {token}\n")
+    # Canonical IDs already in the parser's cache do not let another spelling through.
+    with pytest.raises(packing.InstanceFormatError, match="line 3: malformed set line"):
+        packing.parse_instance(f"p sp 12 2 1\ns 2 3 10\ns 1 {token}\n")
+
+
+@pytest.mark.parametrize("token", NON_DECIMAL_INTEGERS)
+@pytest.mark.parametrize("field", range(3))
+def test_parse_rejects_non_decimal_header_fields(token, field):
+    head = ["12", "1", "1"]
+    head[field] = token
+    with pytest.raises(packing.InstanceFormatError, match="malformed header"):
+        packing.parse_instance(f"p sp {' '.join(head)}\ns 1 2\n")
 
 
 def reference_serialize(universe_size, sets, r):

@@ -1,10 +1,12 @@
-"""Inputs the reduction must refuse or finish quickly, and instances the solver
-must decide within its default budget, each run in a child process.
+"""Inputs the reduction must refuse or finish quickly, instances the solver
+must decide within its default budget, and formulas the SAT oracle must scan
+in full at its cap, each run in a child process.
 
-A regression to scanning all 2^|domain| codes of a group would make these
-cases run for hours or exhaust memory. The child has a wall-clock timeout and
-an address-space limit, so such a regression fails the test in seconds
-instead of stalling or killing the suite.
+A regression to scanning all 2^|domain| codes of a group, or to an oracle
+that tests one assignment at a time, would make these cases run for minutes
+to hours or exhaust memory. The child has a wall-clock timeout and an
+address-space limit, so such a regression fails the test in seconds instead
+of stalling or killing the suite.
 """
 
 from __future__ import annotations
@@ -125,3 +127,22 @@ def test_solver_decides_rows_within_default_budget(n, m, seed, planted, r, dull_
         "print(res.verdict, lifted, res.nodes)\n"
     )
     assert out.split()[:2] == [verdict, str(verdict == "yes")]
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "cnf.gen_random_3cnf(24, 120, 3)",
+        "cnf.CnfFormula(24, ((24,), (-24,)))",
+        # No assignment falsifies a tautology, so an oracle that tests one
+        # assignment at a time checks all 50 clauses on each of 2^24 codes.
+        "cnf.CnfFormula(24, tuple((v, -v) for v in range(1, 25)) * 2 + ((24,), (-24,)))",
+    ],
+)
+def test_oracle_scans_unsat_formulas_at_the_default_cap(formula):
+    out = run_python(
+        f"f = {formula}\n"
+        "assert f.num_vars == cnf.DEFAULT_ORACLE_CAP\n"
+        "print(cnf.brute_force_sat(f))\n"
+    )
+    assert out.split() == ["None"]
