@@ -16,7 +16,7 @@ import time
 from dataclasses import astuple, dataclass, fields
 
 from . import cnf
-from .cnf import Assignment, CnfFormula
+from .cnf import CnfFormula
 from .packing import DEFAULT_NODE_BUDGET, solve_exact, verify_packing
 from .reduction import lift_packing_to_assignment, reduce_to_packing
 
@@ -130,16 +130,12 @@ class SweepRow:
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def planted_assignment(n: int, rng: random.Random) -> Assignment:
-    return {v: bool(rng.getrandbits(1)) for v in range(1, n + 1)}
-
-
 def make_formula(n: int, m: int, seed: int, planted: bool) -> CnfFormula:
     """Formula for one sweep row, deterministic in its arguments."""
     if not planted:
         return cnf.gen_random_3cnf(n, m, seed)
     rng = random.Random(seed)
-    alpha = planted_assignment(n, rng)
+    alpha = {v: bool(rng.getrandbits(1)) for v in range(1, n + 1)}
     return cnf.gen_random_3cnf(n, m, rng.randrange(2**62), planted=alpha)
 
 

@@ -23,8 +23,8 @@ DEFAULT_ORACLE_CAP = 24
 # brute_force_sat evaluates 2^_CHUNK_BITS assignments per big-int operation.
 _CHUNK_BITS = 20
 
-# DIMACS header fields and literals: ASCII digits with an optional minus sign.
-_DIMACS_INT = re.compile(r"-?[0-9]+")
+# ASCII digits with an optional minus sign (see read_int).
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class DimacsError(ValueError):
@@ -71,7 +71,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsError(f"malformed header line: {line!r}")
             try:
-                header = (_dimacs_int(parts[2]), _dimacs_int(parts[3]))
+                header = (read_int(parts[2]), read_int(parts[3]))
             except ValueError:
                 raise DimacsError(f"malformed header line: {line!r}") from None
             continue
@@ -86,7 +86,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     current: list[int] = []
     for tok in tokens:
         try:
-            lit = _dimacs_int(tok)
+            lit = read_int(tok)
         except ValueError:
             raise DimacsError(f"non-integer token {tok!r} in clause data") from None
         if lit == 0:
@@ -107,10 +107,13 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 
 
-def _dimacs_int(token: str) -> int:
-    """int(token), refusing the spellings int() accepts beyond ASCII -?[0-9]+ ('+1', '1_0', '٣')."""
-    if not _DIMACS_INT.fullmatch(token):
-        raise ValueError(f"not a DIMACS integer: {token!r}")
+def read_int(token: str) -> int:
+    """int(token), refusing the spellings int() accepts beyond ASCII -?[0-9]+ ('+1', '1_0', '٣').
+
+    Reads every decimal field of the DIMACS, instance and witness grammars.
+    """
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"not an ASCII decimal integer: {token!r}")
     return int(token)
 
 

@@ -4,7 +4,8 @@ An ISS is a family in which every two member sets intersect. Taking all
 subsets of size floor(u/2)+1 of a u-element universe gives such a family by
 pigeonhole (two sets of that size cannot fit disjointly into u elements), and
 binomial(u, floor(u/2)+1) grows exponentially, so the universe stays
-logarithmic in the number of sets required.
+logarithmic in the number of sets required. Each member set is an int
+mask over the universe, as set packing instances store their sets.
 """
 
 from __future__ import annotations
@@ -33,14 +34,17 @@ def minimal_iss_universe(count: int) -> int:
 
 @dataclass(frozen=True)
 class IssFamily:
-    """The first `count` subsets of size floor(u/2)+1 of [0, u), in lexicographic order."""
+    """The first `count` subsets of size floor(u/2)+1 of [0, u), in lexicographic order.
+
+    Each subset is an int mask: bit e is set iff element e is a member.
+    """
 
     universe_width: int
-    sets: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     @property
     def count(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
     @property
     def subset_size(self) -> int:
@@ -57,5 +61,8 @@ def build_iss(count: int) -> IssFamily:
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     u = minimal_iss_universe(count)
-    sets = tuple(islice(combinations(range(u), iss_subset_size(u)), count))
-    return IssFamily(universe_width=u, sets=sets)
+    # Combinations of the element bits come out in the order of the subsets'
+    # ID tuples, and distinct bits sum to their OR.
+    bits = [1 << e for e in range(u)]
+    masks = tuple(map(sum, islice(combinations(bits, iss_subset_size(u)), count)))
+    return IssFamily(universe_width=u, masks=masks)

@@ -12,12 +12,13 @@ claims about generated instances are exercised honestly.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
+
+from .cnf import read_int
 
 if TYPE_CHECKING:
     from .reduction import WitnessMap
@@ -34,10 +35,6 @@ MAX_UNIVERSE = 1 << 16
 # bound after its first use, which caps that cache at about 1 MiB.
 _CACHED_IDS = 1 << 12
 
-# Header fields and element IDs: ASCII digits with an optional minus sign,
-# which the range checks then refuse with their own messages.
-_INTEGER = re.compile(r"-?[0-9]+")
-
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 T = TypeVar("T")
@@ -53,14 +50,6 @@ def check_universe_size(universe_size: int) -> None:
         raise ValueError(f"universe_size must be nonnegative, got {universe_size}")
     if universe_size > MAX_UNIVERSE:
         raise ValueError(f"universe_size {universe_size} exceeds MAX_UNIVERSE = {MAX_UNIVERSE}")
-
-
-def mask_of(ids: Iterable[int]) -> int:
-    """The mask with bit e set for every element ID e in ids."""
-    mask = 0
-    for e in ids:
-        mask |= 1 << e
-    return mask
 
 
 def _members(mask: int, universe: Sequence[T]) -> Iterator[T]:
@@ -139,7 +128,7 @@ def parse_instance(text: str) -> SetPackingInstance:
     if len(head) != 5 or head[0] != "p" or head[1] != "sp":
         raise InstanceFormatError(f"malformed header line: {lines[0]!r}")
     try:
-        universe_size, set_count, r = map(_integer, head[2:])
+        universe_size, set_count, r = map(read_int, head[2:])
     except ValueError:
         raise InstanceFormatError(f"malformed header line: {lines[0]!r}") from None
     try:
@@ -154,13 +143,15 @@ def parse_instance(text: str) -> SetPackingInstance:
         parts = line.split()
         if not parts or parts[0] != "s":
             raise InstanceFormatError(f"line {lineno}: expected a set line starting with 's'")
+        tokens = parts[2:]
+        k = len(tokens)
         try:
-            k = int(parts[1])
+            # Only a count spelled other than str(k), such as "02", needs reading.
+            declared = k if parts[1] == str(k) else read_int(parts[1])
         except (ValueError, IndexError):
             raise InstanceFormatError(f"line {lineno}: malformed set line") from None
-        tokens = parts[2:]
-        if len(tokens) != k:
-            raise InstanceFormatError(f"line {lineno}: declared {k} IDs but found {len(tokens)}")
+        if declared != k:
+            raise InstanceFormatError(f"line {lineno}: declared {declared} IDs but found {k}")
         try:
             bits = list(map(bit_of.__getitem__, tokens))
         except KeyError:
@@ -179,7 +170,7 @@ def parse_instance(text: str) -> SetPackingInstance:
 def _id_bit(token: str, lineno: int, universe_size: int, cache: dict[str, int]) -> int:
     """The bit of one ID token of a set line, after checking it; caches canonical low IDs."""
     try:
-        e = _integer(token)
+        e = read_int(token)
     except ValueError:
         raise InstanceFormatError(f"line {lineno}: malformed set line") from None
     if not 0 <= e < universe_size:
@@ -188,13 +179,6 @@ def _id_bit(token: str, lineno: int, universe_size: int, cache: dict[str, int]) 
     if e < _CACHED_IDS and token == str(e):
         cache[token] = bit
     return bit
-
-
-def _integer(token: str) -> int:
-    """int(token), refusing the spellings int() accepts beyond ASCII -?[0-9]+ ('+1', '1_0', '٣')."""
-    if not _INTEGER.fullmatch(token):
-        raise ValueError(f"not an ASCII integer: {token!r}")
-    return int(token)
 
 
 def serialize_instance(instance: SetPackingInstance) -> str:

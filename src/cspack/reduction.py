@@ -34,9 +34,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cnf import Assignment, CnfFormula
+from .cnf import Assignment, CnfFormula, read_int
 from .iss import build_iss, minimal_iss_universe
-from .packing import SetPackingInstance, check_universe_size, mask_of
+from .packing import SetPackingInstance, check_universe_size
 
 # Widest dull block reduce_to_packing builds: 2^d padding sets are materialized.
 MAX_DULL_WIDTH = 16
@@ -417,7 +417,7 @@ def reduce_to_packing(
         value_masks = [(witness.grid_mask(v - 1, g, False), witness.grid_mask(v - 1, g, True)) for v in group.domain]
         core = code_masks(group.codes, value_masks)
         tag_base = witness.iss_start(g)
-        masks.extend(m | mask_of(tag) << tag_base for m, tag in zip(core, build_iss(group.count).sets))
+        masks.extend(m | tag << tag_base for m, tag in zip(core, build_iss(group.count).masks))
 
     if d > 0:
         core_size = witness.core_size
@@ -517,7 +517,7 @@ def witness_from_text(text: str) -> WitnessMap:
     try:
         if len(head) != 4 or head[0] != "w":
             raise ValueError
-        n, r, d = map(int, head[1:])
+        n, r, d = map(read_int, head[1:])
     except ValueError:
         raise WitnessFormatError(f"malformed header line: {' '.join(head)!r}") from None
     domains = []
@@ -530,8 +530,8 @@ def witness_from_text(text: str) -> WitnessMap:
         try:
             if len(line) < 2 or line[0] != "g":
                 raise ValueError
-            count = int(line[1])
-            domain = tuple(map(int, line[2:]))
+            count = read_int(line[1])
+            domain = tuple(map(read_int, line[2:]))
         except ValueError:
             raise WitnessFormatError(f"malformed group line: {' '.join(line)!r}") from None
         if count < 0:

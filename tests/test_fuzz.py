@@ -3,12 +3,16 @@
 On any text, each parser raises only its declared error type, and whatever
 it accepts serializes to canonical text that parses back to the same object.
 Inputs are arbitrary strings and valid files with random edits spliced in.
+Every decimal token of the valid files is also respelled in ways int()
+would read, each of which its parser must refuse.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +102,56 @@ def test_valid_files_parse():
         assert reduction.witness_to_text(reduction.witness_from_text(text)) == text
     for text in DIMACS_TEXTS[:-1]:
         assert cnf.to_dimacs(cnf.parse_dimacs(text)) == text
+
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def respellings(text, has_integers):
+    """text with one decimal token respelled, for each token and each spelling int() reads as its value.
+
+    The spellings are "+v" (for an unsigned token), the same digits in
+    Arabic-Indic, and "_" before the last digit (for two or more digits).
+    Only lines for which has_integers(line) holds are respelled.
+    """
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        if not has_integers(line):
+            continue
+        tokens = line.split(" ")
+        for j, token in enumerate(tokens):
+            if not re.fullmatch(r"-?[0-9]+", token):
+                continue
+            spellings = [token.translate(ARABIC_INDIC_DIGITS)]
+            if not token.startswith("-"):
+                spellings.append("+" + token)
+            if len(token.lstrip("-")) >= 2:
+                spellings.append(token[:-1] + "_" + token[-1])
+            for spelling in spellings:
+                respelled = " ".join(tokens[:j] + [spelling] + tokens[j + 1 :])
+                yield "\n".join(lines[:i] + [respelled] + lines[i + 1 :])
+
+
+@pytest.mark.parametrize(
+    "texts, parse, error, has_integers",
+    [
+        (INSTANCE_TEXTS, packing.parse_instance, packing.InstanceFormatError, lambda line: True),
+        # Witness bit lines are binary, read by int(bits, 2) after a 0/1 check.
+        (WITNESS_TEXTS, reduction.witness_from_text, reduction.WitnessFormatError, lambda line: line[:1] in ("w", "g")),
+        (DIMACS_TEXTS, cnf.parse_dimacs, cnf.DimacsError, lambda line: True),
+    ],
+    ids=["instance", "witness", "dimacs"],
+)
+def test_every_respelled_integer_is_refused(texts, parse, error, has_integers):
+    accepted = []
+    checked = 0
+    for text in texts:
+        for respelled in respellings(text, has_integers):
+            checked += 1
+            try:
+                parse(respelled)
+            except error:
+                continue
+            accepted.append(respelled)
+    assert checked > 100
+    assert accepted == []

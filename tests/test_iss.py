@@ -8,32 +8,36 @@ import pytest
 from cspack import iss
 
 
+def ids(mask):
+    """The element IDs of a tag mask, ascending."""
+    return tuple(e for e in range(mask.bit_length()) if mask >> e & 1)
+
+
 def test_single_set():
     fam = iss.build_iss(1)
     assert fam.universe_width == 1
-    assert fam.sets == ((0,),)
+    assert fam.masks == (0b1,)
 
 
 def test_two_sets():
     # binomial(2, 2) = 1 < 2 <= 3 = binomial(3, 2), so the universe must have 3 elements
     fam = iss.build_iss(2)
     assert fam.universe_width == 3
-    assert fam.sets == ((0, 1), (0, 2))
+    assert fam.masks == (0b011, 0b101)
 
 
 def test_seven_sets():
     # binomial(4, 3) = 4 < 7 <= 10 = binomial(5, 3)
     fam = iss.build_iss(7)
     assert fam.universe_width == 5
-    assert fam.sets == (
-        (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3),
-    )
+    # (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3)
+    assert fam.masks == (0b00111, 0b01011, 0b10011, 0b01101, 0b10101, 0b11001, 0b01110)
 
 
 def test_zero_sets():
     fam = iss.build_iss(0)
     assert fam.universe_width == 1
-    assert fam.sets == ()
+    assert fam.masks == ()
 
 
 def test_negative_count_rejected():
@@ -57,12 +61,13 @@ def test_sets_are_lexicographic_prefix():
         fam = iss.build_iss(count)
         u, k = fam.universe_width, fam.subset_size
         expected = list(combinations(range(u), k))[:count]
-        assert list(fam.sets) == expected
+        assert [ids(m) for m in fam.masks] == expected
 
 
 def test_all_pairs_intersect():
     for count in (2, 7, 25, 120):
         fam = iss.build_iss(count)
-        assert all(len(s) == fam.subset_size for s in fam.sets)
-        for a, b in combinations(fam.sets, 2):
-            assert set(a) & set(b), (a, b)
+        assert all(m.bit_count() == fam.subset_size for m in fam.masks)
+        assert all(m >> fam.universe_width == 0 for m in fam.masks)
+        for a, b in combinations(fam.masks, 2):
+            assert a & b, (bin(a), bin(b))

@@ -169,6 +169,10 @@ def test_parse_accepts_noncanonical_ids_and_serializes_them_canonically():
     inst = packing.parse_instance("p sp 300 2 1\ns 2 01 007\ns 3 1 7 0299\n")
     assert inst.sets == ((1, 7), (1, 7, 299))
     assert packing.serialize_instance(inst) == "p sp 300 2 1\ns 2 1 7\ns 3 1 7 299\n"
+    # A set-line count spelled other than str(k) is read, not just compared.
+    assert packing.parse_instance("p sp 300 1 1\ns 02 1 7\n").sets == ((1, 7),)
+    with pytest.raises(packing.InstanceFormatError, match="declared 3 IDs but found 2"):
+        packing.parse_instance("p sp 300 1 1\ns 03 1 7\n")
 
 
 # int() reads each of these as a number that the text does not spell in decimal.
@@ -227,7 +231,7 @@ def test_from_sets_masks_and_text_match_the_tuples(case):
 def test_occurrence_masks_transpose_the_family(case):
     universe, family, r = case
     inst = packing.SetPackingInstance.from_sets(universe, family, r)
-    expected = [packing.mask_of(i for i, ids in enumerate(family) if e in ids) for e in range(universe)]
+    expected = [sum(1 << i for i, ids in enumerate(family) if e in ids) for e in range(universe)]
     assert packing._occurrence_masks(inst.masks, universe) == expected
     # The smallest slice holds 8 sets, so a family of 9 to 12 spans two.
     with mock.patch.object(packing, "_TRANSPOSE_CHARS", 1):
