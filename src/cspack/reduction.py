@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .cnf import Assignment, CnfFormula, read_int
 from .iss import build_iss, minimal_iss_universe
@@ -45,9 +45,17 @@ MAX_DULL_WIDTH = 16
 # that would be larger is refused before any mask is built.
 MAX_SETS = 1 << 20
 
-# Partial assignments a group's search may visit per set it may still keep
-# (see enumerate_group_assignments).
+# Visits a group's search may make per set it may still keep (see
+# enumerate_group_assignments).
 SEARCH_NODES_PER_SET = 4
+
+# Low domain variables per group decided as one truth table of 2^TABLE_BITS
+# bits at each leaf of the group's search (see enumerate_group_assignments).
+TABLE_BITS = 16
+
+# Table bits read out per search visit: reading out a 2^16-bit table costs
+# about as much as popping 400 prefixes.
+TABLE_BITS_PER_VISIT = 128
 
 # Domain variables per lookup table when grid masks are combined per code
 # (see code_masks); a table holds 2^width entries.
@@ -119,27 +127,58 @@ def propagate_units(clauses: list[set[int]]) -> dict[int, bool] | None:
     return forced
 
 
+@lru_cache(maxsize=None)
+def _truth_tables(width: int) -> tuple[tuple[int, int], ...]:
+    """tables[j]: the 2^width-bit truth tables (for False, for True) of variable j of a block.
+
+    Bit t of the True table is set iff bit width-1-j of t is, so variable 0 is
+    the most significant index bit. Each table halves the runs of zeros and
+    ones of the one before it (Knuth's magic masks, TAOCP 4A, 7.1.3). Built
+    on first use of a width, not at import.
+    """
+    full = (1 << (1 << width)) - 1
+    tables = []
+    if width:
+        falses = (1 << (1 << (width - 1))) - 1  # indices whose top bit is 0
+        for b in reversed(range(width)):
+            trues = falses << (1 << b)
+            tables.append((full ^ trues, trues))
+            if b:
+                falses ^= falses << (1 << (b - 1))
+    return tuple(tables)
+
+
 def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, limit: int) -> GroupAssignments:
     """Enumerate every assignment over the group's variables satisfying all its clauses.
 
     An empty group yields the single empty assignment; a contradictory group
     yields an empty list. Raises ValueError as soon as more than limit
-    assignments are found, or once the search has visited more than
-    |domain| + SEARCH_NODES_PER_SET * (limit + 1) partial assignments, so the
-    work is bounded as well as the output.
+    assignments are found, or once the search work passes
+    |domain| + 2^L / TABLE_BITS_PER_VISIT + SEARCH_NODES_PER_SET * (limit + 1)
+    visits (counted below), so the work is bounded as well as the output.
 
     Tautological clauses are dropped (their variables stay in the domain),
     then unit clauses are propagated over the group (propagate_units): a
     conflict yields no assignments at once, each forced variable may take
     only its forced value, clauses a forced value satisfies are dropped and
-    literals it falsifies are removed. The search is an iterative depth-first
-    walk over the domain variables in order, False before True, so codes come
-    out ascending. Each clause is checked when its last domain variable is
-    about to be assigned: if the prefix falsifies all its other literals, the
-    value falsifying its last literal is not branched on, so no prefix that
-    falsifies a clause is ever extended. A prefix that no extension can
-    satisfy is still extended until a clause it completes fails, which is
-    why the search work needs its own bound.
+    literals it falsifies are removed.
+
+    The last L = min(k, TABLE_BITS) domain variables are the low variables;
+    the first k - L are searched. The search is an iterative depth-first walk
+    over the high variables in order, False before True, and each clause over
+    high variables only is checked when its last variable is about to be
+    assigned: if the prefix falsifies all its other literals, the value
+    falsifying its last literal is not branched on. Each complete high prefix
+    is a leaf, and a leaf is decided as one 2^L-bit truth table over the low
+    variables: the AND, over the clauses with a low literal that the prefix
+    does not satisfy, of the OR of their low literals' tables. Its set bits t,
+    read in ascending order, are the codes prefix << L | t, so codes come out
+    ascending. With k <= TABLE_BITS the one leaf is the empty prefix.
+
+    One visit is one popped prefix, one leaf, one AND into a leaf's table, or
+    TABLE_BITS_PER_VISIT bits of table read out: about the cost of one pop
+    each. A prefix that no extension can satisfy is still extended down to
+    its leaves, which is why the work needs its own bound.
     """
     domain = tuple(sorted({abs(lit) for clause in group_clauses for lit in clause}))
     clauses = [set(clause) for clause in group_clauses]
@@ -148,18 +187,48 @@ def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, l
     if forced is None:
         return GroupAssignments(domain=domain, codes=())
     k = len(domain)
+    low = min(k, TABLE_BITS)
+    high = k - low
     position = {v: j for j, v in enumerate(domain)}
+    var_tables = _truth_tables(low)
+
+    def literal_table(lit: int) -> int:
+        return var_tables[position[abs(lit)] - high][lit > 0]
+
     # checks[j][value]: (mask, neg) pairs over the j-bit prefix of variables
-    # 0..j-1 (variable i at bit j-1-i); variable j may not take value when
-    # prefix & mask == neg for some pair. (0, 0) always bans the value.
-    checks: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = [([], []) for _ in range(k)]
+    # 0..j-1 (variable i at bit j-1-i); high variable j may not take value
+    # when prefix & mask == neg for some pair. (0, 0) always bans the value.
+    checks: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = [([], []) for _ in range(high)]
+    # base: the table every leaf starts from; mixed: (mask, neg, table) of the
+    # clauses with high and low literals, ANDed in where the H-bit prefix
+    # falsifies the high literals (variable i at bit H-1-i).
+    base = (1 << (1 << low)) - 1
+    mixed: list[tuple[int, int, int]] = []
     for v, value in forced.items():
-        checks[position[v]][not value].append((0, 0))
+        if position[v] < high:
+            checks[position[v]][not value].append((0, 0))
+        else:
+            base &= literal_table(v if value else -v)
     for lits in clauses:
         if any(forced.get(abs(lit)) == (lit > 0) for lit in lits):
             continue
         lits = [lit for lit in lits if abs(lit) not in forced]  # at least two remain
         last = max(position[abs(lit)] for lit in lits)
+        if last >= high:
+            mask = neg = table = 0
+            for lit in lits:
+                j = position[abs(lit)]
+                if j >= high:
+                    table |= literal_table(lit)
+                else:
+                    mask |= 1 << (high - 1 - j)
+                    if lit < 0:
+                        neg |= 1 << (high - 1 - j)
+            if mask:
+                mixed.append((mask, neg, table))
+            else:
+                base &= table
+            continue
         mask = neg = 0
         for lit in lits:
             j = position[abs(lit)]
@@ -172,15 +241,39 @@ def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, l
                     neg |= bit
         checks[last][banned_value].append((mask, neg))
 
-    budget = k + SEARCH_NODES_PER_SET * (limit + 1)
+    budget = k + (1 << low) // TABLE_BITS_PER_VISIT + SEARCH_NODES_PER_SET * (limit + 1)
+    overrun = f"search visited more than {budget} partial assignments"
     visited = 0
-    codes = [] if k else [0]
-    stack = [(0, 0)] if k else []  # (depth, prefix of that many bits)
+    codes: list[int] = []
+    stack = [(0, 0)]  # (depth, prefix of that many bits); depth high is a leaf
     while stack:
         visited += 1
         if visited > budget:
-            raise ValueError(f"search visited more than {budget} partial assignments")
+            raise ValueError(overrun)
         depth, prefix = stack.pop()
+        if depth == high:
+            table = base
+            for mask, neg, clause_table in mixed:
+                if prefix & mask == neg:
+                    table &= clause_table
+                    visited += 1
+                    if not table:
+                        break
+            if not table:
+                continue
+            visited += table.bit_length() // TABLE_BITS_PER_VISIT
+            if visited > budget:
+                raise ValueError(overrun)
+            if len(codes) + table.bit_count() > limit:
+                raise ValueError(f"more than {limit} satisfying assignments")
+            # bin() spells the bits most significant first, so reversed, digit t is bit t.
+            bits = bin(table)[:1:-1]
+            offset = prefix << low
+            t = bits.find("1")
+            while t >= 0:
+                codes.append(offset | t)
+                t = bits.find("1", t + 1)
+            continue
         if_false, if_true = checks[depth]
         can_false = True
         for mask, neg in if_false:
@@ -193,20 +286,10 @@ def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, l
                 can_true = False
                 break
         child = prefix << 1
-        if depth + 1 == k:
-            if can_false:
-                codes.append(child)
-            if can_true:
-                codes.append(child | 1)
-            if len(codes) > limit:
-                break
-        else:
-            if can_true:
-                stack.append((depth + 1, child | 1))
-            if can_false:
-                stack.append((depth + 1, child))
-    if len(codes) > limit:
-        raise ValueError(f"more than {limit} satisfying assignments")
+        if can_true:
+            stack.append((depth + 1, child | 1))
+        if can_false:
+            stack.append((depth + 1, child))
     return GroupAssignments(domain=domain, codes=tuple(codes))
 
 

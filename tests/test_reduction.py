@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspack import cnf, reduction
+from cspack import bench, cnf, reduction
 from cspack.packing import MAX_UNIVERSE, solve_exact, verify_packing
 
 PHI_CONTRADICTION = cnf.CnfFormula(num_vars=1, clauses=((1,), (-1,)))
@@ -84,24 +84,110 @@ literals = st.integers(1, 6).flatmap(lambda v: st.sampled_from((v, -v)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(clauses=st.lists(st.lists(literals, min_size=1, max_size=3), max_size=12), r=st.integers(1, 5))
-def test_enumerate_matches_brute_force_on_any_clauses(clauses, r):
+@given(
+    clauses=st.lists(st.lists(literals, min_size=1, max_size=3), max_size=12),
+    r=st.integers(1, 5),
+    table_bits=st.sampled_from((0, 1, 3, 16)),
+)
+def test_enumerate_matches_brute_force_on_any_clauses(clauses, r, table_bits):
     # 1-3 literal clauses with repeats, tautologies, empty groups (r > m) and
-    # contradictory groups, against the filter over all 0/1 maps.
+    # contradictory groups, against the filter over all 0/1 maps, with the
+    # split between searched and tabled variables anywhere.
     f = cnf.CnfFormula(num_vars=6, clauses=tuple(map(tuple, clauses)))
-    for g in range(r):
-        group = f.clauses[g::r]
-        ga = enumerate_all(group)
-        domain, expected = brute_force_group(group)
-        assert list(ga.domain) == domain
-        assert assignments(ga) == expected
-        if expected:
-            with pytest.MonkeyPatch.context() as mp:
-                # Search budget for every node of a 6-variable tree, so only the count limit acts.
-                mp.setattr(reduction, "SEARCH_NODES_PER_SET", 1 << 6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "TABLE_BITS", table_bits)
+        for g in range(r):
+            group = f.clauses[g::r]
+            ga = enumerate_all(group)
+            domain, expected = brute_force_group(group)
+            assert list(ga.domain) == domain
+            assert assignments(ga) == expected
+            if expected:
+                # A budget for every visit a 6-variable group can make, so only the count limit acts.
+                mp.setattr(reduction, "SEARCH_NODES_PER_SET", 1 << 10)
                 assert reduction.enumerate_group_assignments(group, limit=len(expected)) == ga
                 with pytest.raises(ValueError, match="satisfying assignments"):
                     reduction.enumerate_group_assignments(group, limit=len(expected) - 1)
+
+
+def reference_enumerate(group_clauses):
+    """The plain depth-first enumerator over all domain variables, kept as a reference.
+
+    It walks the domain variables in order, False before True, and checks
+    each clause when its last variable is about to be assigned.
+    """
+    domain = tuple(sorted({abs(lit) for clause in group_clauses for lit in clause}))
+    clauses = [set(clause) for clause in group_clauses]
+    clauses = [lits for lits in clauses if not any(-lit in lits for lit in lits)]
+    forced = reduction.propagate_units(clauses)
+    if forced is None:
+        return domain, ()
+    k = len(domain)
+    position = {v: j for j, v in enumerate(domain)}
+    checks = [([], []) for _ in range(k)]
+    for v, value in forced.items():
+        checks[position[v]][not value].append((0, 0))
+    for lits in clauses:
+        if any(forced.get(abs(lit)) == (lit > 0) for lit in lits):
+            continue
+        lits = [lit for lit in lits if abs(lit) not in forced]
+        last = max(position[abs(lit)] for lit in lits)
+        mask = neg = 0
+        for lit in lits:
+            j = position[abs(lit)]
+            if j == last:
+                banned_value = lit < 0
+            else:
+                bit = 1 << (last - 1 - j)
+                mask |= bit
+                if lit < 0:
+                    neg |= bit
+        checks[last][banned_value].append((mask, neg))
+    codes = [] if k else [0]
+    stack = [(0, 0)] if k else []
+    while stack:
+        depth, prefix = stack.pop()
+        if_false, if_true = checks[depth]
+        can_false = not any(prefix & mask == neg for mask, neg in if_false)
+        can_true = not any(prefix & mask == neg for mask, neg in if_true)
+        child = prefix << 1
+        if depth + 1 == k:
+            codes.extend([child] * can_false + [child | 1] * can_true)
+        else:
+            if can_true:
+                stack.append((depth + 1, child | 1))
+            if can_false:
+                stack.append((depth + 1, child))
+    return domain, tuple(codes)
+
+
+def differential_groups():
+    """At least 500 groups: random ones with units, tautologies and repeated
+    literals, empty and contradictory ones, and the groups of a Baseline row."""
+    rng = random.Random(23)
+    groups = [(), ((1,), (-1,)), ((1, -1),), ((2, 2, 2),), ((3,), (-3, 1), (-1, 2))]
+    while len(groups) < 500:
+        n = rng.randint(1, 20)
+        clauses = []
+        for _ in range(rng.randint(0, 3 * n)):
+            clause = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.1:
+                clause.append(-clause[0])  # a tautology
+            if rng.random() < 0.1:
+                clause.append(clause[0])  # a repeated literal
+            clauses.append(tuple(clause))
+        groups.append(tuple(clauses))
+    f = cnf.CnfFormula(num_vars=20, clauses=bench.make_formula(20, 40, 7, True).clauses)
+    groups.extend(f.clauses[g::5] for g in range(5))
+    return groups
+
+
+@pytest.mark.parametrize("table_bits", [0, 1, 3, 16])
+def test_enumerate_matches_reference_search(monkeypatch, table_bits):
+    monkeypatch.setattr(reduction, "TABLE_BITS", table_bits)
+    for group in differential_groups():
+        ga = enumerate_all(group)
+        assert (ga.domain, ga.codes) == reference_enumerate(group), group
 
 
 # 14 disjoint 3-clauses over x1..x42: 7^14 prefixes of x1..x42 satisfy them.
@@ -121,14 +207,31 @@ def test_enumerate_propagates_units_before_searching():
 
 
 def test_enumerate_bounds_search_work():
-    # No unit clause, but x13 and x14 admit no value: every one of the 7^4
-    # prefixes of x1..x12 survives until x14.
-    core = ((13, 14), (13, -14), (-13, 14), (-13, -14))
-    f = cnf.CnfFormula(num_vars=14, clauses=DISJOINT[:4] + core)
+    # No unit clause, but x25 and x26 admit no value: the table of the low
+    # 16 variables is empty at every leaf, yet each of the 7^3 * 2 prefixes
+    # of x1..x10 is still searched.
+    core = ((25, 26), (25, -26), (-25, 26), (-25, -26))
+    f = cnf.CnfFormula(num_vars=26, clauses=DISJOINT[:8] + core)
     assert enumerate_all(f.clauses).codes == ()
-    budget = 14 + reduction.SEARCH_NODES_PER_SET * 11
+    budget = 26 + (1 << 16) // reduction.TABLE_BITS_PER_VISIT + reduction.SEARCH_NODES_PER_SET * 11
     with pytest.raises(ValueError, match=f"search visited more than {budget} partial"):
         reduction.enumerate_group_assignments(f.clauses, limit=10)
+
+
+def test_enumerate_decides_a_small_domain_by_one_table():
+    # The same dead core after 12 variables: 14 variables fit in one table,
+    # so there is no search to bound and the group yields no assignment.
+    core = ((13, 14), (13, -14), (-13, 14), (-13, -14))
+    f = cnf.CnfFormula(num_vars=14, clauses=DISJOINT[:4] + core)
+    assert reduction.enumerate_group_assignments(f.clauses, limit=10).codes == ()
+
+
+def test_truth_tables_spell_each_variable():
+    for width in range(5):
+        tables = reduction._truth_tables(width)
+        for j, (if_false, if_true) in enumerate(tables):
+            assert if_true == sum(1 << t for t in range(1 << width) if t >> (width - 1 - j) & 1)
+            assert if_false == ((1 << (1 << width)) - 1) ^ if_true
 
 
 def test_encode_decode_inverse():
@@ -276,9 +379,10 @@ def test_reduce_max_sets_boundary(monkeypatch):
 
 
 def test_reduce_refuses_search_beyond_allowance(monkeypatch):
-    # Few sets, but a search over 7^6 dead prefixes: refused under a small cap.
-    core = ((19, 20), (19, -20), (-19, 20), (-19, -20))
-    f = cnf.CnfFormula(num_vars=20, clauses=DISJOINT[:6] + core)
+    # Few sets, but a search over the 7^5 * 2 dead prefixes of x1..x16 ahead
+    # of the table of x17..x32: refused under a small cap.
+    core = ((31, 32), (31, -32), (-31, 32), (-31, -32))
+    f = cnf.CnfFormula(num_vars=32, clauses=DISJOINT[:10] + core)
     monkeypatch.setattr(reduction, "MAX_SETS", 100)
     with pytest.raises(ValueError, match="MAX_SETS = 100: group 0: search visited more than"):
         reduction.reduce_to_packing(f, 1)
