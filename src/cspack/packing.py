@@ -31,6 +31,13 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # refuse larger universes before any set is allocated.
 MAX_UNIVERSE = 1 << 16
 
+# Largest family an instance may have, in mask bits: set_count *
+# universe_size. The masks take that many bits (256 MiB at this bound), and
+# the solver's occurrence masks and level stack as many again, so the
+# constructor, the parser and the reduction refuse a larger family before
+# its masks are built.
+MAX_FAMILY_BITS = 1 << 31
+
 # parse_instance keeps the bit of each canonically spelled ID below this
 # bound after its first use, which caps that cache at about 1 MiB.
 _CACHED_IDS = 1 << 12
@@ -50,6 +57,16 @@ def check_universe_size(universe_size: int) -> None:
         raise ValueError(f"universe_size must be nonnegative, got {universe_size}")
     if universe_size > MAX_UNIVERSE:
         raise ValueError(f"universe_size {universe_size} exceeds MAX_UNIVERSE = {MAX_UNIVERSE}")
+
+
+def check_family_size(set_count: int, universe_size: int) -> None:
+    """Raise ValueError if set_count * universe_size exceeds MAX_FAMILY_BITS."""
+    bits = set_count * universe_size
+    if bits > MAX_FAMILY_BITS:
+        raise ValueError(
+            f"{set_count} sets over a universe of {universe_size} take {bits} mask bits, "
+            f"above MAX_FAMILY_BITS = {MAX_FAMILY_BITS}"
+        )
 
 
 def _members(mask: int, universe: Sequence[T]) -> Iterator[T]:
@@ -78,6 +95,7 @@ class SetPackingInstance:
             raise ValueError(f"parameter r must be positive, got {self.r}")
         masks = tuple(self.masks)
         object.__setattr__(self, "masks", masks)
+        check_family_size(len(masks), self.universe_size)
         if masks and (min(masks) < 0 or max(masks).bit_length() > self.universe_size):
             i, m = next((i, m) for i, m in enumerate(masks) if m < 0 or m.bit_length() > self.universe_size)
             if m < 0:
@@ -118,8 +136,9 @@ class SetPackingInstance:
 def parse_instance(text: str) -> SetPackingInstance:
     """Parse the instance format; see serialize_instance for the grammar.
 
-    The header's universe size is checked against MAX_UNIVERSE before any
-    set line is read, and each set line becomes a mask as it is read.
+    The header's universe size is checked against MAX_UNIVERSE, and its set
+    count times universe size against MAX_FAMILY_BITS, before any set line is
+    read; each set line becomes a mask as it is read.
     """
     lines = text.splitlines()
     if not lines:
@@ -133,6 +152,7 @@ def parse_instance(text: str) -> SetPackingInstance:
         raise InstanceFormatError(f"malformed header line: {lines[0]!r}") from None
     try:
         check_universe_size(universe_size)
+        check_family_size(set_count, universe_size)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
     if len(lines) - 1 != set_count:

@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 
 from .cnf import Assignment, CnfFormula, read_int
 from .iss import build_iss, minimal_iss_universe
-from .packing import SetPackingInstance, check_universe_size
+from .packing import SetPackingInstance, check_family_size, check_universe_size
 
 # Widest dull block reduce_to_packing builds: 2^d padding sets are materialized.
 MAX_DULL_WIDTH = 16
@@ -459,7 +459,9 @@ def reduce_to_packing(
     remaining allowance and stops as soon as it is exceeded, before any mask
     is built. The allowance also bounds each group's search work (see
     enumerate_group_assignments), so a group whose search would outrun it is
-    refused too, even if few of its assignments survive.
+    refused too, even if few of its assignments survive. Once every group is
+    enumerated, a family whose set count times universe size exceeds
+    MAX_FAMILY_BITS is refused with ValueError, still before any mask is built.
 
     Each set is the OR of precomputed masks: the grid mask of its code (from
     WitnessMap.grid_mask, per variable, group and value) and its tag mask;
@@ -494,6 +496,7 @@ def reduce_to_packing(
         domains=tuple(group.domain for group in groups),
         codes=tuple(group.codes for group in groups),
     )
+    check_family_size(witness.core_count + witness.pad_count, witness.universe_size)
 
     masks: list[int] = []
     for g, group in enumerate(groups):

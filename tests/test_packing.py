@@ -109,6 +109,21 @@ def test_universe_bound_in_constructors():
         packing.SetPackingInstance.from_sets(universe_size=10**12, sets=((10**12 - 1,),), r=1)
 
 
+def test_family_bound_in_constructor():
+    # 2^15 sets under a universe of 2^16 sit exactly at the bound; one more is refused.
+    count = packing.MAX_FAMILY_BITS // packing.MAX_UNIVERSE
+    masks = tuple(range(count))
+    assert packing.SetPackingInstance(universe_size=packing.MAX_UNIVERSE, masks=masks, r=1).set_count == count
+    with pytest.raises(ValueError, match="above MAX_FAMILY_BITS"):
+        packing.SetPackingInstance(universe_size=packing.MAX_UNIVERSE, masks=masks + (count,), r=1)
+
+
+def test_parse_checks_family_bound_before_set_lines():
+    count = packing.MAX_FAMILY_BITS // packing.MAX_UNIVERSE + 1
+    with pytest.raises(packing.InstanceFormatError, match="above MAX_FAMILY_BITS"):
+        packing.parse_instance(f"p sp {packing.MAX_UNIVERSE} {count} 1\n")
+
+
 def test_parse_checks_universe_bound_before_set_lines():
     # The set line would need a 10^12-bit mask; the header is refused first.
     with pytest.raises(packing.InstanceFormatError, match="MAX_UNIVERSE"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspack import bench, cnf, reduction
+from cspack import bench, cnf, packing, reduction
 from cspack.packing import MAX_UNIVERSE, solve_exact, verify_packing
 
 PHI_CONTRADICTION = cnf.CnfFormula(num_vars=1, clauses=((1,), (-1,)))
@@ -375,6 +375,16 @@ def test_reduce_max_sets_boundary(monkeypatch):
         reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
     monkeypatch.setattr(reduction, "MAX_SETS", 3)
     with pytest.raises(ValueError, match="padding sets alone"):
+        reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
+
+
+def test_reduce_family_bits_boundary(monkeypatch):
+    full, _ = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
+    bits = full.set_count * full.universe_size
+    monkeypatch.setattr(packing, "MAX_FAMILY_BITS", bits)
+    assert reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)[0] == full
+    monkeypatch.setattr(packing, "MAX_FAMILY_BITS", bits - 1)
+    with pytest.raises(ValueError, match=f"{full.set_count} sets over a universe of {full.universe_size}"):
         reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
 
 

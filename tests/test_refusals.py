@@ -99,6 +99,34 @@ def test_search_that_outruns_the_allowance_is_refused():
     assert f"MAX_SETS = {1 << 20}: group 0: search visited more than" in out
 
 
+def run_cli(args: list[str]) -> subprocess.CompletedProcess:
+    """The command line in a child under the same address-space limit."""
+    return run_child(["-c", PRELUDE + f"from cspack import cli\nraise SystemExit(cli.main({args!r}))\n"])
+
+
+def test_instance_header_above_the_family_bound_is_refused(tmp_path):
+    # 40k two-element sets under a universe of 2^16: 2.6e9 mask bits, which
+    # the parser would hold and the solver transpose.
+    path = tmp_path / "wide.sp"
+    lines = ["p sp 65536 40000 2"] + [f"s 2 {i} 65535" for i in range(40000)]
+    path.write_text("\n".join(lines) + "\n")
+    done = run_cli(["solve", str(path)])
+    assert done.returncode == 1, done.stderr
+    assert "above MAX_FAMILY_BITS" in done.stderr
+
+
+def test_reduction_above_the_family_bound_is_refused(tmp_path):
+    # r = 8 groups of five disjoint clauses over fifteen fresh variables each:
+    # 8 * 7^5 sets over a grid of 1000 * 64 IDs, 8.6e9 mask bits.
+    clauses = tuple((3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(40))
+    path = tmp_path / "wide.cnf"
+    path.write_text(cnf.to_dimacs(cnf.CnfFormula(num_vars=1000, clauses=clauses)))
+    done = run_cli(["reduce", str(path), "--r", "8", "--no-pad", "--output", str(tmp_path / "wide.sp")])
+    assert done.returncode == 1, done.stderr
+    assert "134456 sets over a universe of 64136" in done.stderr
+    assert not (tmp_path / "wide.sp").exists()
+
+
 def test_deep_domain_of_unit_clauses_gives_one_set():
     out = run_python(
         "f = cnf.CnfFormula(num_vars=1500, clauses=tuple((v,) for v in range(1, 1501)))\n"
