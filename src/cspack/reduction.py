@@ -49,8 +49,9 @@ MAX_SETS = 1 << 20
 # enumerate_group_assignments).
 SEARCH_NODES_PER_SET = 4
 
-# Low domain variables per group decided as one truth table of 2^TABLE_BITS
-# bits at each leaf of the group's search (see enumerate_group_assignments).
+# Low domain variables per group decided together as truth tables of
+# 2^TABLE_BITS bits, carried down the group's search (see
+# enumerate_group_assignments).
 TABLE_BITS = 16
 
 # Table bits read out per search visit. On a 2-core Xeon, reading out a
@@ -155,30 +156,28 @@ def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, l
     yields an empty list. Raises ValueError as soon as more than limit
     assignments are found, or once the search work passes
     |domain| + 2^L / TABLE_BITS_PER_VISIT + SEARCH_NODES_PER_SET * (limit + 1)
-    visits (counted below), so the work is bounded as well as the output.
+    visits, so the work is bounded as well as the output.
 
-    Tautological clauses are dropped (their variables stay in the domain),
-    then unit clauses are propagated over the group (propagate_units): a
-    conflict yields no assignments at once, each forced variable may take
-    only its forced value, clauses a forced value satisfies are dropped and
-    literals it falsifies are removed.
+    Tautological clauses are dropped (their variables stay in the domain) and
+    unit clauses propagated (propagate_units): a conflict yields no
+    assignments, and each forced value becomes a unit clause that drops the
+    clauses it satisfies and removes the literals it falsifies.
 
-    The last L = min(k, TABLE_BITS) domain variables are the low variables;
-    the first k - L are searched. The search is an iterative depth-first walk
-    over the high variables in order, False before True, and each clause over
-    high variables only is checked when its last variable is about to be
-    assigned: if the prefix falsifies all its other literals, the value
-    falsifying its last literal is not branched on. Each complete high prefix
-    is a leaf, and a leaf is decided as one 2^L-bit truth table over the low
-    variables: the AND, over the clauses with a low literal that the prefix
-    does not satisfy, of the OR of their low literals' tables. Its set bits t,
-    read in ascending order, are the codes prefix << L | t, so codes come out
-    ascending. With k <= TABLE_BITS the one leaf is the empty prefix.
+    The last L = min(k, TABLE_BITS) domain variables are low, decided together
+    as 2^L-bit truth tables; the first k - L are searched depth-first, False
+    before True. Each clause is kept once, as its searched literals and the OR
+    of its low literals' tables (0 if none), filed under its last searched
+    variable and the value falsifying that literal; a clause with no searched
+    literal is ANDed into the root table. A child ANDs in the table of each
+    clause filed at its variable and value whose other searched literals its
+    prefix falsifies, and is dropped once its table is empty. A leaf's set
+    bits t, in ascending order, are the codes prefix << L | t.
 
-    One visit is one popped prefix, one leaf, one AND into a leaf's table, or
-    TABLE_BITS_PER_VISIT bits of table read out: about the cost of one pop
-    each. A prefix that no extension can satisfy is still extended down to
-    its leaves, which is why the work needs its own bound.
+    One visit is one popped prefix, one AND with a clause that has low
+    literals, or TABLE_BITS_PER_VISIT bits read out; a clause without low
+    literals cuts a child without a visit. A contradiction that needs the
+    last searched variable is still met below every prefix reaching it,
+    which is why the work needs its own bound.
     """
     domain = tuple(sorted({abs(lit) for clause in group_clauses for lit in clause}))
     clauses = [set(clause) for clause in group_clauses]
@@ -186,6 +185,12 @@ def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, l
     forced = propagate_units(clauses)
     if forced is None:
         return GroupAssignments(domain=domain, codes=())
+    if forced:
+        clauses = [{v if value else -v} for v, value in forced.items()] + [
+            {lit for lit in lits if abs(lit) not in forced}
+            for lits in clauses
+            if not any(forced.get(abs(lit)) == (lit > 0) for lit in lits)
+        ]
     k = len(domain)
     low = min(k, TABLE_BITS)
     high = k - low
@@ -195,73 +200,43 @@ def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, l
         tables[v] = if_true
         tables[-v] = if_false
 
-    # checks[j][value]: (mask, neg) pairs over the j-bit prefix of variables
-    # 0..j-1 (variable i at bit j-1-i); high variable j may not take value
-    # when prefix & mask == neg for some pair. (0, 0) always bans the value.
-    checks: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = [([], []) for _ in range(high)]
-    # base: the table every leaf starts from; mixed: (mask, neg, table) of the
-    # clauses with high and low literals, ANDed in where the H-bit prefix
-    # falsifies the high literals (variable i at bit H-1-i).
-    base = (1 << (1 << low)) - 1
-    mixed: list[tuple[int, int, int]] = []
-    for v, value in forced.items():
-        if v in tables:
-            base &= tables[v if value else -v]
-        else:
-            checks[position[v]][not value].append((0, 0))
+    # filed[j][value]: (mask, neg, table) of each clause whose literal of its
+    # last searched variable j is falsified by value; the prefix of variables
+    # 0..j-1 (variable i at bit j-1-i) falsifies its other searched literals
+    # when prefix & mask == neg.
+    filed: list[tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]] = [([], []) for _ in range(high)]
+    root = (1 << (1 << low)) - 1
     for lits in clauses:
-        if forced:
-            if any(forced.get(abs(lit)) == (lit > 0) for lit in lits):
-                continue
-            lits = [lit for lit in lits if abs(lit) not in forced]  # at least two remain
-        last = position[max(map(abs, lits))]
-        if last >= high:
-            mask = neg = table = 0
-            for lit in lits:
-                if lit in tables:
-                    table |= tables[lit]
-                else:
-                    bit = 1 << (high - 1 - position[abs(lit)])
-                    mask |= bit
-                    if lit < 0:
-                        neg |= bit
-            if mask:
-                mixed.append((mask, neg, table))
-            else:
-                base &= table
-            continue
-        mask = neg = 0
+        table = 0
+        searched = []
         for lit in lits:
-            j = position[abs(lit)]
-            if j == last:
-                banned_value = lit < 0  # the value that falsifies the last literal
+            if lit in tables:
+                table |= tables[lit]
             else:
-                bit = 1 << (last - 1 - j)
-                mask |= bit
-                if lit < 0:
-                    neg |= bit
-        checks[last][banned_value].append((mask, neg))
+                searched.append((position[abs(lit)], lit < 0))
+        if not searched:
+            root &= table
+            continue
+        last, value = max(searched)
+        mask = neg = 0
+        for j, negative in searched:
+            if j < last:
+                mask |= 1 << (last - 1 - j)
+                neg |= negative << (last - 1 - j)
+        filed[last][value].append((mask, neg, table))
 
     budget = k + (1 << low) // TABLE_BITS_PER_VISIT + SEARCH_NODES_PER_SET * (limit + 1)
     overrun = f"search visited more than {budget} partial assignments"
     visited = 0
     codes: list[int] = []
-    stack = [(0, 0)]  # (depth, prefix of that many bits); depth high is a leaf
+    # (depth, prefix of that many bits, its nonempty table); depth high is a leaf
+    stack = [(0, 0, root)] if root else []
     while stack:
         visited += 1
         if visited > budget:
             raise ValueError(overrun)
-        depth, prefix = stack.pop()
+        depth, prefix, table = stack.pop()
         if depth == high:
-            table = base
-            for mask, neg, clause_table in mixed:
-                if prefix & mask == neg:
-                    table &= clause_table
-                    visited += 1
-                    if not table:
-                        break
-            if not table:
-                continue
             visited += table.bit_length() // TABLE_BITS_PER_VISIT
             if visited > budget:
                 raise ValueError(overrun)
@@ -275,22 +250,17 @@ def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, l
                 codes.append(offset | t)
                 t = bits.find("1", t + 1)
             continue
-        if_false, if_true = checks[depth]
-        can_false = True
-        for mask, neg in if_false:
-            if prefix & mask == neg:
-                can_false = False
-                break
-        can_true = True
-        for mask, neg in if_true:
-            if prefix & mask == neg:
-                can_true = False
-                break
-        child = prefix << 1
-        if can_true:
-            stack.append((depth + 1, child | 1))
-        if can_false:
-            stack.append((depth + 1, child))
+        for value in (True, False):  # False is pushed last, so popped first
+            child = table
+            for mask, neg, clause_table in filed[depth][value]:
+                if prefix & mask == neg:
+                    child &= clause_table
+                    if clause_table:
+                        visited += 1
+                    if not child:
+                        break
+            if child:
+                stack.append((depth + 1, prefix << 1 | value, child))
     return GroupAssignments(domain=domain, codes=tuple(codes))
 
 

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import cspack
+
+PACKAGE = Path(cspack.__file__).parent
 
 
 def test_all_names_resolve_once():
@@ -14,3 +19,27 @@ def test_star_import_binds_exactly_all():
     exec("from cspack import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(cspack.__all__)
+
+
+def package_imports(module: str) -> list[tuple[str, list[str]]]:
+    """(package module, names) of each import of the package anywhere in the module's source."""
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, []) for alias in node.names if alias.name.split(".")[0] == "cspack"]
+        elif isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level:
+                name = ".".join(filter(None, ["cspack", name]))
+            if name.split(".")[0] == "cspack":
+                found.append((name, sorted(alias.name for alias in node.names)))
+    return found
+
+
+def test_the_sat_oracle_stays_independent_of_the_reduction():
+    # The oracle's answers cross-check the reduction's only if neither path
+    # reuses the other's code: the reduction takes no more than the formula
+    # types and the integer reader from cnf, and cnf nothing from the package.
+    from_cnf = [names for name, names in package_imports("reduction") if name in ("cspack", "cspack.cnf")]
+    assert from_cnf == [["Assignment", "CnfFormula", "read_int"]]
+    assert package_imports("cnf") == []

@@ -207,10 +207,10 @@ def test_enumerate_propagates_units_before_searching():
 
 
 def test_enumerate_bounds_search_work():
-    # No unit clause, but x25 and x26 admit no value: the table of the low
-    # 16 variables is empty at every leaf, yet each of the 7^3 * 2 prefixes
-    # of x1..x10 is still searched.
-    core = ((25, 26), (25, -26), (-25, 26), (-25, -26))
+    # No unit clause, but once x10, the last searched variable, takes either
+    # value, x25 or x26 admits none: each of the 7^3 prefixes of x1..x9 is
+    # searched before both its children are cut.
+    core = ((10, 25), (10, -25), (-10, 26), (-10, -26))
     f = cnf.CnfFormula(num_vars=26, clauses=DISJOINT[:8] + core)
     assert enumerate_all(f.clauses).codes == ()
     budget = 26 + (1 << 16) // reduction.TABLE_BITS_PER_VISIT + reduction.SEARCH_NODES_PER_SET * 11
@@ -218,8 +218,22 @@ def test_enumerate_bounds_search_work():
         reduction.enumerate_group_assignments(f.clauses, limit=10)
 
 
+@pytest.mark.parametrize(
+    "core",
+    [
+        ((25, 26), (25, -26), (-25, 26), (-25, -26)),  # among the low variables: an empty root table
+        ((1, 25), (1, -25), (-1, 26), (-1, -26)),  # both children of the first searched variable die
+    ],
+)
+def test_enumerate_cuts_a_dead_core_where_it_is_falsified(core):
+    # Neither core leaves an assignment, and searching the 7^3 * 2 prefixes of
+    # x1..x10 down to their leaves to find that would pass limit 10's work bound.
+    f = cnf.CnfFormula(num_vars=26, clauses=DISJOINT[:8] + core)
+    assert reduction.enumerate_group_assignments(f.clauses, limit=10).codes == ()
+
+
 def test_enumerate_decides_a_small_domain_by_one_table():
-    # The same dead core after 12 variables: 14 variables fit in one table,
+    # A dead core on x13 and x14 after 12 variables: 14 variables fit in one table,
     # so there is no search to bound and the group yields no assignment.
     core = ((13, 14), (13, -14), (-13, 14), (-13, -14))
     f = cnf.CnfFormula(num_vars=14, clauses=DISJOINT[:4] + core)
@@ -389,13 +403,18 @@ def test_reduce_family_bits_boundary(monkeypatch):
 
 
 def test_reduce_refuses_search_beyond_allowance(monkeypatch):
-    # Few sets, but a search over the 7^5 * 2 dead prefixes of x1..x16 ahead
-    # of the table of x17..x32: refused under a small cap.
-    core = ((31, 32), (31, -32), (-31, 32), (-31, -32))
+    # Few sets, but a search over the 7^5 dead prefixes of x1..x15 ahead of
+    # x16, whose values each leave x31 or x32 without a value: refused under
+    # a small cap.
+    core = ((16, 31), (16, -31), (-16, 32), (-16, -32))
     f = cnf.CnfFormula(num_vars=32, clauses=DISJOINT[:10] + core)
     monkeypatch.setattr(reduction, "MAX_SETS", 100)
     with pytest.raises(ValueError, match="MAX_SETS = 100: group 0: search visited more than"):
         reduction.reduce_to_packing(f, 1)
+    # A contradiction among x17..x32 alone empties the root table: no sets.
+    core = ((31, 32), (31, -32), (-31, 32), (-31, -32))
+    f = cnf.CnfFormula(num_vars=32, clauses=DISJOINT[:10] + core)
+    assert reduction.reduce_to_packing(f, 1)[0].set_count == 0
 
 
 def test_reduce_padding_grows_counts():

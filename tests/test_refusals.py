@@ -85,11 +85,24 @@ def test_contradictory_unit_clauses_past_a_wide_prefix_give_no_sets():
     assert out.split() == ["0", "((),)"]
 
 
-def test_search_that_outruns_the_allowance_is_refused():
-    # No unit clause, but x44 and x45 admit no value, so without a work
-    # bound every prefix of x1..x42 would be extended.
+def test_contradictory_low_clauses_past_a_wide_prefix_give_no_sets():
+    # x44 and x45 admit no value, which the table of the low variables shows
+    # before any prefix of x1..x28 is searched.
     out = run_python(
         "core = ((44, 45), (44, -45), (-44, 45), (-44, -45))\n"
+        f"f = cnf.CnfFormula(num_vars=45, clauses={DISJOINT} + core)\n"
+        "inst, wit = reduction.reduce_to_packing(f, 1)\n"
+        "print(inst.set_count, wit.codes)\n"
+    )
+    assert out.split() == ["0", "((),)"]
+
+
+def test_search_that_outruns_the_allowance_is_refused():
+    # No unit clause, but once x28, the last searched variable, takes either
+    # value, x44 or x45 admits none, so without a work bound every prefix of
+    # x1..x27 would be extended.
+    out = run_python(
+        "core = ((28, 44), (28, -44), (-28, 45), (-28, -45))\n"
         f"f = cnf.CnfFormula(num_vars=45, clauses={DISJOINT} + core)\n"
         "try:\n"
         "    reduction.reduce_to_packing(f, 1)\n"
