@@ -82,6 +82,10 @@ class SweepConfig:
         density = self.density
         if isinstance(density, bool) or not isinstance(density, (int, float)) or not 0 < density < math.inf:
             raise ValueError(f"density must be a positive finite number, got {density!r}")
+        try:
+            int(density * max(self.n_values))  # the largest m run_sweep derives
+        except OverflowError:
+            raise ValueError(f"density {density!r} times n = {max(self.n_values)} is not a finite clause count") from None
         if not isinstance(self.planted, bool):
             raise ValueError(f"planted must be true or false, got {self.planted!r}")
 
@@ -154,19 +158,13 @@ def run_roundtrip_row(
     dull_width: int | None,
     budget: int,
     oracle_cap: int,
-    skip_oracle_over_cap: bool = True,
 ) -> SweepRow:
     """Reduce, solve, lift, and oracle-check one formula.
 
-    With skip_oracle_over_cap (bench mode) the oracle is skipped, verdict
-    "skip", when n exceeds the cap; without it (roundtrip mode) the cap
-    violation raises ValueError before the formula is reduced. A found
+    The oracle is skipped, verdict "skip", when n exceeds the cap. A found
     packing is verified and lifted, and the lifted assignment is evaluated;
     failures there raise, since they mean the toolkit itself is broken.
     """
-    over_cap = formula.num_vars > oracle_cap
-    if over_cap and not skip_oracle_over_cap:
-        raise ValueError(f"formula has {formula.num_vars} variables, oracle cap is {oracle_cap}")
     t0 = time.perf_counter()
     instance, witness = reduce_to_packing(formula, r, dull_width=dull_width)
     reduce_time = time.perf_counter() - t0
@@ -183,7 +181,7 @@ def run_roundtrip_row(
         if not cnf.evaluate(formula, lifted):
             raise RuntimeError("lifted assignment does not satisfy the formula")
 
-    if over_cap:
+    if formula.num_vars > oracle_cap:
         oracle_verdict = "skip"
     else:
         oracle_verdict = "sat" if cnf.brute_force_sat(formula, cap=oracle_cap) is not None else "unsat"

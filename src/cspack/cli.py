@@ -108,13 +108,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     formula = cnf.parse_dimacs(_read(args.input))
+    if formula.num_vars > args.oracle_cap:
+        raise ValueError(f"formula has {formula.num_vars} variables, oracle cap is {args.oracle_cap}")
     row = bench.run_roundtrip_row(
-        formula,
-        args.r,
-        dull_width=_dull_width(args),
-        budget=args.budget,
-        oracle_cap=args.oracle_cap,
-        skip_oracle_over_cap=False,
+        formula, args.r, dull_width=_dull_width(args), budget=args.budget, oracle_cap=args.oracle_cap
     )
     print(f"packing verdict: {row.verdict} (nodes {row.solver_nodes})")
     print(f"oracle verdict:  {row.oracle_verdict}")

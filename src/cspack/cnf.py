@@ -110,7 +110,7 @@ def parse_dimacs(text: str) -> CnfFormula:
 def read_int(token: str) -> int:
     """int(token), refusing the spellings int() accepts beyond ASCII -?[0-9]+ ('+1', '1_0', '٣').
 
-    Reads every decimal field of the DIMACS, instance and witness grammars.
+    Reads every field of the DIMACS, instance and witness grammars, all of which are decimal.
     """
     if not _DECIMAL.fullmatch(token):
         raise ValueError(f"not an ASCII decimal integer: {token!r}")

@@ -268,6 +268,12 @@ def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, l
 class WitnessMap:
     """Bookkeeping that links core sets to (group, assignment) pairs.
 
+    domains[g] is group g's domain and codes[g] its satisfying assignments as
+    codes over it (first domain variable = most significant bit), both
+    strictly increasing, as witness_to_text writes them. Construction checks
+    these orders, each code below 2^len(domain) and the layout's size, so
+    witness_from_text checks only syntax.
+
     Core set indices are laid out group by group, in assignment-encoding
     order within each group; padding sets (if any) come after all core sets.
     The element layout follows from the fields: IDs [0, n*r^2) are the
@@ -539,79 +545,56 @@ def lift_packing_to_assignment(witness: WitnessMap, packing: list[int] | tuple[i
 def witness_to_text(witness: WitnessMap) -> str:
     """Serialize a witness map.
 
-    Grammar (whitespace-separated tokens, LF endings):
+    Grammar (decimal fields separated by single spaces, LF endings):
 
         w <n> <r> <d>
-        g <count> <v_1> ... <v_k>            (one block per group, in group order)
-        <bits>                               (exactly <count> lines per block)
+        g <k> <v_1> ... <v_k> <c_1> ... <c_count>      (one line per group, in group order)
 
-    A block's <bits> lines are its satisfying assignments in core set order,
-    each over the sorted domain variables, most significant bit first,
-    written as "-" when the domain is empty. Set indices, tag widths and the
-    padding sets follow from the counts and d.
+    A group line holds the group's k sorted domain variables, then its
+    satisfying assignments in core set order, each as its code over the
+    domain (first variable = most significant bit), as in WitnessMap.codes.
+    Set indices, tag widths and the padding sets follow from the code
+    counts and d.
     """
     lines = [f"w {witness.num_vars} {witness.r} {witness.dull_width}"]
     for domain, codes in zip(witness.domains, witness.codes):
-        lines.append(" ".join(["g", str(len(codes)), *map(str, domain)]))
-        if domain:
-            spec = f"0{len(domain)}b"
-            lines.extend(f"{code:{spec}}" for code in codes)
-        else:
-            lines.extend("-" for _ in codes)
+        lines.append(" ".join(map(str, ("g", len(domain), *domain, *codes))))
     return "\n".join(lines) + "\n"
 
 
 def witness_from_text(text: str) -> WitnessMap:
     """Parse the witness grammar; inverse of witness_to_text.
 
-    Raises only WitnessFormatError, also for a layout whose universe exceeds
-    MAX_UNIVERSE.
+    Checks the syntax only (the header, exactly r group lines, every field a
+    read_int integer, 0 <= k <= the fields after it) and leaves ranges, order
+    and layout to WitnessMap. Raises only WitnessFormatError, also for a
+    layout whose universe exceeds MAX_UNIVERSE.
     """
     lines = [line.split() for line in text.splitlines() if line.strip()]
     if not lines:
         raise WitnessFormatError("empty witness text")
-    head = lines[0]
+    head, *groups = lines
     try:
         if len(head) != 4 or head[0] != "w":
             raise ValueError
         n, r, d = map(read_int, head[1:])
     except ValueError:
         raise WitnessFormatError(f"malformed header line: {' '.join(head)!r}") from None
+    if len(groups) != r:
+        raise WitnessFormatError(f"{len(groups)} group lines for r = {r}")
     domains = []
     codes = []
-    pos = 1
-    for g in range(r):
-        if pos == len(lines):
-            raise WitnessFormatError(f"missing the block of group {g}")
-        line = lines[pos]
+    for g, line in enumerate(groups):
         try:
             if len(line) < 2 or line[0] != "g":
                 raise ValueError
-            count = read_int(line[1])
-            domain = tuple(map(read_int, line[2:]))
+            k, *fields = map(read_int, line[1:])
         except ValueError:
             raise WitnessFormatError(f"malformed group line: {' '.join(line)!r}") from None
-        if count < 0:
-            raise WitnessFormatError(f"group {g}: negative set count {count}")
-        pos += 1
-        block = lines[pos : pos + count]
-        if len(block) != count:
-            raise WitnessFormatError(f"group {g}: {len(block)} of its {count} bit lines present")
-        pos += count
-        group_codes = []
-        for tokens in block:
-            bits = tokens[0]
-            if domain:
-                valid = len(bits) == len(domain) and bits.strip("01") == ""
-            else:
-                valid = bits == "-"
-            if len(tokens) != 1 or not valid:
-                raise WitnessFormatError(f"group {g}: {' '.join(tokens)!r} is not bits over {len(domain)} variables")
-            group_codes.append(int(bits, 2) if domain else 0)
-        domains.append(domain)
-        codes.append(tuple(group_codes))
-    if pos != len(lines):
-        raise WitnessFormatError(f"{len(lines) - pos} lines after the last group block")
+        if not 0 <= k <= len(fields):
+            raise WitnessFormatError(f"group {g}: domain size {k} is not in [0, {len(fields)}]")
+        domains.append(tuple(fields[:k]))
+        codes.append(tuple(fields[k:]))
     try:
         return WitnessMap(num_vars=n, dull_width=d, domains=tuple(domains), codes=tuple(codes))
     except ValueError as exc:

@@ -137,19 +137,6 @@ def test_sweep_aborts_on_disagreement(monkeypatch):
 
 def test_roundtrip_row_budget_is_inconclusive():
     formula = cnf.gen_random_3cnf(8, 16, seed=3)
-    row = bench.run_roundtrip_row(formula, 2, dull_width=0, budget=1, oracle_cap=24,
-                                  skip_oracle_over_cap=False)
+    row = bench.run_roundtrip_row(formula, 2, dull_width=0, budget=1, oracle_cap=24)
     assert row.verdict == "budget"
     assert row.agreement == "na"
-
-
-def test_roundtrip_row_strict_oracle_cap(monkeypatch):
-    # The cap is checked before the formula is reduced, not after the solve.
-    def no_reduction(*args, **kwargs):
-        raise AssertionError("reduce_to_packing called for a formula over the oracle cap")
-
-    monkeypatch.setattr(bench, "reduce_to_packing", no_reduction)
-    formula = cnf.gen_random_3cnf(8, 8, seed=3)
-    with pytest.raises(ValueError, match="formula has 8 variables, oracle cap is 4"):
-        bench.run_roundtrip_row(formula, 2, dull_width=0, budget=10**6, oracle_cap=4,
-                                skip_oracle_over_cap=False)

@@ -184,6 +184,20 @@ def test_roundtrip_budget_inconclusive(tmp_path, capsys):
     assert "INCONCLUSIVE" in capsys.readouterr().out
 
 
+def test_roundtrip_strict_oracle_cap(tmp_path, capsys, monkeypatch):
+    # The cap is checked before the formula is reduced, not after the solve.
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("reduce_to_packing called for a formula over the oracle cap")
+
+    monkeypatch.setattr(bench, "reduce_to_packing", no_reduction)
+    monkeypatch.setattr(reduction, "reduce_to_packing", no_reduction)
+    cnf_path = write(tmp_path / "f.cnf", to_dimacs(gen_random_3cnf(8, 8, seed=3)))
+    assert cli.main(["roundtrip", cnf_path, "--r", "2", "--no-pad", "--oracle-cap", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cspack: formula has 8 variables, oracle cap is 4\n"
+
+
 def test_audit_with_witness(tmp_path, capsys):
     cnf_path = write(tmp_path / "phi2.cnf", PHI2)
     out = tmp_path / "phi2.sp"
@@ -217,8 +231,8 @@ def test_audit_refuses_witness_of_another_r(tmp_path, capsys):
     assert "universe 39 " in capsys.readouterr().out
     # One group of 72 sets over 30 variables: universe 30 + 9 = 39 and 72
     # sets, like the r = 2 instance, whose grid is 6 * 2^2 = 24.
-    codes = "".join(f"{code:07b}\n" for code in range(72))
-    wit = write(tmp_path / "r1.wit", "w 30 1 0\ng 72 1 2 3 4 5 6 7\n" + codes)
+    codes = " ".join(map(str, range(72)))
+    wit = write(tmp_path / "r1.wit", f"w 30 1 0\ng 7 1 2 3 4 5 6 7 {codes}\n")
     assert cli.main(["audit", str(out), "--witness", wit]) == 1
     captured = capsys.readouterr()
     assert "breakdown" not in captured.out
@@ -267,6 +281,8 @@ def test_bench_bad_config(tmp_path, capsys):
     {"n_values": [6], "budget": 0},
     [1, 2],
     {"n_values": [6], "oracle_cap": -3},
+    {"n_values": [6], "density": 1e308},  # m = int(6e308) is not a finite count
+    {"n_values": [10**400]},  # 3.0 * n overflows a float
 ])
 def test_bench_config_type_errors(tmp_path, capsys, config):
     path = tmp_path / "sweep.json"

@@ -619,39 +619,48 @@ def test_witness_round_trip_with_padding_and_empty_groups():
 
 def test_witness_text_literal_examples():
     # At r = 4, (x1) goes to group 0 and (not x1) to group 1; groups 2 and 3
-    # have no clauses and hold the single empty assignment.
+    # have no clauses and hold the single empty assignment, code 0.
     _, wit = reduction.reduce_to_packing(PHI_CONTRADICTION, 4, dull_width=2)
-    assert reduction.witness_to_text(wit) == "w 1 4 2\ng 1 1\n1\ng 1 1\n0\ng 1\n-\ng 1\n-\n"
-    # Group 0 holds (x1) and (not x1): it has no sets but keeps its domain.
+    assert reduction.witness_to_text(wit) == "w 1 4 2\ng 1 1 1\ng 1 1 0\ng 0 0\ng 0 0\n"
+    # Group 0 holds (x1) and (not x1): it has no codes but keeps its domain.
     f = cnf.CnfFormula(num_vars=2, clauses=((1,), (2,), (-1,)))
     _, wit2 = reduction.reduce_to_packing(f, 2, dull_width=0)
-    assert reduction.witness_to_text(wit2) == "w 2 2 0\ng 0 1\ng 1 2\n1\n"
+    assert reduction.witness_to_text(wit2) == "w 2 2 0\ng 1 1\ng 1 2 1\n"
     for w in (wit, wit2):
         assert reduction.witness_from_text(reduction.witness_to_text(w)) == w
+    # The same two witnesses in the older grammar, with a bit line per set.
+    for old, match in [
+        ("w 1 4 2\ng 1 1\n1\ng 1 1\n0\ng 1\n-\ng 1\n-\n", "8 group lines for r = 4"),
+        ("w 2 2 0\ng 0 1\ng 1 2\n1\n", "3 group lines for r = 2"),
+    ]:
+        with pytest.raises(reduction.WitnessFormatError, match=match):
+            reduction.witness_from_text(old)
 
 
 def test_witness_format_errors():
-    good = "w 3 2 0\ng 2 1 2\n00\n11\ng 1\n-\n"
+    good = "w 3 2 0\ng 2 1 2 0 3\ng 0 0\n"
     wit = reduction.witness_from_text(good)
     assert wit.domains == ((1, 2), ()) and wit.codes == ((0, 3), (0,))
     bad = [
         ("", "empty"),
-        ("x 3 2 0\ng 2 1 2\n00\n11\ng 1\n-\n", "header"),
-        ("w 3 2 0\ng 3 1 2\n00\n11\ng 1\n-\n", "not bits"),  # truncated block
-        ("w 3 2 0\ng 2 1 2\n00\n11\ng 2\n-\n", "1 of its 2 bit lines"),  # truncated last block
-        ("w 3 2 0\ng 1 1 2\n00\n11\ng 1\n-\n", "malformed group line"),  # extra bit line
-        (good + "-\n", "1 lines after the last group block"),
-        (good + "g 1\n-\n", "2 lines after the last group block"),
-        ("w 3 2 0\ng 2 1 2\n00\n11\n", "missing the block of group 1"),
-        ("w 3 2 0\ng 2 1 2\n00\n-\ng 1\n-\n", "not bits"),  # "-" for a nonempty domain
-        ("w 3 2 0\ng 2 1 2\n00\n11\ng 1\n0\n", "not bits"),  # bits for an empty domain
-        ("w 3 2 0\ng -1 1 2\ng 1\n-\n", "negative"),
-        ("w 3 2 0\ng 99999999999999999999 1 2\n00\n11\ng 1\n-\n", "4 of its 99999999999999999999 bit lines"),
-        ("w 3 1 0\ng 2 1 2\n11\n00\n", "strictly increasing"),  # codes out of order
-        ("w 3 1 0\ng 2 1 2\n11\n11\n", "strictly increasing"),  # a repeated code
-        ("w 3 1 0\ng 1 2 1\n11\n", "strictly increasing"),  # domain out of order
-        # Old formats: set-numbered lines, tag widths in the header and a pad
-        # line; in the second, group 1's lines come first.
+        ("x 3 2 0\ng 2 1 2 0 3\ng 0 0\n", "header"),
+        ("w 3 2 0\ng 2 1 2 0 3\n", "1 group lines for r = 2"),  # a missing group
+        (good + "g 0 0\n", "3 group lines for r = 2"),  # an extra group
+        ("w 3 2 0\ng 2 1 2 0 3\n\ng\n", "malformed group line"),
+        ("w 3 2 0\ng 2 1 2 0 3\nh 0 0\n", "malformed group line"),
+        ("w 3 2 0\ng 2 1 2 0 x\ng 0 0\n", "malformed group line"),
+        ("w 3 2 0\ng 2 1 2 0 4\ng 0 0\n", "out of range for domain size 2"),
+        ("w 3 2 0\ng 2 1 2 -1 3\ng 0 0\n", "out of range for domain size 2"),
+        ("w 3 2 0\ng 2 1 2 0 3\ng 0 1\n", "out of range for domain size 0"),
+        ("w 3 1 0\ng 2 1 2 3 0\n", "codes must be strictly increasing"),
+        ("w 3 1 0\ng 2 1 2 3 3\n", "codes must be strictly increasing"),  # a repeated code
+        ("w 3 1 0\ng 2 2 1 3\n", "domain must be strictly increasing"),
+        ("w 3 1 0\ng -1 1 2\n", r"domain size -1 is not in \[0, 2\]"),
+        ("w 3 1 0\ng 3 1 2\n", r"domain size 3 is not in \[0, 2\]"),
+        ("w 3 1 0\ng 99999999999999999999 1 2\n", r"domain size 99999999999999999999 is not in \[0, 2\]"),
+        # Older formats: a bit line per set, set-numbered lines, tag widths in
+        # the header and a pad line; in the third, group 1's lines come first.
+        ("w 3 2 0\ng 2 1 2\n00\n11\ng 1\n-\n", "5 group lines for r = 2"),
         ("w 3 2 0 3 3\n0 0 1 2 01\n1 0 1 2 10\n2 0 1 2 11\n3 1 1 3 01\n4 1 1 3 10\n5 1 1 3 11\npad 6 0\n", "header"),
         ("w 3 2 0 3 3\n0 1 1 3 01\n1 1 1 3 10\n2 1 1 3 11\n3 0 1 2 01\n4 0 1 2 10\n5 0 1 2 11\npad 6 0\n", "header"),
         ("w 1 4 2 1 1 1 1\n0 0 1 1\n1 1 1 0\n2 2 -\n3 3 -\npad 4 4\n", "header"),
@@ -662,19 +671,54 @@ def test_witness_format_errors():
             reduction.witness_from_text(text)
 
 
+def _witness_to_text_with_bit_lines(witness):
+    """The previous witness grammar: a "g <count> <domain>" line, then one bit line per set."""
+    lines = [f"w {witness.num_vars} {witness.r} {witness.dull_width}"]
+    for domain, codes in zip(witness.domains, witness.codes):
+        lines.append(" ".join(["g", str(len(codes)), *map(str, domain)]))
+        if domain:
+            spec = f"0{len(domain)}b"
+            lines.extend(f"{code:{spec}}" for code in codes)
+        else:
+            lines.extend("-" for _ in codes)
+    return "\n".join(lines) + "\n"
+
+
+def test_witness_in_the_bit_line_grammar_is_refused_or_read_alike():
+    rng = random.Random(13)
+    refused = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        clauses = []
+        for _ in range(rng.randint(1, 10)):
+            variables = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
+        r = rng.randint(1, 5)
+        _, wit = reduction.reduce_to_packing(
+            cnf.CnfFormula(num_vars=n, clauses=tuple(clauses)), r, dull_width=rng.randint(0, 2) if r > 1 else 0
+        )
+        try:
+            assert reduction.witness_from_text(_witness_to_text_with_bit_lines(wit)) == wit
+        except reduction.WitnessFormatError:
+            refused += 1
+    # Every group keeps at least one bit line or one domain variable, either of
+    # which the new grammar cannot read as before.
+    assert refused == 400
+
+
 def test_witness_parser_raises_only_its_error_type():
     bad = [
         "w 1 1 0 1\ng 0\n",  # a tag width in the header
         "w 1 1 x\ng 0\n",  # d is not an integer
-        "w 1 1 0\ng 0 a\n",  # group domain is not integers
-        "w 1 1 0\ng x 1\n",  # set count is not an integer
+        "w 1 1 0\ng 1 a 0\n",  # a domain variable is not an integer
+        "w 1 1 0\ng x 1 0\n",  # the domain size is not an integer
         "w 1 1 0\ng\n",
         "w 0 1 0\ng 0\n",  # n = 0 is not a layout
         "w 1 0 0\n",  # r = 0 is not a layout
         "w 1 -1 0\n",
         "w 1 1 -1\ng 0\n",  # negative d
-        "w 2 1 0\ng 1 5\n1\n",  # domain variable beyond n
-        "w 2 1 0\ng 1 0\n1\n",  # domain variable 0
+        "w 2 1 0\ng 1 5 1\n",  # domain variable beyond n
+        "w 2 1 0\ng 1 0 1\n",  # domain variable 0
         f"w {MAX_UNIVERSE} 1 0\ng 0\n",  # universe above the bound
         "w 1 1 99999999999\ng 0\n",  # 2^d padding sets, d huge
     ]
@@ -684,9 +728,9 @@ def test_witness_parser_raises_only_its_error_type():
 
 
 def test_witness_parser_accepts_noncanonical_domain_spelling():
-    wit = reduction.witness_from_text("w 2 1 0\ng 02 01 2\n00\n01\n")
+    wit = reduction.witness_from_text("w 2 1 0\n\ng  02 01\t2 00 001 \n")
     assert wit.domains == ((1, 2),) and wit.codes == ((0, 1),)
-    assert reduction.witness_to_text(wit) == "w 2 1 0\ng 2 1 2\n00\n01\n"
+    assert reduction.witness_to_text(wit) == "w 2 1 0\ng 2 1 2 0 1\n"
 
 
 def test_group_offsets_cached_and_entry_matches_linear_scan():
@@ -702,6 +746,10 @@ def test_group_offsets_cached_and_entry_matches_linear_scan():
 
 
 def test_witness_bits_match_domain():
-    for bits in ("0", "000", "0a", "2", "0-"):
-        with pytest.raises(reduction.WitnessFormatError, match="bits"):
-            reduction.witness_from_text(f"w 2 1 0\ng 1 1 2\n{bits}\n")
+    # A code over k domain variables is below 2^k.
+    for k, domain in ((0, ""), (1, " 2"), (2, " 1 2")):
+        top = 1 << k
+        assert reduction.witness_from_text(f"w 2 1 0\ng {k}{domain} {top - 1}\n").codes == ((top - 1,),)
+        for code in (top, top + 1, 1 << 100):
+            with pytest.raises(reduction.WitnessFormatError, match=f"out of range for domain size {k}"):
+                reduction.witness_from_text(f"w 2 1 0\ng {k}{domain} {code}\n")
