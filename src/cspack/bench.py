@@ -17,8 +17,13 @@ from dataclasses import astuple, dataclass, fields
 
 from . import cnf
 from .cnf import CnfFormula
-from .packing import DEFAULT_NODE_BUDGET, solve_exact, verify_packing
+from .packing import DEFAULT_NODE_BUDGET, MAX_UNIVERSE, solve_exact, verify_packing
 from .reduction import lift_packing_to_assignment, reduce_to_packing
+
+# Largest clause count make_formula draws: 2^20 planted clauses take about 4 s and 140 MB
+# (Python 3.11 on a 2-core Xeon), and their DIMACS text 80 MB more.
+MAX_CLAUSES = 1 << 20
+
 
 class SweepDisagreement(Exception):
     """A sweep row's packing verdict contradicted the SAT oracle."""
@@ -35,8 +40,9 @@ class SweepConfig:
     """One benchmark sweep.
 
     r_rule is a fixed positive integer or the string "log2" for
-    r = ceil(log2(n)). padding is "none", "default", or an explicit dull
-    width. density fixes m = max(1, int(density * n)). Formulas get seeds
+    r = ceil(log2(n)). padding is an explicit dull width (0, the default,
+    turns padding off) or "default". density fixes m = max(1, int(density *
+    n)); the largest row must pass make_formula's bounds. Formulas get seeds
     config.seed, config.seed + 1, ... in row order. The oracle is skipped
     (verdict "skip") for rows with n > oracle_cap.
     """
@@ -46,7 +52,7 @@ class SweepConfig:
     instances: int = 1
     seed: int = 0
     density: float = 3.0
-    padding: int | str = "none"
+    padding: int | str = 0
     budget: int = DEFAULT_NODE_BUDGET
     oracle_cap: int = cnf.DEFAULT_ORACLE_CAP
     planted: bool = False
@@ -74,18 +80,15 @@ class SweepConfig:
             _require_int("a fixed r_rule", self.r_rule)
             if self.r_rule < 1:
                 raise ValueError(f"fixed r must be positive, got {self.r_rule}")
-        if isinstance(self.padding, str):
-            if self.padding not in ("none", "default"):
-                raise ValueError(f"padding must be 'none', 'default', or an integer, got {self.padding!r}")
-        else:
-            _require_int("an explicit padding width", self.padding)
+        if self.padding != "default":
+            _require_int("padding other than 'default'", self.padding)
         density = self.density
         if isinstance(density, bool) or not isinstance(density, (int, float)) or not 0 < density < math.inf:
             raise ValueError(f"density must be a positive finite number, got {density!r}")
-        try:
-            int(density * max(self.n_values))  # the largest m run_sweep derives
-        except OverflowError:
-            raise ValueError(f"density {density!r} times n = {max(self.n_values)} is not a finite clause count") from None
+        n = max(self.n_values)
+        _check_formula_size(n, 0)
+        if not density * n < MAX_CLAUSES + 1:  # so that run_sweep's largest m, int(density * n), passes
+            raise ValueError(f"density {density!r} times n = {n} is above MAX_CLAUSES = {MAX_CLAUSES}")
         if not isinstance(self.planted, bool):
             raise ValueError(f"planted must be true or false, got {self.planted!r}")
 
@@ -107,14 +110,6 @@ def r_for(n: int, rule: int | str) -> int:
     return math.ceil(math.log2(n)) if rule == "log2" else int(rule)
 
 
-def dull_width_arg(padding: int | str) -> int | None:
-    if padding == "none":
-        return 0
-    if padding == "default":
-        return None
-    return int(padding)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     n: int
@@ -134,13 +129,39 @@ class SweepRow:
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
+def _check_formula_size(n: int, m: int) -> None:
+    if n < 3:
+        raise ValueError(f"need n >= 3 to draw 3 distinct variables per clause, got {n}")
+    if n > MAX_UNIVERSE:
+        # The reduction's grid alone has n * r^2 IDs.
+        raise ValueError(f"n = {n} exceeds MAX_UNIVERSE = {MAX_UNIVERSE}, so no r can reduce it")
+    if not 0 <= m <= MAX_CLAUSES:
+        raise ValueError(f"clause count must be in [0, MAX_CLAUSES = {MAX_CLAUSES}], got {m}")
+
+
 def make_formula(n: int, m: int, seed: int, planted: bool) -> CnfFormula:
-    """Formula for one sweep row, deterministic in its arguments."""
-    if not planted:
-        return cnf.gen_random_3cnf(n, m, seed)
+    """m random clauses of 3 distinct variables with random signs, deterministic in the arguments.
+
+    With planted, an assignment is drawn from Random(seed) first, the clauses
+    from a Random seeded by the next draw, and each clause is redrawn until
+    that assignment satisfies it. Raises ValueError, before any draw, unless
+    3 <= n <= MAX_UNIVERSE and 0 <= m <= MAX_CLAUSES.
+    """
+    _check_formula_size(n, m)
     rng = random.Random(seed)
-    alpha = {v: bool(rng.getrandbits(1)) for v in range(1, n + 1)}
-    return cnf.gen_random_3cnf(n, m, rng.randrange(2**62), planted=alpha)
+    alpha = None
+    if planted:
+        alpha = {v: bool(rng.getrandbits(1)) for v in range(1, n + 1)}
+        rng = random.Random(rng.randrange(2**62))
+    clauses: list[tuple[int, ...]] = []
+    for _ in range(m):
+        while True:
+            variables = rng.sample(range(1, n + 1), 3)
+            clause = tuple(v if rng.getrandbits(1) else -v for v in variables)
+            if alpha is None or any(alpha[abs(lit)] == (lit > 0) for lit in clause):
+                break
+        clauses.append(clause)
+    return CnfFormula(num_vars=n, clauses=tuple(clauses))
 
 
 def _agreement(verdict: str, oracle_verdict: str) -> str:
@@ -206,7 +227,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """All rows of a sweep, in config order. Raises SweepDisagreement on the first disagreement."""
     rows: list[SweepRow] = []
     seed = config.seed
-    dull = dull_width_arg(config.padding)
+    dull = None if config.padding == "default" else config.padding
     for n in config.n_values:
         m = max(1, int(config.density * n))
         r = r_for(n, config.r_rule)

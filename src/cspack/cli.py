@@ -40,18 +40,6 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _add_pad_flags(sub: argparse.ArgumentParser) -> None:
-    pad = sub.add_mutually_exclusive_group()
-    pad.add_argument("--pad", type=int, metavar="D", help="dull padding width (2^D padding sets)")
-    pad.add_argument("--no-pad", action="store_true", help="disable padding")
-
-
-def _dull_width(args: argparse.Namespace) -> int | None:
-    if args.no_pad:
-        return 0
-    return args.pad
-
-
 def cmd_gen_cnf(args: argparse.Namespace) -> int:
     formula = bench.make_formula(args.n, args.m, args.seed, args.planted)
     text = cnf.to_dimacs(formula)
@@ -71,7 +59,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             f"exceeds bound {DENSITY_WARNING:g}",
             file=sys.stderr,
         )
-    instance, witness = reduction.reduce_to_packing(formula, args.r, dull_width=_dull_width(args))
+    instance, witness = reduction.reduce_to_packing(formula, args.r, dull_width=args.pad)
     widths = " ".join(map(str, witness.iss_widths))
     print(
         f"universe {instance.universe_size} = grid {witness.grid_size} "
@@ -111,7 +99,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     if formula.num_vars > args.oracle_cap:
         raise ValueError(f"formula has {formula.num_vars} variables, oracle cap is {args.oracle_cap}")
     row = bench.run_roundtrip_row(
-        formula, args.r, dull_width=_dull_width(args), budget=args.budget, oracle_cap=args.oracle_cap
+        formula, args.r, dull_width=args.pad, budget=args.budget, oracle_cap=args.oracle_cap
     )
     print(f"packing verdict: {row.verdict} (nodes {row.solver_nodes})")
     print(f"oracle verdict:  {row.oracle_verdict}")
@@ -172,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="reduce a DIMACS CNF file to a set packing instance")
     p.add_argument("input", help="DIMACS CNF path")
     p.add_argument("--r", type=int, required=True, help="number of clause groups / packing parameter")
-    _add_pad_flags(p)
+    p.add_argument("--pad", type=int, metavar="D", help="dull padding width, 2^D padding sets; 0 turns padding off")
     p.add_argument("--output", required=True, help="instance output path")
     p.add_argument("--witness", help="witness output path (default: OUTPUT.wit)")
     p.set_defaults(func=cmd_reduce)
@@ -190,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip", help="reduce, solve, lift, and cross-check the SAT oracle")
     p.add_argument("input", help="DIMACS CNF path")
     p.add_argument("--r", type=int, required=True)
-    _add_pad_flags(p)
+    p.add_argument("--pad", type=int, metavar="D", help="dull padding width, 2^D padding sets; 0 turns padding off")
     p.add_argument("--budget", type=int, default=packing.DEFAULT_NODE_BUDGET)
     p.add_argument("--oracle-cap", type=int, default=cnf.DEFAULT_ORACLE_CAP)
     p.set_defaults(func=cmd_roundtrip)

@@ -1,16 +1,16 @@
-"""3-CNF formulas: DIMACS I/O, evaluation, generation, and an exhaustive SAT oracle.
+"""3-CNF formulas: DIMACS I/O, evaluation, and an exhaustive SAT oracle.
 
 Clauses carry 1 to 3 signed literals. The oracle checks every total
 assignment, so it is only meant for small formulas; it exists to certify the
 set packing reduction, not to compete with real SAT solvers. It is
 bit-parallel: one big-int operation evaluates a clause on up to 2^20
 assignments at once, chunk by chunk in encoding order, so it still returns the
-least model. It shares no code with the reduction.
+least model. It shares no code with the reduction. Random formulas come
+from bench.make_formula.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -208,33 +208,3 @@ def _code_bit_patterns(low: int) -> list[int]:
         pattern = int.from_bytes(unit * (nbytes // len(unit)), "little")
         patterns.append(pattern & ((1 << size) - 1))
     return patterns
-
-
-def gen_random_3cnf(
-    n: int,
-    m: int,
-    seed: int,
-    planted: Assignment | None = None,
-) -> CnfFormula:
-    """Generate a random 3-CNF formula, deterministic in (n, m, seed, planted).
-
-    Every clause has 3 distinct variables with independent random signs. When
-    a planted total assignment is given, each clause is redrawn until the
-    planted assignment satisfies it, so the result is guaranteed satisfiable.
-    """
-    if n < 3:
-        raise ValueError(f"need n >= 3 to draw 3 distinct variables per clause, got {n}")
-    if m < 0:
-        raise ValueError(f"clause count must be nonnegative, got {m}")
-    if planted is not None and set(planted) != set(range(1, n + 1)):
-        raise ValueError("planted assignment must be total over variables 1..n")
-    rng = random.Random(seed)
-    clauses: list[tuple[int, ...]] = []
-    for _ in range(m):
-        while True:
-            variables = rng.sample(range(1, n + 1), 3)
-            clause = tuple(v if rng.getrandbits(1) else -v for v in variables)
-            if planted is None or any(planted[abs(lit)] == (lit > 0) for lit in clause):
-                break
-        clauses.append(clause)
-    return CnfFormula(num_vars=n, clauses=tuple(clauses))

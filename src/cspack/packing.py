@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterator, Sequence, TypeVar
 
 from .cnf import read_int
 
@@ -80,9 +80,9 @@ class SetPackingInstance:
     """Universe [0, universe_size), an ordered family of element sets, and the parameter r.
 
     Each set is stored as one int mask, with bit e set iff element e is a
-    member; the family contains no duplicate sets. `sets` derives the
-    strictly increasing ID tuples from the masks, and `from_sets` builds an
-    instance from such tuples.
+    member; the family contains no duplicate sets. Masks are the only way
+    to build an instance: from ID tuples, pass sum(1 << e for e in ids) per
+    set. `sets` derives the strictly increasing ID tuples from the masks.
     """
 
     universe_size: int
@@ -103,24 +103,6 @@ class SetPackingInstance:
             raise ValueError(f"set {i}: element ID {m.bit_length() - 1} out of range [0, {self.universe_size})")
         if len(set(masks)) != len(masks):
             raise ValueError("set family contains duplicate sets")
-
-    @classmethod
-    def from_sets(cls, universe_size: int, sets: Iterable[Sequence[int]], r: int) -> SetPackingInstance:
-        """Build an instance from sets given as strictly increasing ID sequences."""
-        check_universe_size(universe_size)
-        masks = []
-        for i, ids in enumerate(sets):
-            prev = -1
-            mask = 0
-            for e in ids:
-                if e <= prev:
-                    raise ValueError(f"set {i}: element IDs must be strictly increasing")
-                if not 0 <= e < universe_size:
-                    raise ValueError(f"set {i}: element ID {e} out of range [0, {universe_size})")
-                mask |= 1 << e
-                prev = e
-            masks.append(mask)
-        return cls(universe_size=universe_size, masks=tuple(masks), r=r)
 
     @property
     def set_count(self) -> int:

@@ -180,7 +180,7 @@ def gadget_corpus():
     for _ in range(120):
         n = rng.randint(3, 9)
         m = rng.randint(1, 2 * n)
-        formula = cnf.gen_random_3cnf(n, m, seed=rng.randrange(1 << 30))
+        formula = bench.make_formula(n, m, rng.randrange(1 << 30), False)
         r = rng.choice((2, 3))
         built.append(reduction.reduce_to_packing(formula, r, dull_width=0))
     return built
@@ -252,7 +252,7 @@ def test_criterion_5_padding_neutrality():
     while sampled < 100:
         n = rng.randint(3, 8)
         m = rng.randint(1, 2 * n)
-        formula = cnf.gen_random_3cnf(n, m, seed=rng.randrange(1 << 30))
+        formula = bench.make_formula(n, m, rng.randrange(1 << 30), False)
         r = rng.choice((2, 3))
         plain, _ = reduction.reduce_to_packing(formula, r, dull_width=0)
         base_verdict = packing.solve_exact(plain).verdict
@@ -296,7 +296,7 @@ def test_criterion_7_scaling_smoke():
             instances=1,
             seed=900,
             density=0.42,  # m = 10 at n = 24
-            padding="none",
+            padding=0,
             oracle_cap=20,  # oracle skipped: 2^24 enumerations is not a smoke test
             planted=True,
         )

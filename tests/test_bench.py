@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from cspack import bench, cnf
+from cspack import bench, cnf, packing, reduction
 
 
 def strip_timing(csv_text: str) -> list[str]:
@@ -113,17 +114,71 @@ def test_csv_text_pinned_outside_timing():
 
 
 def test_padding_modes():
-    assert bench.dull_width_arg("none") == 0
-    assert bench.dull_width_arg("default") is None
-    assert bench.dull_width_arg(3) == 3
-    config = bench.SweepConfig(n_values=(5,), r_rule=2, instances=1, seed=0,
-                               density=1.0, padding=2)
-    row = bench.run_sweep(config)[0]
-    no_pad = bench.run_sweep(bench.SweepConfig(
-        n_values=(5,), r_rule=2, instances=1, seed=0, density=1.0, padding="none"))[0]
-    assert row.set_count == no_pad.set_count + 4
-    assert row.universe_size == no_pad.universe_size + 2
-    assert row.verdict == no_pad.verdict
+    def row(padding):
+        config = bench.SweepConfig(n_values=(5,), r_rule=2, instances=1, seed=0, density=1.0, padding=padding)
+        return bench.run_sweep(config)[0]
+
+    assert bench.SweepConfig(n_values=(5,)).padding == 0
+    no_pad, padded, default = row(0), row(2), row("default")
+    assert padded.set_count == no_pad.set_count + 4
+    assert padded.universe_size == no_pad.universe_size + 2
+    assert padded.verdict == no_pad.verdict
+    assert default.universe_size == no_pad.universe_size + reduction.default_dull_width(5, 2)
+    with pytest.raises(ValueError, match="padding other than 'default' must be an integer, got 'none'"):
+        bench.SweepConfig(n_values=(5,), padding="none")
+
+
+def test_make_formula_refuses_oversize_inputs_before_drawing(monkeypatch):
+    monkeypatch.setattr(bench.random, "Random", None)  # any draw would raise TypeError
+    for planted in (False, True):
+        with pytest.raises(ValueError, match="exceeds MAX_UNIVERSE"):
+            bench.make_formula(packing.MAX_UNIVERSE + 1, 1, 0, planted)
+        for m in (-1, bench.MAX_CLAUSES + 1):
+            with pytest.raises(ValueError, match=f"MAX_CLAUSES = {bench.MAX_CLAUSES}], got {m}"):
+                bench.make_formula(20, m, 0, planted)
+    with pytest.raises(ValueError, match="exceeds MAX_UNIVERSE"):
+        bench.SweepConfig(n_values=(3, packing.MAX_UNIVERSE + 1), density=0.5)
+    with pytest.raises(ValueError, match="above MAX_CLAUSES"):
+        bench.SweepConfig(n_values=(4, 3), density=(bench.MAX_CLAUSES + 1) / 4)
+    # The largest row at the bounds is accepted: int(density * n) = MAX_CLAUSES.
+    bench.SweepConfig(n_values=(4, packing.MAX_UNIVERSE), density=(bench.MAX_CLAUSES + 0.5) / packing.MAX_UNIVERSE)
+
+
+def reference_gen_random_3cnf(n, m, seed, planted=None):
+    """A copy of the former cnf.gen_random_3cnf, which make_formula called before it drew clauses itself."""
+    if n < 3:
+        raise ValueError(f"need n >= 3 to draw 3 distinct variables per clause, got {n}")
+    if m < 0:
+        raise ValueError(f"clause count must be nonnegative, got {m}")
+    if planted is not None and set(planted) != set(range(1, n + 1)):
+        raise ValueError("planted assignment must be total over variables 1..n")
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(m):
+        while True:
+            variables = rng.sample(range(1, n + 1), 3)
+            clause = tuple(v if rng.getrandbits(1) else -v for v in variables)
+            if planted is None or any(planted[abs(lit)] == (lit > 0) for lit in clause):
+                break
+        clauses.append(clause)
+    return cnf.CnfFormula(num_vars=n, clauses=tuple(clauses))
+
+
+def reference_make_formula(n, m, seed, planted):
+    """A copy of the former make_formula."""
+    if not planted:
+        return reference_gen_random_3cnf(n, m, seed)
+    rng = random.Random(seed)
+    alpha = {v: bool(rng.getrandbits(1)) for v in range(1, n + 1)}
+    return reference_gen_random_3cnf(n, m, rng.randrange(2**62), planted=alpha)
+
+
+def test_make_formula_matches_the_two_generator_reference():
+    grid = [(n, m, seed, planted) for n in (3, 5, 12, 16, 30) for m in (0, 1, 24, 69)
+            for seed in range(40) for planted in (False, True)]
+    assert len(grid) == 1600
+    for args in grid:
+        assert cnf.to_dimacs(bench.make_formula(*args)) == cnf.to_dimacs(reference_make_formula(*args)), args
 
 
 def test_sweep_aborts_on_disagreement(monkeypatch):
@@ -136,7 +191,7 @@ def test_sweep_aborts_on_disagreement(monkeypatch):
 
 
 def test_roundtrip_row_budget_is_inconclusive():
-    formula = cnf.gen_random_3cnf(8, 16, seed=3)
+    formula = bench.make_formula(8, 16, 3, False)
     row = bench.run_roundtrip_row(formula, 2, dull_width=0, budget=1, oracle_cap=24)
     assert row.verdict == "budget"
     assert row.agreement == "na"

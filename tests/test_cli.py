@@ -5,7 +5,7 @@ import json
 import pytest
 
 from cspack import bench, cli, packing, reduction
-from cspack.cnf import gen_random_3cnf, parse_dimacs, to_dimacs
+from cspack.cnf import parse_dimacs, to_dimacs
 
 PHI1 = "p cnf 1 2\n1 0\n-1 0\n"
 PHI2 = "p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n"
@@ -42,7 +42,7 @@ def test_gen_cnf_prints_make_formula(capsys):
 def test_reduce_writes_instance_and_witness(tmp_path, capsys):
     cnf_path = write(tmp_path / "phi1.cnf", PHI1)
     out = tmp_path / "phi1.sp"
-    rc = cli.main(["reduce", cnf_path, "--r", "2", "--no-pad", "--output", str(out)])
+    rc = cli.main(["reduce", cnf_path, "--r", "2", "--pad", "0", "--output", str(out)])
     assert rc == 0
     text = out.read_text()
     assert text.splitlines()[0] == "p sp 6 2 2"
@@ -68,7 +68,7 @@ def test_reduce_reparse_matches_in_memory(tmp_path):
 ], ids=["at-bound", "above-bound"])
 def test_reduce_density_warning(tmp_path, capsys, m, warning):
     cnf_path = write(tmp_path / "dense.cnf", f"p cnf 3 {m}\n" + "1 2 3 0\n" * m)
-    assert cli.main(["reduce", cnf_path, "--r", "2", "--no-pad", "--output", str(tmp_path / "x.sp")]) == 0
+    assert cli.main(["reduce", cnf_path, "--r", "2", "--pad", "0", "--output", str(tmp_path / "x.sp")]) == 0
     assert capsys.readouterr().err == warning
 
 
@@ -79,12 +79,24 @@ def test_reduce_r1_with_padding_fails(tmp_path, capsys):
     assert "padding requires r >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["reduce", "roundtrip"])
+def test_no_pad_flag_is_refused(tmp_path, capsys, command):
+    # --pad 0 is the one spelling of "no padding".
+    out = tmp_path / "x.sp"
+    argv = [command, write(tmp_path / "phi2.cnf", PHI2), "--r", "2", "--no-pad"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + (["--output", str(out)] if command == "reduce" else []))
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --no-pad" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_universe_above_bound_exits_1(tmp_path, capsys):
     r = 8
     n = packing.MAX_UNIVERSE // (r * r) + 1
     cnf_path = write(tmp_path / "wide.cnf", f"p cnf {n} 1\n1 2 3 0\n")
     out = tmp_path / "wide.sp"
-    assert cli.main(["reduce", cnf_path, "--r", str(r), "--no-pad", "--output", str(out)]) == 1
+    assert cli.main(["reduce", cnf_path, "--r", str(r), "--pad", "0", "--output", str(out)]) == 1
     assert "MAX_UNIVERSE" in capsys.readouterr().err
     assert not out.exists()
     huge = write(tmp_path / "huge.sp", "p sp 99999999999999 1 1\ns 1 999999999999\n")
@@ -101,7 +113,7 @@ def test_missing_input_file(tmp_path, capsys):
 def test_solve_and_verify(tmp_path, capsys):
     cnf_path = write(tmp_path / "phi2.cnf", PHI2)
     out = tmp_path / "phi2.sp"
-    cli.main(["reduce", cnf_path, "--r", "2", "--no-pad", "--output", str(out)])
+    cli.main(["reduce", cnf_path, "--r", "2", "--pad", "0", "--output", str(out)])
     capsys.readouterr()
 
     rc = cli.main(["solve", str(out)])
@@ -120,7 +132,7 @@ def test_solve_and_verify(tmp_path, capsys):
 
 
 def test_solve_packing_deeper_than_the_recursion_limit(tmp_path, capsys):
-    inst = packing.SetPackingInstance.from_sets(1200, [(e,) for e in range(1200)], 1200)
+    inst = packing.SetPackingInstance(1200, tuple(1 << e for e in range(1200)), 1200)
     path = write(tmp_path / "singletons.sp", packing.serialize_instance(inst))
     assert cli.main(["solve", path]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "verdict yes nodes 1200"
@@ -130,7 +142,7 @@ def test_solve_budget_exit_code(tmp_path, capsys):
     gen = tmp_path / "g.cnf"
     cli.main(["gen-cnf", "--n", "8", "--m", "16", "--seed", "5", "--output", str(gen)])
     out = tmp_path / "g.sp"
-    cli.main(["reduce", str(gen), "--r", "2", "--no-pad", "--output", str(out)])
+    cli.main(["reduce", str(gen), "--r", "2", "--pad", "0", "--output", str(out)])
     capsys.readouterr()
     rc = cli.main(["solve", str(out), "--budget", "1"])
     assert rc == 3
@@ -141,9 +153,9 @@ def test_solve_budget_exit_code(tmp_path, capsys):
 def test_nonpositive_budget_exits_1(tmp_path, capsys, budget):
     cnf_path = write(tmp_path / "phi2.cnf", PHI2)
     out = tmp_path / "phi2.sp"
-    cli.main(["reduce", cnf_path, "--r", "2", "--no-pad", "--output", str(out)])
+    cli.main(["reduce", cnf_path, "--r", "2", "--pad", "0", "--output", str(out)])
     capsys.readouterr()
-    for argv in (["solve", str(out)], ["roundtrip", cnf_path, "--r", "2", "--no-pad"]):
+    for argv in (["solve", str(out)], ["roundtrip", cnf_path, "--r", "2", "--pad", "0"]):
         assert cli.main([*argv, "--budget", budget]) == 1
         captured = capsys.readouterr()
         assert "verdict" not in captured.out
@@ -152,7 +164,7 @@ def test_nonpositive_budget_exits_1(tmp_path, capsys, budget):
 
 def test_roundtrip_unsat_agrees(tmp_path, capsys):
     cnf_path = write(tmp_path / "phi1.cnf", PHI1)
-    rc = cli.main(["roundtrip", cnf_path, "--r", "2", "--no-pad"])
+    rc = cli.main(["roundtrip", cnf_path, "--r", "2", "--pad", "0"])
     assert rc == 0
     printed = capsys.readouterr().out
     assert "packing verdict: no" in printed
@@ -170,7 +182,7 @@ def test_roundtrip_sat_agrees(tmp_path, capsys):
 def test_roundtrip_planted_instance(tmp_path, capsys):
     gen = tmp_path / "g.cnf"
     cli.main(["gen-cnf", "--n", "8", "--m", "16", "--seed", "5", "--planted", "--output", str(gen)])
-    rc = cli.main(["roundtrip", str(gen), "--r", "2", "--no-pad"])
+    rc = cli.main(["roundtrip", str(gen), "--r", "2", "--pad", "0"])
     assert rc == 0
     printed = capsys.readouterr().out
     assert "packing verdict: yes" in printed and "AGREE" in printed
@@ -179,7 +191,7 @@ def test_roundtrip_planted_instance(tmp_path, capsys):
 def test_roundtrip_budget_inconclusive(tmp_path, capsys):
     gen = tmp_path / "g.cnf"
     cli.main(["gen-cnf", "--n", "8", "--m", "16", "--seed", "5", "--output", str(gen)])
-    rc = cli.main(["roundtrip", str(gen), "--r", "2", "--no-pad", "--budget", "1"])
+    rc = cli.main(["roundtrip", str(gen), "--r", "2", "--pad", "0", "--budget", "1"])
     assert rc == 3
     assert "INCONCLUSIVE" in capsys.readouterr().out
 
@@ -191,8 +203,8 @@ def test_roundtrip_strict_oracle_cap(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(bench, "reduce_to_packing", no_reduction)
     monkeypatch.setattr(reduction, "reduce_to_packing", no_reduction)
-    cnf_path = write(tmp_path / "f.cnf", to_dimacs(gen_random_3cnf(8, 8, seed=3)))
-    assert cli.main(["roundtrip", cnf_path, "--r", "2", "--no-pad", "--oracle-cap", "4"]) == 1
+    cnf_path = write(tmp_path / "f.cnf", to_dimacs(bench.make_formula(8, 8, 3, False)))
+    assert cli.main(["roundtrip", cnf_path, "--r", "2", "--pad", "0", "--oracle-cap", "4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "cspack: formula has 8 variables, oracle cap is 4\n"
@@ -201,7 +213,7 @@ def test_roundtrip_strict_oracle_cap(tmp_path, capsys, monkeypatch):
 def test_audit_with_witness(tmp_path, capsys):
     cnf_path = write(tmp_path / "phi2.cnf", PHI2)
     out = tmp_path / "phi2.sp"
-    cli.main(["reduce", cnf_path, "--r", "2", "--no-pad", "--output", str(out)])
+    cli.main(["reduce", cnf_path, "--r", "2", "--pad", "0", "--output", str(out)])
     capsys.readouterr()
     rc = cli.main(["audit", str(out), "--witness", str(out) + ".wit"])
     assert rc == 0
@@ -225,9 +237,9 @@ def test_reduce_and_audit_print_the_quick_start_breakdown(tmp_path, capsys):
 
 
 def test_audit_refuses_witness_of_another_r(tmp_path, capsys):
-    cnf_path = write(tmp_path / "f.cnf", to_dimacs(gen_random_3cnf(6, 8, seed=1)))
+    cnf_path = write(tmp_path / "f.cnf", to_dimacs(bench.make_formula(6, 8, 1, False)))
     out = tmp_path / "f.sp"
-    cli.main(["reduce", cnf_path, "--r", "2", "--no-pad", "--output", str(out)])
+    cli.main(["reduce", cnf_path, "--r", "2", "--pad", "0", "--output", str(out)])
     assert "universe 39 " in capsys.readouterr().out
     # One group of 72 sets over 30 variables: universe 30 + 9 = 39 and 72
     # sets, like the r = 2 instance, whose grid is 6 * 2^2 = 24.
@@ -247,7 +259,7 @@ def test_bench_writes_csv(tmp_path, capsys):
         "instances": 2,
         "seed": 11,
         "density": 2.0,
-        "padding": "none",
+        "padding": 0,
     }))
     out = tmp_path / "rows.csv"
     rc = cli.main(["bench", str(config), "--output", str(out)])
@@ -283,6 +295,8 @@ def test_bench_bad_config(tmp_path, capsys):
     {"n_values": [6], "oracle_cap": -3},
     {"n_values": [6], "density": 1e308},  # m = int(6e308) is not a finite count
     {"n_values": [10**400]},  # 3.0 * n overflows a float
+    {"n_values": [6], "padding": "none"},  # 0 is the one spelling of "no padding"
+    {"n_values": [3], "density": 1e7},  # m = 3e7 is above MAX_CLAUSES
 ])
 def test_bench_config_type_errors(tmp_path, capsys, config):
     path = tmp_path / "sweep.json"

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspack import cnf
+from cspack import bench, cnf
 
 
 def formula_strategy(max_vars: int = 6, max_clauses: int = 8, clauses_per_var: int | None = None):
@@ -277,36 +278,38 @@ def test_oracle_finds_a_model_past_the_first_chunk():
         assert cnf.brute_force_sat(f) == expected
 
 
-# -- random generation -----------------------------------------------------
+# -- random generation (bench.make_formula) ---------------------------------
+
+def drawn_assignment(n, seed):
+    """The assignment make_formula plants: n bits drawn first from Random(seed)."""
+    rng = random.Random(seed)
+    return {v: bool(rng.getrandbits(1)) for v in range(1, n + 1)}
+
 
 def test_gen_shape_and_determinism():
-    f = cnf.gen_random_3cnf(5, 10, seed=7)
+    f = bench.make_formula(5, 10, 7, False)
     assert f.num_vars == 5 and f.num_clauses == 10
     for clause in f.clauses:
         assert len(clause) == 3
         assert len({abs(l) for l in clause}) == 3
-    assert cnf.gen_random_3cnf(5, 10, seed=7) == f
-    assert cnf.gen_random_3cnf(5, 10, seed=8) != f
+    assert bench.make_formula(5, 10, 7, False) == f
+    assert bench.make_formula(5, 10, 8, False) != f
 
 
 def test_gen_planted_is_satisfied():
-    planted = {v: True for v in range(1, 6)}
-    f = cnf.gen_random_3cnf(5, 10, seed=7, planted=planted)
-    assert cnf.evaluate(f, planted) is True
+    f = bench.make_formula(5, 10, 7, True)
+    assert cnf.evaluate(f, drawn_assignment(5, 7)) is True
 
 
 def test_gen_planted_random_assignments():
+    planted = set()
     for seed in range(20):
-        planted = {v: bool((seed >> (v - 1)) & 1) for v in range(1, 6)}
-        f = cnf.gen_random_3cnf(5, 12, seed=seed, planted=planted)
-        assert cnf.evaluate(f, planted) is True
+        alpha = drawn_assignment(5, seed)
+        assert cnf.evaluate(bench.make_formula(5, 12, seed, True), alpha) is True
+        planted.add(tuple(alpha.values()))
+    assert len(planted) > 1
 
 
 def test_gen_rejects_small_n():
-    with pytest.raises(ValueError):
-        cnf.gen_random_3cnf(2, 5, seed=0)
-
-
-def test_gen_rejects_partial_planted():
-    with pytest.raises(ValueError, match="total"):
-        cnf.gen_random_3cnf(4, 5, seed=0, planted={1: True})
+    with pytest.raises(ValueError, match="need n >= 3"):
+        bench.make_formula(2, 5, 0, False)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspack import cnf, packing, reduction
+from cspack import bench, cnf, packing, reduction
 
 
 def _valid_files():
@@ -24,7 +24,7 @@ def _valid_files():
     instances, witnesses, formulas = [], [], []
     for _ in range(6):
         n = rng.randint(1, 5)
-        formula = cnf.gen_random_3cnf(max(n, 3), rng.randint(1, 6), seed=rng.randrange(1 << 30))
+        formula = bench.make_formula(max(n, 3), rng.randint(1, 6), rng.randrange(1 << 30), False)
         r = rng.choice((1, 2, 3))
         inst, wit = reduction.reduce_to_packing(formula, r, dull_width=rng.choice((0, 2)) if r > 1 else 0)
         instances.append(packing.serialize_instance(inst))

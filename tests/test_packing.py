@@ -15,14 +15,14 @@ from cspack.reduction import lift_packing_to_assignment, reduce_to_packing
 PHI_TWO_WIDE = CnfFormula(num_vars=3, clauses=((1, 2, 3), (-1, -2, -3)))
 
 
+def masks_of(sets):
+    return tuple(sum(1 << e for e in s) for s in sets)
+
+
 def make_instance(sets, r, universe_size=None):
     if universe_size is None:
         universe_size = 1 + max((e for s in sets for e in s), default=-1)
-    return packing.SetPackingInstance.from_sets(
-        universe_size=universe_size,
-        sets=tuple(tuple(sorted(s)) for s in sets),
-        r=r,
-    )
+    return packing.SetPackingInstance(universe_size=universe_size, masks=masks_of(sets), r=r)
 
 
 def brute_force_packing(instance):
@@ -76,16 +76,12 @@ def reference_solve(instance, budget=packing.DEFAULT_NODE_BUDGET):
 # -- instance model and format ----------------------------------------------
 
 def test_instance_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        packing.SetPackingInstance.from_sets(universe_size=4, sets=((1, 0),), r=1)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        packing.SetPackingInstance.from_sets(universe_size=4, sets=((1, 1),), r=1)
     with pytest.raises(ValueError, match="out of range"):
-        packing.SetPackingInstance.from_sets(universe_size=2, sets=((0, 2),), r=1)
+        packing.SetPackingInstance(universe_size=2, masks=masks_of(((0, 2),)), r=1)
     with pytest.raises(ValueError, match="duplicate"):
-        packing.SetPackingInstance.from_sets(universe_size=2, sets=((0,), (0,)), r=1)
+        packing.SetPackingInstance(universe_size=2, masks=masks_of(((0,), (0,))), r=1)
     with pytest.raises(ValueError, match="positive"):
-        packing.SetPackingInstance.from_sets(universe_size=2, sets=((0,),), r=0)
+        packing.SetPackingInstance(universe_size=2, masks=masks_of(((0,),)), r=0)
 
 
 def test_instance_mask_validation():
@@ -106,7 +102,7 @@ def test_universe_bound_in_constructors():
     with pytest.raises(ValueError, match="MAX_UNIVERSE"):
         packing.SetPackingInstance(universe_size=limit + 1, masks=(), r=1)
     with pytest.raises(ValueError, match="MAX_UNIVERSE"):
-        packing.SetPackingInstance.from_sets(universe_size=10**12, sets=((10**12 - 1,),), r=1)
+        packing.SetPackingInstance(universe_size=10**12, masks=(1,), r=1)
 
 
 def test_family_bound_in_constructor():
@@ -231,9 +227,9 @@ def id_families(draw):
 
 @given(id_families())
 @settings(max_examples=300)
-def test_from_sets_masks_and_text_match_the_tuples(case):
+def test_masks_and_text_match_the_tuples(case):
     universe, family, r = case
-    inst = packing.SetPackingInstance.from_sets(universe, family, r)
+    inst = packing.SetPackingInstance(universe, masks_of(family), r)
     assert inst.sets == family
     assert [bin(m).count("1") for m in inst.masks] == [len(ids) for ids in family]
     text = packing.serialize_instance(inst)
@@ -245,7 +241,7 @@ def test_from_sets_masks_and_text_match_the_tuples(case):
 @settings(max_examples=200)
 def test_occurrence_masks_transpose_the_family(case):
     universe, family, r = case
-    inst = packing.SetPackingInstance.from_sets(universe, family, r)
+    inst = packing.SetPackingInstance(universe, masks_of(family), r)
     expected = [sum(1 << i for i, ids in enumerate(family) if e in ids) for e in range(universe)]
     assert packing._occurrence_masks(inst.masks, universe) == expected
     # The smallest slice holds 8 sets, so a family of 9 to 12 spans two.
@@ -276,14 +272,14 @@ def test_solve_r_exceeds_set_count():
 def test_solve_pigeonhole_bound_on_r():
     # Of r disjoint sets at most one is empty, so r <= universe_size + 1.
     sets = [(), (0,), (1,), (0, 1)]
-    result = packing.solve_exact(packing.SetPackingInstance.from_sets(2, sets, 3))
+    result = packing.solve_exact(packing.SetPackingInstance(2, masks_of(sets), 3))
     assert result.verdict == "yes" and result.packing == (0, 1, 2)
-    result = packing.solve_exact(packing.SetPackingInstance.from_sets(2, sets, 4))
+    result = packing.solve_exact(packing.SetPackingInstance(2, masks_of(sets), 4))
     assert result.verdict == "no" and result.nodes == 0
 
 
 def test_solve_packing_deeper_than_the_recursion_limit():
-    inst = packing.SetPackingInstance.from_sets(1200, [(e,) for e in range(1200)], 1200)
+    inst = packing.SetPackingInstance(1200, tuple(1 << e for e in range(1200)), 1200)
     result = packing.solve_exact(inst)
     assert result.verdict == "yes" and result.nodes == 1200
     assert result.packing == tuple(range(1200))
@@ -314,7 +310,7 @@ def small_instances(draw):
         ids = draw(st.sets(st.integers(min_value=0, max_value=universe - 1), max_size=universe))
         sets.add(tuple(sorted(ids)))
     r = draw(st.integers(min_value=1, max_value=4))
-    return packing.SetPackingInstance.from_sets(universe_size=universe, sets=tuple(sorted(sets)), r=r)
+    return packing.SetPackingInstance(universe_size=universe, masks=masks_of(sorted(sets)), r=r)
 
 
 @given(small_instances())

@@ -60,7 +60,7 @@ def test_enumerate_matches_brute_force():
     for _ in range(60):
         n = rng.randint(3, 8)
         m = rng.randint(1, 12)
-        f = cnf.gen_random_3cnf(n, m, seed=rng.randrange(1 << 30))
+        f = bench.make_formula(n, m, rng.randrange(1 << 30), False)
         r = rng.randint(1, 4)
         for g in range(r):
             ga = enumerate_all(f.clauses[g::r])
@@ -315,7 +315,7 @@ def test_reduce_grid_masks_across_lookup_chunks():
     # Domains of 9 to 12 variables are split over two lookup tables.
     rng = random.Random(31)
     for _ in range(6):
-        f = cnf.gen_random_3cnf(12, 8, seed=rng.randrange(1 << 30))
+        f = bench.make_formula(12, 8, rng.randrange(1 << 30), False)
         inst, wit = reduction.reduce_to_packing(f, 1, dull_width=0)
         assert max(len(d) for d in wit.domains) > reduction.CODE_CHUNK_BITS
         grid_mask = (1 << wit.grid_size) - 1
@@ -476,7 +476,7 @@ def sample_instances(count, seed, r_choices=(2, 3), max_n=8):
     for _ in range(count):
         n = rng.randint(3, max_n)
         m = rng.randint(1, 2 * n)
-        f = cnf.gen_random_3cnf(n, m, seed=rng.randrange(1 << 30))
+        f = bench.make_formula(n, m, rng.randrange(1 << 30), False)
         r = rng.choice(r_choices)
         inst, wit = reduction.reduce_to_packing(f, r, dull_width=0)
         out.append((f, inst, wit))
@@ -530,7 +530,7 @@ def test_padding_neutrality():
     for _ in range(25):
         n = rng.randint(3, 7)
         m = rng.randint(1, 2 * n)
-        f = cnf.gen_random_3cnf(n, m, seed=rng.randrange(1 << 30))
+        f = bench.make_formula(n, m, rng.randrange(1 << 30), False)
         r = rng.choice((2, 3))
         plain, _ = reduction.reduce_to_packing(f, r, dull_width=0)
         padded, wit = reduction.reduce_to_packing(f, r, dull_width=2)

@@ -65,7 +65,7 @@ def test_dense_planted_formula_refused_under_default_cap(tmp_path):
 def test_oversize_grid_refused_before_enumeration():
     out = run_python(
         "try:\n"
-        "    reduction.reduce_to_packing(cnf.gen_random_3cnf(17000, 40, seed=1), 2)\n"
+        "    reduction.reduce_to_packing(bench.make_formula(17000, 40, 1, False), 2)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
@@ -134,10 +134,25 @@ def test_reduction_above_the_family_bound_is_refused(tmp_path):
     clauses = tuple((3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(40))
     path = tmp_path / "wide.cnf"
     path.write_text(cnf.to_dimacs(cnf.CnfFormula(num_vars=1000, clauses=clauses)))
-    done = run_cli(["reduce", str(path), "--r", "8", "--no-pad", "--output", str(tmp_path / "wide.sp")])
+    done = run_cli(["reduce", str(path), "--r", "8", "--pad", "0", "--output", str(tmp_path / "wide.sp")])
     assert done.returncode == 1, done.stderr
     assert "134456 sets over a universe of 64136" in done.stderr
     assert not (tmp_path / "wide.sp").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "20", "--m", "30000000"],
+        ["--n", "300000000", "--m", "1", "--planted"],
+    ],
+)
+def test_oversize_formula_is_refused_before_drawing(argv):
+    # Drawn, 3e7 clauses or 3e8 planted values would exhaust the address space.
+    done = run_cli(["gen-cnf", *argv])
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("cspack: ") and done.stderr.count("\n") == 1, done.stderr
+    assert done.stdout == ""
 
 
 def test_deep_domain_of_unit_clauses_gives_one_set():
@@ -173,7 +188,7 @@ def test_solver_decides_rows_within_default_budget(n, m, seed, planted, r, dull_
 @pytest.mark.parametrize(
     "formula",
     [
-        "cnf.gen_random_3cnf(24, 120, 3)",
+        "bench.make_formula(24, 120, 3, False)",
         "cnf.CnfFormula(24, ((24,), (-24,)))",
         # No assignment falsifies a tautology, so an oracle that tests one
         # assignment at a time checks all 50 clauses on each of 2^24 codes.
