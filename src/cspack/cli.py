@@ -116,6 +116,12 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     instance = packing.parse_instance(_read(args.instance))
     witness = reduction.witness_from_text(_read(args.witness)) if args.witness else None
+    if witness is not None:
+        try:
+            reduction.check_witness(instance, witness)
+        except ValueError as exc:
+            print(f"cspack: {exc}", file=sys.stderr)
+            return EXIT_DISAGREE
     report = packing.audit_compactness(instance, witness)
     print(f"universe {report.universe_size} sets {report.set_count} r {report.r}")
     print(f"log2(sets) {report.log2_set_count:.6f}")
@@ -185,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="report the compactness ratio of an instance")
     p.add_argument("instance")
-    p.add_argument("--witness", help="witness path for the component breakdown")
+    p.add_argument("--witness", help="witness path: check that it builds the instance, then break the universe down")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("bench", help="run a sweep from a JSON config and write CSV")

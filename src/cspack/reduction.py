@@ -33,6 +33,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 from .cnf import Assignment, CnfFormula, read_int
 from .iss import build_iss, minimal_iss_universe
@@ -276,10 +277,10 @@ class WitnessMap:
 
     Core set indices are laid out group by group, in assignment-encoding
     order within each group; padding sets (if any) come after all core sets.
-    The element layout follows from the fields: IDs [0, n*r^2) are the
-    per-variable grids, then come r tag blocks in group order, each the
-    minimal intersecting-family universe for its group's set count (as
-    build_iss builds it), then dull_width padding-only IDs.
+    The element layout, which build_instance follows, comes from the fields:
+    IDs [0, n*r^2) are the per-variable grids, then come r tag blocks in
+    group order, each the minimal intersecting-family universe for its
+    group's set count (build_iss), then dull_width padding-only IDs.
     """
 
     num_vars: int
@@ -320,16 +321,9 @@ class WitnessMap:
     def iss_total(self) -> int:
         return sum(self.iss_widths)
 
-    def iss_start(self, group: int) -> int:
-        return self.grid_size + sum(self.iss_widths[:group])
-
-    @property
-    def core_size(self) -> int:
-        return self.grid_size + self.iss_total
-
     @property
     def universe_size(self) -> int:
-        return self.core_size + self.dull_width
+        return self.grid_size + self.iss_total + self.dull_width
 
     def grid_id(self, x: int, i: int, j: int) -> int:
         return x * self.r * self.r + i * self.r + j
@@ -349,12 +343,7 @@ class WitnessMap:
     @cached_property
     def group_offsets(self) -> tuple[int, ...]:
         """Index of each group's first core set."""
-        offsets = []
-        total = 0
-        for codes in self.codes:
-            offsets.append(total)
-            total += len(codes)
-        return tuple(offsets)
+        return tuple(accumulate(map(len, self.codes[:-1]), initial=0))
 
     @property
     def core_count(self) -> int:
@@ -438,11 +427,8 @@ def reduce_to_packing(
     enumerate_group_assignments), so a group whose search would outrun it is
     refused too, even if few of its assignments survive. Once every group is
     enumerated, a family whose set count times universe size exceeds
-    MAX_FAMILY_BITS is refused with ValueError, still before any mask is built.
-
-    Each set is the OR of precomputed masks: the grid mask of its code (from
-    WitnessMap.grid_mask, per variable, group and value) and its tag mask;
-    a padding set is the core mask with a subset of the dull block.
+    MAX_FAMILY_BITS is refused with ValueError, still before any mask is built
+    (build_instance, which builds the masks from the witness map alone).
     """
     n = formula.num_vars
     if r < 1:
@@ -459,36 +445,57 @@ def reduce_to_packing(
     allowance = MAX_SETS - ((1 << d) if d > 0 else 0)
     if allowance < 0:
         raise ValueError(f"the {1 << d} padding sets alone exceed MAX_SETS = {MAX_SETS}")
-    groups = []
+    domains, codes = [], []
     for g in range(r):
         try:
             group = enumerate_group_assignments(formula.clauses[g::r], limit=allowance)
         except ValueError as exc:
             raise ValueError(f"family refused under MAX_SETS = {MAX_SETS}: group {g}: {exc}") from None
-        groups.append(group)
+        domains.append(group.domain)
+        codes.append(group.codes)
         allowance -= group.count
-    witness = WitnessMap(
-        num_vars=n,
-        dull_width=d,
-        domains=tuple(group.domain for group in groups),
-        codes=tuple(group.codes for group in groups),
-    )
+    witness = WitnessMap(num_vars=n, dull_width=d, domains=tuple(domains), codes=tuple(codes))
+    return build_instance(witness), witness
+
+
+def build_instance(witness: WitnessMap) -> SetPackingInstance:
+    """The instance a witness map determines; the only code that turns a witness into masks.
+
+    A core set ORs its code's grid mask (code_masks over grid_mask) with its
+    group's tag (build_iss), shifted past the grid and the tag blocks of the
+    groups before it; a padding set is the core mask with a subset of the dull
+    block. A family above MAX_FAMILY_BITS is refused before any mask is built.
+    """
     check_family_size(witness.core_count + witness.pad_count, witness.universe_size)
-
     masks: list[int] = []
-    for g, group in enumerate(groups):
-        value_masks = [(witness.grid_mask(v - 1, g, False), witness.grid_mask(v - 1, g, True)) for v in group.domain]
-        core = code_masks(group.codes, value_masks)
-        tag_base = witness.iss_start(g)
-        masks.extend(m | tag << tag_base for m, tag in zip(core, build_iss(group.count).masks))
+    offset = witness.grid_size
+    for g, (domain, codes) in enumerate(zip(witness.domains, witness.codes)):
+        value_masks = [(witness.grid_mask(v - 1, g, False), witness.grid_mask(v - 1, g, True)) for v in domain]
+        tags = build_iss(len(codes))
+        masks.extend(m | tag << offset for m, tag in zip(code_masks(codes, value_masks), tags.masks))
+        offset += tags.universe_width
+    core_mask = (1 << offset) - 1
+    masks.extend(core_mask | subset << offset for subset in range(witness.pad_count))
+    return SetPackingInstance(universe_size=witness.universe_size, masks=tuple(masks), r=witness.r)
 
-    if d > 0:
-        core_size = witness.core_size
-        core_mask = (1 << core_size) - 1
-        masks.extend(core_mask | subset << core_size for subset in range(1 << d))
 
-    instance = SetPackingInstance(universe_size=witness.universe_size, masks=tuple(masks), r=r)
-    return instance, witness
+def check_witness(instance: SetPackingInstance, witness: WitnessMap) -> None:
+    """Raise ValueError unless build_instance(witness) equals the instance.
+
+    r, universe and set count are compared first, so the rebuild is never
+    larger than the instance it is checked against.
+    """
+    for name, ours, theirs in (
+        ("r", witness.r, instance.r),
+        ("universe", witness.universe_size, instance.universe_size),
+        ("set count", witness.core_count + witness.pad_count, instance.set_count),
+    ):
+        if ours != theirs:
+            raise ValueError(f"witness {name} {ours} does not match instance {name} {theirs}")
+    rebuilt = build_instance(witness)
+    if rebuilt != instance:
+        i = next(i for i, (ours, theirs) in enumerate(zip(rebuilt.masks, instance.masks)) if ours != theirs)
+        raise ValueError(f"set {i} of the instance is not the set the witness builds")
 
 
 def lower_assignment_to_packing(witness: WitnessMap, assignment: Assignment) -> list[int]:

@@ -245,10 +245,34 @@ def test_audit_refuses_witness_of_another_r(tmp_path, capsys):
     # sets, like the r = 2 instance, whose grid is 6 * 2^2 = 24.
     codes = " ".join(map(str, range(72)))
     wit = write(tmp_path / "r1.wit", f"w 30 1 0\ng 7 1 2 3 4 5 6 7 {codes}\n")
-    assert cli.main(["audit", str(out), "--witness", wit]) == 1
+    assert cli.main(["audit", str(out), "--witness", wit]) == 2
     captured = capsys.readouterr()
     assert "breakdown" not in captured.out
     assert captured.err == "cspack: witness r 1 does not match instance r 2\n"
+
+
+@pytest.mark.parametrize("edit", ["swap the first two sets", "move the first set's last ID up"])
+def test_audit_refuses_an_instance_its_witness_does_not_build(tmp_path, capsys, edit):
+    # The README's quick start, edited so that the instance keeps the
+    # witness's r, universe and set count and still parses.
+    cnf_path = str(tmp_path / "f.cnf")
+    out = str(tmp_path / "f.sp")
+    assert cli.main(["gen-cnf", "--n", "8", "--m", "16", "--seed", "5", "--planted", "--output", cnf_path]) == 0
+    assert cli.main(["reduce", cnf_path, "--r", "2", "--output", out]) == 0
+    assert cli.main(["audit", out, "--witness", out + ".wit"]) == 0
+    capsys.readouterr()
+    head, first, second, *rest = (tmp_path / "f.sp").read_text().splitlines(keepends=True)
+    if edit.startswith("swap"):
+        first, second = second, first
+    else:
+        *fields, last = first.split()
+        first = " ".join([*fields, str(int(last) + 1)]) + "\n"
+    write(tmp_path / "f.sp", "".join([head, first, second, *rest]))
+    packing.parse_instance((tmp_path / "f.sp").read_text())
+    assert cli.main(["audit", out, "--witness", out + ".wit"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cspack: set 0 of the instance is not the set the witness builds\n"
 
 
 def test_bench_writes_csv(tmp_path, capsys):

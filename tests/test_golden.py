@@ -5,7 +5,9 @@ seeded formulas of each benchmark workload shape (planted n=12, m=24 at
 r=4; random n=16, m=69 at r=2; no padding) and for the padded n=20, r=5
 Baseline row. A change to enumeration order, set order, the element layout
 or either grammar changes a digest; a deliberate format change updates them
-and says so in CHANGES.md.
+and says so in CHANGES.md. Each case also builds the instance from the
+parsed witness text alone (build_instance) and checks it against the pinned
+instance digest, so the witness file carries everything the instance is.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ from cspack import bench, packing, reduction
 
 
 def digests(formula, r, dull_width=None):
+    """sha256 of the instance text, of the witness text, and of the instance built from the witness text alone."""
     instance, witness = reduction.reduce_to_packing(formula, r, dull_width=dull_width)
+    witness_text = reduction.witness_to_text(witness)
+    rebuilt = reduction.build_instance(reduction.witness_from_text(witness_text))
     return tuple(
         hashlib.sha256(text.encode()).hexdigest()
-        for text in (packing.serialize_instance(instance), reduction.witness_to_text(witness))
+        for text in (packing.serialize_instance(instance), witness_text, packing.serialize_instance(rebuilt))
     )
 
 
@@ -55,17 +60,19 @@ DENSE_RANDOM = [
 
 @pytest.mark.parametrize("seed, instance_sha, witness_sha", SPARSE_PLANTED)
 def test_sparse_planted_bytes(seed, instance_sha, witness_sha):
-    assert digests(bench.make_formula(12, 24, seed, True), 4, dull_width=0) == (instance_sha, witness_sha)
+    assert digests(bench.make_formula(12, 24, seed, True), 4, dull_width=0) == (instance_sha, witness_sha, instance_sha)
 
 
 @pytest.mark.parametrize("seed, instance_sha, witness_sha", DENSE_RANDOM)
 def test_dense_random_bytes(seed, instance_sha, witness_sha):
-    assert digests(bench.make_formula(16, 69, seed, False), 2, dull_width=0) == (instance_sha, witness_sha)
+    assert digests(bench.make_formula(16, 69, seed, False), 2, dull_width=0) == (instance_sha, witness_sha, instance_sha)
 
 
 def test_padded_baseline_row_bytes():
     # Default padding width d = 10: 50,120 sets, 1,024 of them padding.
-    assert digests(bench.make_formula(20, 40, 7, True), 5) == (
+    instance_sha, witness_sha, rebuilt_sha = digests(bench.make_formula(20, 40, 7, True), 5)
+    assert (instance_sha, witness_sha) == (
         "f92cb733ac0643417bc5581e0a3a43d812efe1c8c07f78a69c1e6fc3c0a30eb7",
         "098929169fb9bdbea0437f411dabb51c01445faf65c652cf982c927ddb96a1b9",
     )
+    assert rebuilt_sha == instance_sha

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cspack import bench, cnf, packing
 from cspack.cnf import CnfFormula
-from cspack.reduction import lift_packing_to_assignment, reduce_to_packing
+from cspack.reduction import check_witness, lift_packing_to_assignment, reduce_to_packing
 
 PHI_TWO_WIDE = CnfFormula(num_vars=3, clauses=((1, 2, 3), (-1, -2, -3)))
 
@@ -448,14 +448,14 @@ def test_audit_rejects_mismatched_witness():
     inst, _ = reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0)
     _, other = reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
     with pytest.raises(ValueError, match="does not match"):
-        packing.audit_compactness(inst, other)
+        check_witness(inst, other)
 
 
 def test_audit_rejects_witness_of_another_r():
     inst, _ = reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0)
     _, other = reduce_to_packing(PHI_TWO_WIDE, 1, dull_width=0)
     with pytest.raises(ValueError, match="witness r 1 does not match instance r 2"):
-        packing.audit_compactness(inst, other)
+        check_witness(inst, other)
 
 
 def test_audit_log2():

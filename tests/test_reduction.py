@@ -110,6 +110,28 @@ def test_enumerate_matches_brute_force_on_any_clauses(clauses, r, table_bits):
                     reduction.enumerate_group_assignments(group, limit=len(expected) - 1)
 
 
+def reference_propagate(clauses):
+    """Unit propagation by whole passes over the clauses until one forces nothing new; None on a conflict.
+
+    A copy of its own, so that a fault in reduction.propagate_units cannot
+    pass the differential against itself.
+    """
+    forced = {}
+    progress = True
+    while progress:
+        progress = False
+        for lits in clauses:
+            if any(forced.get(abs(lit)) == (lit > 0) for lit in lits):
+                continue
+            open_lits = [lit for lit in lits if abs(lit) not in forced]
+            if not open_lits:
+                return None
+            if len(open_lits) == 1:
+                forced[abs(open_lits[0])] = open_lits[0] > 0
+                progress = True
+    return forced
+
+
 def reference_enumerate(group_clauses):
     """The plain depth-first enumerator over all domain variables, kept as a reference.
 
@@ -119,7 +141,7 @@ def reference_enumerate(group_clauses):
     domain = tuple(sorted({abs(lit) for clause in group_clauses for lit in clause}))
     clauses = [set(clause) for clause in group_clauses]
     clauses = [lits for lits in clauses if not any(-lit in lits for lit in lits)]
-    forced = reduction.propagate_units(clauses)
+    forced = reference_propagate(clauses)
     if forced is None:
         return domain, ()
     k = len(domain)
@@ -422,9 +444,29 @@ def test_reduce_padding_grows_counts():
     padded, wit = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
     assert padded.set_count == base.set_count + 4
     assert padded.universe_size == base.universe_size + 2
-    core_size = wit.core_size
+    core_size = wit.universe_size - wit.dull_width
     for idx in range(wit.core_count, wit.core_count + wit.pad_count):
         assert set(padded.sets[idx]) >= set(range(core_size))
+
+
+def test_check_witness_accepts_the_witness_that_builds_the_instance():
+    for d in (0, 2):
+        inst, wit = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=d)
+        assert reduction.build_instance(wit) == inst
+        reduction.check_witness(inst, wit)
+
+
+def test_check_witness_compares_sizes_before_rebuilding(monkeypatch):
+    # 20 bytes of witness that would build 65,536 padding sets over 32,766 IDs.
+    wit = reduction.witness_from_text("w 8187 2 16\ng 0\ng 0\n")
+    inst, _ = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0)
+
+    def no_rebuild(witness):
+        raise AssertionError("build_instance called before the sizes were compared")
+
+    monkeypatch.setattr(reduction, "build_instance", no_rebuild)
+    with pytest.raises(ValueError, match="witness universe 32766 does not match instance universe 22"):
+        reduction.check_witness(inst, wit)
 
 
 def test_reduce_default_padding_width():
