@@ -38,8 +38,8 @@ MAX_UNIVERSE = 1 << 16
 # its masks are built.
 MAX_FAMILY_BITS = 1 << 31
 
-# parse_instance keeps the bit of each canonically spelled ID below this
-# bound after its first use, which caps that cache at about 1 MiB.
+# parse_instance builds from the header a table of the bits of the canonically
+# spelled IDs below this bound (about 1 MiB); _id_bit reads any other token.
 _CACHED_IDS = 1 << 12
 
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
@@ -139,7 +139,7 @@ def parse_instance(text: str) -> SetPackingInstance:
         raise InstanceFormatError(str(exc)) from None
     if len(lines) - 1 != set_count:
         raise InstanceFormatError(f"header declares {set_count} sets but found {len(lines) - 1} set lines")
-    bit_of: dict[str, int] = {}  # ID token -> its bit, for checked tokens (see _id_bit)
+    bit_of = {str(e): 1 << e for e in range(min(universe_size, _CACHED_IDS))}
     masks: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
@@ -157,7 +157,7 @@ def parse_instance(text: str) -> SetPackingInstance:
         try:
             bits = list(map(bit_of.__getitem__, tokens))
         except KeyError:
-            bits = [_id_bit(token, lineno, universe_size, bit_of) for token in tokens]
+            bits = [bit_of.get(token) or _id_bit(token, lineno, universe_size) for token in tokens]
         # Distinct bits sum to their OR; a repeated ID carries and loses a bit.
         mask = sum(bits)
         if mask.bit_count() != k or bits != sorted(bits):
@@ -169,18 +169,15 @@ def parse_instance(text: str) -> SetPackingInstance:
         raise InstanceFormatError(str(exc)) from None
 
 
-def _id_bit(token: str, lineno: int, universe_size: int, cache: dict[str, int]) -> int:
-    """The bit of one ID token of a set line, after checking it; caches canonical low IDs."""
+def _id_bit(token: str, lineno: int, universe_size: int) -> int:
+    """The bit of one ID token of a set line, after checking it."""
     try:
         e = read_int(token)
     except ValueError:
         raise InstanceFormatError(f"line {lineno}: malformed set line") from None
     if not 0 <= e < universe_size:
         raise InstanceFormatError(f"line {lineno}: element ID {e} out of range [0, {universe_size})")
-    bit = 1 << e
-    if e < _CACHED_IDS and token == str(e):
-        cache[token] = bit
-    return bit
+    return 1 << e
 
 
 def serialize_instance(instance: SetPackingInstance) -> str:

@@ -272,8 +272,8 @@ class WitnessMap:
     domains[g] is group g's domain and codes[g] its satisfying assignments as
     codes over it (first domain variable = most significant bit), both
     strictly increasing, as witness_to_text writes them. Construction checks
-    these orders, each code below 2^len(domain) and the layout's size, so
-    witness_from_text checks only syntax.
+    n, r and d (check_shape), these orders, each code below 2^len(domain) and
+    the universe, so witness_from_text checks only syntax.
 
     Core set indices are laid out group by group, in assignment-encoding
     order within each group; padding sets (if any) come after all core sets.
@@ -289,8 +289,7 @@ class WitnessMap:
     codes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.num_vars < 1 or self.r < 1 or self.dull_width < 0:
-            raise ValueError("witness requires n >= 1, r >= 1, dull_width >= 0")
+        check_shape(self.num_vars, self.r, self.dull_width)
         if len(self.domains) != len(self.codes):
             raise ValueError(f"need one domain per group, got {len(self.domains)} for {len(self.codes)} groups")
         check_universe_size(self.universe_size)
@@ -398,9 +397,24 @@ def code_masks(codes: tuple[int, ...], value_masks: list[tuple[int, int]]) -> li
     return out
 
 
+def check_shape(n: int, r: int, d: int) -> None:
+    """Raise ValueError unless n variables, r groups and d dull IDs make a layout the reduction builds.
+
+    n >= 1, r >= 1, 0 <= d <= MAX_DULL_WIDTH (2^d padding sets are built), d = 0
+    at r = 1 (a padding set alone would be a packing), n*r^2 + d <= MAX_UNIVERSE.
+    """
+    if n < 1 or r < 1:
+        raise ValueError(f"need n >= 1 and r >= 1, got n = {n}, r = {r}")
+    if not 0 <= d <= MAX_DULL_WIDTH:
+        raise ValueError(f"dull_width {d} is not in [0, {MAX_DULL_WIDTH}] (2^d padding sets are materialized)")
+    if r == 1 and d > 0:
+        raise ValueError("padding requires r >= 2: with r = 1 any padding set alone is a packing")
+    check_universe_size(n * r * r + d)
+
+
 def default_dull_width(n: int, r: int) -> int:
-    """Default padding width ceil(n * log2(r) / r), capped at MAX_DULL_WIDTH; 0 when r == 1."""
-    if r == 1:
+    """Default padding width ceil(n * log2(r) / r), capped at MAX_DULL_WIDTH; 0 when r < 2."""
+    if r < 2:
         return 0
     return min(MAX_DULL_WIDTH, math.ceil(n * math.log2(r) / r))
 
@@ -414,11 +428,8 @@ def reduce_to_packing(
     """Build the set packing instance and its witness map for the formula.
 
     dull_width None picks the default padding width; 0 disables padding.
-    Padding needs r >= 2 (with r = 1 a padding set alone is a packing, which
-    would break the equivalence). The width is capped at MAX_DULL_WIDTH
-    because 2^dull_width padding sets are materialized. A universe above
-    MAX_UNIVERSE is refused with ValueError before the family is built, and a
-    grid plus dull block above it before any group is enumerated.
+    check_shape, which WitnessMap calls too, refuses r, the width and the grid
+    plus dull block with ValueError before any group is enumerated.
 
     A family of more than MAX_SETS sets is refused with ValueError: the 2^d
     padding sets are counted first, and each group's enumeration gets the
@@ -431,16 +442,8 @@ def reduce_to_packing(
     (build_instance, which builds the masks from the witness map alone).
     """
     n = formula.num_vars
-    if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
     d = default_dull_width(n, r) if dull_width is None else dull_width
-    if d < 0:
-        raise ValueError(f"dull_width must be nonnegative, got {d}")
-    if d > MAX_DULL_WIDTH:
-        raise ValueError(f"dull_width {d} exceeds cap {MAX_DULL_WIDTH} (2^d padding sets are materialized)")
-    if r == 1 and d > 0:
-        raise ValueError("padding requires r >= 2: with r = 1 any padding set alone is a packing")
-    check_universe_size(n * r * r + d)  # the grid and dull blocks, before any enumeration
+    check_shape(n, r, d)
 
     allowance = MAX_SETS - ((1 << d) if d > 0 else 0)
     if allowance < 0:

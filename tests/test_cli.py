@@ -251,6 +251,17 @@ def test_audit_refuses_witness_of_another_r(tmp_path, capsys):
     assert captured.err == "cspack: witness r 1 does not match instance r 2\n"
 
 
+def test_audit_refuses_a_witness_with_padding_at_r_one(tmp_path, capsys):
+    # The instance "w 3 1 2 / g 0" builds: one tag ID over the grid of 3, then
+    # 4 padding sets, each a packing alone at r = 1 (solve picks set 0).
+    inst = write(tmp_path / "f.sp", "p sp 6 4 1\ns 4 0 1 2 3\ns 5 0 1 2 3 4\ns 5 0 1 2 3 5\ns 6 0 1 2 3 4 5\n")
+    wit = write(tmp_path / "f.sp.wit", "w 3 1 2\ng 0\n")
+    assert cli.main(["audit", inst, "--witness", wit]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cspack: padding requires r >= 2") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("edit", ["swap the first two sets", "move the first set's last ID up"])
 def test_audit_refuses_an_instance_its_witness_does_not_build(tmp_path, capsys, edit):
     # The README's quick start, edited so that the instance keeps the

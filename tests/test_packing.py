@@ -146,6 +146,12 @@ def test_serialize_parse_identity():
     assert packing.serialize_instance(packing.parse_instance(text)) == text
     inst = make_instance([{0, 1}, {2}, {1, 3}], r=2)
     assert packing.parse_instance(packing.serialize_instance(inst)) == inst
+    # IDs on both sides of the parser's table of canonical IDs, which ends at 4096.
+    assert packing._CACHED_IDS == 4096
+    text = "p sp 5000 2 1\ns 3 0 4095 4096\ns 2 4096 4999\n"
+    inst = packing.parse_instance(text)
+    assert inst.sets == ((0, 4095, 4096), (4096, 4999))
+    assert packing.serialize_instance(inst) == text
 
 
 def test_serialize_empty_set_line():
@@ -194,7 +200,7 @@ NON_DECIMAL_INTEGERS = ["1_0", "+3", "\u0663", "\uff13", "1" * 5000]
 def test_parse_rejects_non_decimal_ids(token):
     with pytest.raises(packing.InstanceFormatError, match="line 2: malformed set line"):
         packing.parse_instance(f"p sp 12 1 1\ns 2 2 {token}\n")
-    # Canonical IDs already in the parser's cache do not let another spelling through.
+    # Canonical IDs in the parser's ID table do not let another spelling through.
     with pytest.raises(packing.InstanceFormatError, match="line 3: malformed set line"):
         packing.parse_instance(f"p sp 12 2 1\ns 2 3 10\ns 1 {token}\n")
 

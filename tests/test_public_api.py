@@ -43,3 +43,23 @@ def test_the_sat_oracle_stays_independent_of_the_reduction():
     from_cnf = [names for name, names in package_imports("reduction") if name in ("cspack", "cspack.cnf")]
     assert from_cnf == [["Assignment", "CnfFormula", "read_int"]]
     assert package_imports("cnf") == []
+
+
+def test_the_reduction_and_the_witness_share_one_shape_check():
+    # n, r and the padding width are checked in one place, check_shape, so
+    # a witness is refused exactly when the reduction would refuse its layout.
+    def defs(body, kind):
+        return {node.name: node for node in body if isinstance(node, kind)}
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    def calls(node):
+        return {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+    body = ast.parse((PACKAGE / "reduction.py").read_text()).body
+    reduce = defs(body, ast.FunctionDef)["reduce_to_packing"]
+    post_init = defs(defs(body, ast.ClassDef)["WitnessMap"].body, ast.FunctionDef)["__post_init__"]
+    assert not names(reduce) & {"MAX_DULL_WIDTH", "check_universe_size"}
+    assert "check_shape" in calls(reduce)
+    assert "check_shape" in calls(post_init)

@@ -700,6 +700,10 @@ def test_witness_format_errors():
         ("w 3 1 0\ng -1 1 2\n", r"domain size -1 is not in \[0, 2\]"),
         ("w 3 1 0\ng 3 1 2\n", r"domain size 3 is not in \[0, 2\]"),
         ("w 3 1 0\ng 99999999999999999999 1 2\n", r"domain size 99999999999999999999 is not in \[0, 2\]"),
+        # Headers the reduction refuses (check_shape): padding at r = 1, whose
+        # padding sets would each be a packing alone, and 2^17 padding sets.
+        ("w 3 1 2\ng 0\n", "padding requires r >= 2"),
+        ("w 1 2 17\ng 0\ng 0\n", r"dull_width 17 is not in \[0, 16\]"),
         # Older formats: a bit line per set, set-numbered lines, tag widths in
         # the header and a pad line; in the third, group 1's lines come first.
         ("w 3 2 0\ng 2 1 2\n00\n11\ng 1\n-\n", "5 group lines for r = 2"),
