@@ -102,33 +102,6 @@ def encode_assignment(domain: tuple[int, ...], assignment: Assignment) -> int:
     return code
 
 
-def propagate_units(clauses: list[set[int]]) -> dict[int, bool] | None:
-    """Values forced by unit propagation over the clauses; None if it falsifies one.
-
-    A clause none of whose literals is true and only one is unassigned forces
-    that literal true. Each clause is rechecked only when one of its
-    variables is forced, so the work is linear in the literal occurrences.
-    """
-    occurs: dict[int, list[int]] = {}
-    for i, lits in enumerate(clauses):
-        for lit in lits:
-            occurs.setdefault(abs(lit), []).append(i)
-    forced: dict[int, bool] = {}
-    pending = list(range(len(clauses)))
-    while pending:
-        lits = clauses[pending.pop()]
-        if any(forced.get(abs(lit)) == (lit > 0) for lit in lits):
-            continue
-        open_lits = [lit for lit in lits if abs(lit) not in forced]
-        if not open_lits:
-            return None
-        if len(open_lits) == 1:
-            lit = open_lits[0]
-            forced[abs(lit)] = lit > 0
-            pending.extend(occurs[abs(lit)])
-    return forced
-
-
 @lru_cache(maxsize=None)
 def _truth_tables(width: int) -> tuple[tuple[int, int], ...]:
     """tables[j]: the 2^width-bit truth tables (for False, for True) of variable j of a block.
@@ -159,39 +132,31 @@ def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, l
     |domain| + 2^L / TABLE_BITS_PER_VISIT + SEARCH_NODES_PER_SET * (limit + 1)
     visits, so the work is bounded as well as the output.
 
-    Tautological clauses are dropped (their variables stay in the domain) and
-    unit clauses propagated (propagate_units): a conflict yields no
-    assignments, and each forced value becomes a unit clause that drops the
-    clauses it satisfies and removes the literals it falsifies.
-
+    Tautological clauses are dropped (their variables stay in the domain).
     The last L = min(k, TABLE_BITS) domain variables are low, decided together
     as 2^L-bit truth tables; the first k - L are searched depth-first, False
     before True. Each clause is kept once, as its searched literals and the OR
-    of its low literals' tables (0 if none), filed under its last searched
-    variable and the value falsifying that literal; a clause with no searched
-    literal is ANDed into the root table. A child ANDs in the table of each
-    clause filed at its variable and value whose other searched literals its
-    prefix falsifies, and is dropped once its table is empty. A leaf's set
-    bits t, in ascending order, are the codes prefix << L | t.
+    of its low literals' tables (0 if none); one with no searched literal is
+    ANDed into the root table. One pass of failed-literal probing (Freeman,
+    PhD thesis, 1995) settles the root: a clause whose searched literals are
+    all false ANDs in its table, and a searched literal is forced true if,
+    were it false, the clauses where it is the only open one would empty the
+    root. A forced value revisits only its own clauses; a root that shrinks
+    rechecks every literal. Each forced value cuts its other value, and each
+    clause that neither a forced value nor the root satisfies is filed,
+    without its forced literals, under its last searched variable and the
+    value falsifying that literal. A child ANDs in the table of each clause
+    filed at its variable and value whose other searched literals its prefix
+    falsifies, and is dropped once its table is empty, as is an empty root.
+    A leaf's set bits t, in ascending order, are the codes prefix << L | t.
 
     One visit is one popped prefix, one AND with a clause that has low
     literals, or TABLE_BITS_PER_VISIT bits read out; a clause without low
-    literals cuts a child without a visit. A contradiction that needs the
-    last searched variable is still met below every prefix reaching it,
-    which is why the work needs its own bound.
+    literals cuts a child without a visit. A contradiction that needs two
+    searched variables is still met below every prefix reaching the later
+    one, which is why the work needs its own bound.
     """
     domain = tuple(sorted({abs(lit) for clause in group_clauses for lit in clause}))
-    clauses = [set(clause) for clause in group_clauses]
-    clauses = [lits for lits in clauses if not any(-lit in lits for lit in lits)]
-    forced = propagate_units(clauses)
-    if forced is None:
-        return GroupAssignments(domain=domain, codes=())
-    if forced:
-        clauses = [{v if value else -v} for v, value in forced.items()] + [
-            {lit for lit in lits if abs(lit) not in forced}
-            for lits in clauses
-            if not any(forced.get(abs(lit)) == (lit > 0) for lit in lits)
-        ]
     k = len(domain)
     low = min(k, TABLE_BITS)
     high = k - low
@@ -201,26 +166,60 @@ def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, l
         tables[v] = if_true
         tables[-v] = if_false
 
-    # filed[j][value]: (mask, neg, table) of each clause whose literal of its
-    # last searched variable j is falsified by value; the prefix of variables
-    # 0..j-1 (variable i at bit j-1-i) falsifies its other searched literals
-    # when prefix & mask == neg.
-    filed: list[tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]] = [([], []) for _ in range(high)]
     root = (1 << (1 << low)) - 1
-    for lits in clauses:
+    clauses: list[tuple[list[int], int]] = []  # (searched literals, table) of each clause with a searched literal
+    occurs: dict[int, list[int]] = {}  # the clauses of each searched variable
+    for lits in map(set, group_clauses):
+        if any(-lit in lits for lit in lits):
+            continue
         table = 0
         searched = []
         for lit in lits:
             if lit in tables:
                 table |= tables[lit]
             else:
-                searched.append((position[abs(lit)], lit < 0))
-        if not searched:
+                searched.append(lit)
+                occurs.setdefault(abs(lit), []).append(len(clauses))
+        if searched:
+            clauses.append((searched, table))
+        else:
             root &= table
+
+    forced: dict[int, bool] = {}
+    needs: dict[int, int] = {}  # lit: the AND of the tables of the clauses where lit is the only open searched literal
+    pending = list(range(len(clauses)))
+    while root and pending:
+        searched, table = clauses[pending.pop()]
+        if any(forced.get(abs(lit)) == (lit > 0) for lit in searched):
             continue
-        last, value = max(searched)
+        probes = [lit for lit in searched if abs(lit) not in forced]
+        if not probes and root & table != root:
+            root &= table
+            probes = list(needs)  # a root that shrinks rechecks every literal
+        elif len(probes) == 1:
+            needs[probes[0]] = needs.get(probes[0], -1) & table
+        else:
+            continue
+        for lit in probes:
+            if abs(lit) not in forced and not needs[lit] & root:
+                forced[abs(lit)] = lit > 0
+                pending.extend(occurs[abs(lit)])
+
+    # filed[j][value]: (mask, neg, table) of each clause whose literal of its
+    # last searched variable j is falsified by value; the prefix of variables
+    # 0..j-1 (variable i at bit j-1-i) falsifies its other searched literals
+    # when prefix & mask == neg.
+    filed: list[tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]] = [([], []) for _ in range(high)]
+    for v, value in forced.items():
+        filed[position[v]][not value].append((0, 0, 0))
+    for searched, table in clauses:
+        table &= root
+        if table == root or any(forced.get(abs(lit)) == (lit > 0) for lit in searched):
+            continue
+        bits = [(position[abs(lit)], lit < 0) for lit in searched if abs(lit) not in forced]
+        last, value = max(bits)
         mask = neg = 0
-        for j, negative in searched:
+        for j, negative in bits:
             if j < last:
                 mask |= 1 << (last - 1 - j)
                 neg |= negative << (last - 1 - j)

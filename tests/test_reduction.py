@@ -113,8 +113,9 @@ def test_enumerate_matches_brute_force_on_any_clauses(clauses, r, table_bits):
 def reference_propagate(clauses):
     """Unit propagation by whole passes over the clauses until one forces nothing new; None on a conflict.
 
-    A copy of its own, so that a fault in reduction.propagate_units cannot
-    pass the differential against itself.
+    A copy of its own, independent of the root probing in
+    reduction.enumerate_group_assignments, so that a fault there cannot pass
+    the differential against itself.
     """
     forced = {}
     progress = True
@@ -229,10 +230,12 @@ def test_enumerate_propagates_units_before_searching():
 
 
 def test_enumerate_bounds_search_work():
-    # No unit clause, but once x10, the last searched variable, takes either
-    # value, x25 or x26 admits none: each of the 7^3 prefixes of x1..x9 is
-    # searched before both its children are cut.
-    core = ((10, 25), (10, -25), (-10, 26), (-10, -26))
+    # The low clauses make x25 false, and then no values of x9 and x10, the
+    # last two searched variables, satisfy the core. Each of its clauses
+    # holds two searched literals, which probing a single literal at the root
+    # cannot see, so each of the 7^3 prefixes of x1..x9 is searched before its
+    # children are cut.
+    core = tuple((a, b, 25) for a in (9, -9) for b in (10, -10)) + ((-25, 26), (-25, -26))
     f = cnf.CnfFormula(num_vars=26, clauses=DISJOINT[:8] + core)
     assert enumerate_all(f.clauses).codes == ()
     budget = 26 + (1 << 16) // reduction.TABLE_BITS_PER_VISIT + reduction.SEARCH_NODES_PER_SET * 11
@@ -426,9 +429,10 @@ def test_reduce_family_bits_boundary(monkeypatch):
 
 def test_reduce_refuses_search_beyond_allowance(monkeypatch):
     # Few sets, but a search over the 7^5 dead prefixes of x1..x15 ahead of
-    # x16, whose values each leave x31 or x32 without a value: refused under
-    # a small cap.
-    core = ((16, 31), (16, -31), (-16, 32), (-16, -32))
+    # x16, since with x31 false no values of x15 and x16 satisfy the core (as
+    # in test_enumerate_bounds_search_work, probing cannot see it): refused
+    # under a small cap.
+    core = tuple((a, b, 31) for a in (15, -15) for b in (16, -16)) + ((-31, 32), (-31, -32))
     f = cnf.CnfFormula(num_vars=32, clauses=DISJOINT[:10] + core)
     monkeypatch.setattr(reduction, "MAX_SETS", 100)
     with pytest.raises(ValueError, match="MAX_SETS = 100: group 0: search visited more than"):
