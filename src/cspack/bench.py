@@ -133,7 +133,7 @@ def _check_formula_size(n: int, m: int) -> None:
     if n < 3:
         raise ValueError(f"need n >= 3 to draw 3 distinct variables per clause, got {n}")
     if n > MAX_UNIVERSE:
-        # The reduction's grid alone has n * r^2 IDs.
+        # check_shape refuses such an n at every r.
         raise ValueError(f"n = {n} exceeds MAX_UNIVERSE = {MAX_UNIVERSE}, so no r can reduce it")
     if not 0 <= m <= MAX_CLAUSES:
         raise ValueError(f"clause count must be in [0, MAX_CLAUSES = {MAX_CLAUSES}], got {m}")

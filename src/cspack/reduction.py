@@ -5,12 +5,18 @@ The construction, in element-ID terms:
 * The clauses are split round-robin into r balanced groups. For each group,
   every satisfying partial assignment over the group's variables becomes one
   set in the family.
-* Per variable x there is a grid block of r*r element IDs, laid out as
-  id(x, i, j) = x*r^2 + i*r + j. A set for group g encodes "x is false" by
-  claiming row g of x's grid and "x is true" by claiming column g. A row and
-  a column always share one ID, so two groups that disagree on a shared
-  variable can never both be picked; rows (or columns) of distinct groups
-  are disjoint, so agreement never blocks a packing.
+* Per variable x there is a grid block over G_x, the groups whose domain
+  holds x: one ID per ordered pair (i, j) of distinct groups of G_x,
+  row-major, |G_x| * (|G_x| - 1) IDs in all. A set for group g encodes "x is
+  false" by claiming row g of x's grid (the pairs (g, j)) and "x is true" by
+  claiming column g (the pairs (i, g)). A row and a column of two groups
+  always share one ID, so two groups that disagree on a shared variable can
+  never both be picked; rows (or columns) of distinct groups are disjoint, so
+  agreement never blocks a packing. This departs from the paper's uniform
+  r*r grid per variable, which also holds the diagonal (g, g) and the pairs
+  of groups that do not use x; only one group's core sets hold such an ID,
+  so it can never block a packing, and dropping it leaves the intersection
+  graph of the family unchanged.
 * Each group also gets a private block of tag IDs carrying an intersecting
   set system: the k-th assignment of the group is tagged with the k-th
   lexicographic subset. Any two tags of one group intersect, which caps a
@@ -31,13 +37,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .cnf import Assignment, CnfFormula, read_int
 from .iss import build_iss, minimal_iss_universe
-from .packing import SetPackingInstance, check_family_size, check_universe_size
+from .packing import MAX_UNIVERSE, SetPackingInstance, check_family_size, check_universe_size
 
 # Widest dull block reduce_to_packing builds: 2^d padding sets are materialized.
 MAX_DULL_WIDTH = 16
@@ -141,11 +149,12 @@ def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, l
     PhD thesis, 1995) settles the root: a clause whose searched literals are
     all false ANDs in its table, and a searched literal is forced true if,
     were it false, the clauses where it is the only open one would empty the
-    root. A forced value revisits only its own clauses; a root that shrinks
-    rechecks every literal. Each forced value cuts its other value, and each
-    clause that neither a forced value nor the root satisfies is filed,
-    without its forced literals, under its last searched variable and the
-    value falsifying that literal. A child ANDs in the table of each clause
+    root. A forced value revisits only its own clauses; once the worklist
+    drains, a root that shrank since the last check rechecks every literal.
+    Each forced value cuts its other value, and each clause that neither a
+    forced value nor the root satisfies is filed, without its forced
+    literals, under its last searched variable and the value falsifying that
+    literal. A child ANDs in the table of each clause
     filed at its variable and value whose other searched literals its prefix
     falsifies, and is dropped once its table is empty, as is an empty root.
     A leaf's set bits t, in ascending order, are the codes prefix << L | t.
@@ -188,18 +197,24 @@ def enumerate_group_assignments(group_clauses: tuple[tuple[int, ...], ...], *, l
     forced: dict[int, bool] = {}
     needs: dict[int, int] = {}  # lit: the AND of the tables of the clauses where lit is the only open searched literal
     pending = list(range(len(clauses)))
-    while root and pending:
-        searched, table = clauses[pending.pop()]
-        if any(forced.get(abs(lit)) == (lit > 0) for lit in searched):
-            continue
-        probes = [lit for lit in searched if abs(lit) not in forced]
-        if not probes and root & table != root:
-            root &= table
-            probes = list(needs)  # a root that shrinks rechecks every literal
-        elif len(probes) == 1:
-            needs[probes[0]] = needs.get(probes[0], -1) & table
+    checked = root  # the root every literal was last checked against
+    while root:
+        if not pending:
+            if root == checked:
+                break
+            checked = root
+            probes = list(needs)  # a root that shrank rechecks every literal once the worklist drains
         else:
-            continue
+            searched, table = clauses[pending.pop()]
+            if any(forced.get(abs(lit)) == (lit > 0) for lit in searched):
+                continue
+            probes = [lit for lit in searched if abs(lit) not in forced]
+            if not probes:
+                root &= table
+                continue
+            if len(probes) > 1:
+                continue
+            needs[probes[0]] = needs.get(probes[0], -1) & table
         for lit in probes:
             if abs(lit) not in forced and not needs[lit] & root:
                 forced[abs(lit)] = lit > 0
@@ -271,15 +286,16 @@ class WitnessMap:
     domains[g] is group g's domain and codes[g] its satisfying assignments as
     codes over it (first domain variable = most significant bit), both
     strictly increasing, as witness_to_text writes them. Construction checks
-    n, r and d (check_shape), these orders, each code below 2^len(domain) and
-    the universe, so witness_from_text checks only syntax.
+    these orders, each domain variable in [1, n] and each code below
+    2^len(domain), then n, r, d and the grid (check_shape) and the universe,
+    so witness_from_text checks only syntax.
 
     Core set indices are laid out group by group, in assignment-encoding
     order within each group; padding sets (if any) come after all core sets.
     The element layout, which build_instance follows, comes from the fields:
-    IDs [0, n*r^2) are the per-variable grids, then come r tag blocks in
-    group order, each the minimal intersecting-family universe for its
-    group's set count (build_iss), then dull_width padding-only IDs.
+    IDs [0, grid_size) are the per-variable grids (grid_blocks), then come r
+    tag blocks in group order, each the minimal intersecting-family universe
+    for its group's set count (build_iss), then dull_width padding-only IDs.
     """
 
     num_vars: int
@@ -288,10 +304,8 @@ class WitnessMap:
     codes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        check_shape(self.num_vars, self.r, self.dull_width)
         if len(self.domains) != len(self.codes):
             raise ValueError(f"need one domain per group, got {len(self.domains)} for {len(self.codes)} groups")
-        check_universe_size(self.universe_size)
         for g, (domain, codes) in enumerate(zip(self.domains, self.codes)):
             if any(not 1 <= v <= self.num_vars for v in domain):
                 raise ValueError(f"group {g}: domain variable out of range [1, {self.num_vars}]")
@@ -302,6 +316,8 @@ class WitnessMap:
                 raise ValueError(f"group {g}: assignment code out of range for domain size {len(domain)}")
             if any(a >= b for a, b in zip(codes, codes[1:])):
                 raise ValueError(f"group {g}: codes must be strictly increasing")
+        check_shape(self.num_vars, self.r, self.dull_width, self.domains)
+        check_universe_size(self.universe_size)
 
     @property
     def r(self) -> int:
@@ -311,9 +327,9 @@ class WitnessMap:
     def iss_widths(self) -> tuple[int, ...]:
         return tuple(minimal_iss_universe(len(codes)) for codes in self.codes)
 
-    @property
+    @cached_property
     def grid_size(self) -> int:
-        return self.num_vars * self.r * self.r
+        return grid_width(self.domains)
 
     @property
     def iss_total(self) -> int:
@@ -323,20 +339,46 @@ class WitnessMap:
     def universe_size(self) -> int:
         return self.grid_size + self.iss_total + self.dull_width
 
-    def grid_id(self, x: int, i: int, j: int) -> int:
-        return x * self.r * self.r + i * self.r + j
+    @cached_property
+    def grid_blocks(self) -> dict[int, tuple[int, tuple[int, ...]]]:
+        """x: (first ID of the block, G_x) for each variable block x that some domain holds.
+
+        Block x is variable x + 1's. G_x lists, ascending, the groups whose
+        domain holds that variable, and the block holds one ID per ordered
+        pair (i, j) of distinct groups of G_x, row-major: |G_x| * (|G_x| - 1)
+        IDs. Blocks follow each other in x order from ID 0, so they end at
+        grid_size. Built on first use, from the checked domains alone.
+        """
+        holders: dict[int, list[int]] = {}
+        for g, domain in enumerate(self.domains):
+            for v in domain:
+                holders.setdefault(v - 1, []).append(g)
+        blocks = {}
+        start = 0
+        for x in sorted(holders):
+            groups = tuple(holders[x])
+            blocks[x] = (start, groups)
+            start += len(groups) * (len(groups) - 1)
+        return blocks
 
     def grid_mask(self, x: int, g: int, value: bool) -> int:
         """Mask of the grid IDs group g's sets claim in variable block x for the given truth value.
 
-        value False claims row g (IDs id(x, g, j) for all j); value True claims
-        column g (IDs id(x, j, g) for all j). Always exactly r IDs. A row and a
-        column of the same block share exactly one ID, which is what makes
-        conflicting truth values collide.
+        value False claims row g (the pairs (g, j)); value True claims column
+        g (the pairs (i, g)), for the other groups i, j of G_x: |G_x| - 1 IDs
+        either way, none if g is not in G_x. A row and a column of two
+        distinct groups share exactly one ID, which is what makes conflicting
+        truth values collide; no grid ID is claimed by two values of one group
+        or by a third group.
         """
-        if value:
-            return sum(1 << self.grid_id(x, j, g) for j in range(self.r))
-        return sum(1 << self.grid_id(x, g, j) for j in range(self.r))
+        start, groups = self.grid_blocks.get(x, (0, ()))
+        if g not in groups:
+            return 0
+        width = len(groups) - 1
+        a = groups.index(g)
+        if value:  # pair (i, a) is entry a of row i, or a - 1 past the diagonal
+            return sum(1 << (start + i * width + a - (a > i)) for i in range(width + 1) if i != a)
+        return ((1 << width) - 1) << (start + a * width)
 
     @cached_property
     def group_offsets(self) -> tuple[int, ...]:
@@ -396,19 +438,33 @@ def code_masks(codes: tuple[int, ...], value_masks: list[tuple[int, int]]) -> li
     return out
 
 
-def check_shape(n: int, r: int, d: int) -> None:
-    """Raise ValueError unless n variables, r groups and d dull IDs make a layout the reduction builds.
+def grid_width(domains: Iterable[Iterable[int]]) -> int:
+    """Grid IDs of the groups with these domains: the sum over x of |G_x| * (|G_x| - 1).
 
-    n >= 1, r >= 1, 0 <= d <= MAX_DULL_WIDTH (2^d padding sets are built), d = 0
-    at r = 1 (a padding set alone would be a packing), n*r^2 + d <= MAX_UNIVERSE.
+    G_x is the groups whose domain holds x (see WitnessMap.grid_blocks).
+    """
+    return sum(c * (c - 1) for c in Counter(v for domain in domains for v in domain).values())
+
+
+def check_shape(n: int, r: int, d: int, domains: Iterable[Iterable[int]]) -> None:
+    """Raise ValueError unless n variables, r groups with these domains and d dull IDs make a layout the reduction builds.
+
+    n >= 1, r >= 1, n and r at most MAX_UNIVERSE (lifting a packing writes
+    all n values, and each group has a tag ID), 0 <= d <= MAX_DULL_WIDTH (2^d
+    padding sets are built), d = 0 at r = 1 (a padding set alone would be a
+    packing), and grid_width(domains) + d <= MAX_UNIVERSE. The domains are
+    read last, so a generator of r domains is only drawn once r is in range;
+    each must hold a variable at most once.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n = {n}, r = {r}")
+    if n > MAX_UNIVERSE or r > MAX_UNIVERSE:
+        raise ValueError(f"need n <= MAX_UNIVERSE and r <= MAX_UNIVERSE = {MAX_UNIVERSE}, got n = {n}, r = {r}")
     if not 0 <= d <= MAX_DULL_WIDTH:
         raise ValueError(f"dull_width {d} is not in [0, {MAX_DULL_WIDTH}] (2^d padding sets are materialized)")
     if r == 1 and d > 0:
         raise ValueError("padding requires r >= 2: with r = 1 any padding set alone is a packing")
-    check_universe_size(n * r * r + d)
+    check_universe_size(grid_width(domains) + d)
 
 
 def default_dull_width(n: int, r: int) -> int:
@@ -427,8 +483,10 @@ def reduce_to_packing(
     """Build the set packing instance and its witness map for the formula.
 
     dull_width None picks the default padding width; 0 disables padding.
-    check_shape, which WitnessMap calls too, refuses r, the width and the grid
-    plus dull block with ValueError before any group is enumerated.
+    check_shape, which WitnessMap calls too, refuses n, r, the width and the
+    grid plus dull block with ValueError before any group is enumerated; the
+    grid width comes from the variables of each group's clauses, which are
+    its domain.
 
     A family of more than MAX_SETS sets is refused with ValueError: the 2^d
     padding sets are counted first, and each group's enumeration gets the
@@ -442,7 +500,7 @@ def reduce_to_packing(
     """
     n = formula.num_vars
     d = default_dull_width(n, r) if dull_width is None else dull_width
-    check_shape(n, r, d)
+    check_shape(n, r, d, ({abs(lit) for clause in formula.clauses[g::r] for lit in clause} for g in range(r)))
 
     allowance = MAX_SETS - ((1 << d) if d > 0 else 0)
     if allowance < 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -47,8 +48,9 @@ class CaseOutcome:
 
 def run_case(formula_id, formula, r, oracle_assignment) -> CaseOutcome:
     instance, witness = reduction.reduce_to_packing(formula, r, dull_width=0)
+    holders = Counter(v for domain in witness.domains for v in domain)  # |G_x| per variable x
     sizes_ok = (
-        instance.universe_size == witness.num_vars * witness.r**2 + witness.iss_total + witness.dull_width
+        instance.universe_size == sum(c * (c - 1) for c in holders.values()) + witness.iss_total + witness.dull_width
         and witness.core_count == sum(len(codes) for codes in witness.codes)
         and instance.set_count == witness.core_count + witness.pad_count
     )
@@ -56,7 +58,7 @@ def run_case(formula_id, formula, r, oracle_assignment) -> CaseOutcome:
         grid_size = witness.grid_size
         for idx in range(witness.core_count):
             g, _ = witness.entry(idx)
-            expected = witness.r * len(witness.domains[g])
+            expected = sum(holders[v] - 1 for v in witness.domains[g])
             if sum(1 for e in instance.sets[idx] if e < grid_size) != expected:
                 sizes_ok = False
                 break
@@ -136,7 +138,7 @@ def test_criterion_2_hand_checked_fixtures():
     pairs1 = [p for p in combinations(range(inst1.set_count), 2)
               if not set(inst1.sets[p[0]]) & set(inst1.sets[p[1]])]
     checks = [
-        inst1.universe_size == 6,
+        inst1.universe_size == 4,
         inst1.set_count == 2,
         pairs1 == [],
         packing.solve_exact(inst1).verdict == "no",
@@ -148,7 +150,7 @@ def test_criterion_2_hand_checked_fixtures():
               if not set(inst2.sets[p[0]]) & set(inst2.sets[p[1]])]
     result2 = packing.solve_exact(inst2)
     checks += [
-        inst2.universe_size == 22,
+        inst2.universe_size == 16,
         inst2.set_count == 14,
         pairs2 != [],
         result2.verdict == "yes",

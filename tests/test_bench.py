@@ -104,12 +104,12 @@ def test_csv_text_pinned_outside_timing():
         lines[i] = ",".join(cols)
     assert lines == [
         "n,m,r,universe_size,set_count,log2_set_count,reduce_time,solve_time,solver_nodes,verdict,oracle_verdict,agreement",
-        "5,20,2,33,26,4.700440,,,25,no,unsat,agree",
-        "5,20,2,33,25,4.643856,,,24,no,unsat,agree",
-        "5,20,2,33,23,4.523562,,,2,yes,sat,agree",
-        "7,28,2,45,46,5.523562,,,6,yes,skip,na",
-        "7,28,2,45,56,5.807355,,,3,yes,skip,na",
-        "7,28,2,46,56,5.807355,,,6,yes,skip,na",
+        "5,20,2,23,26,4.700440,,,25,no,unsat,agree",
+        "5,20,2,23,25,4.643856,,,24,no,unsat,agree",
+        "5,20,2,23,23,4.523562,,,2,yes,sat,agree",
+        "7,28,2,31,46,5.523562,,,6,yes,skip,na",
+        "7,28,2,31,56,5.807355,,,3,yes,skip,na",
+        "7,28,2,32,56,5.807355,,,6,yes,skip,na",
     ]
 
 

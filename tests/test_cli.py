@@ -45,12 +45,12 @@ def test_reduce_writes_instance_and_witness(tmp_path, capsys):
     rc = cli.main(["reduce", cnf_path, "--r", "2", "--pad", "0", "--output", str(out)])
     assert rc == 0
     text = out.read_text()
-    assert text.splitlines()[0] == "p sp 6 2 2"
+    assert text.splitlines()[0] == "p sp 4 2 2"
     inst = packing.parse_instance(text)
     wit = reduction.witness_from_text((tmp_path / "phi1.sp.wit").read_text())
     assert inst.universe_size == wit.universe_size
     printed = capsys.readouterr().out
-    assert "universe 6" in printed and "core 2" in printed
+    assert "universe 4" in printed and "core 2" in printed
 
 
 def test_reduce_reparse_matches_in_memory(tmp_path):
@@ -92,12 +92,17 @@ def test_no_pad_flag_is_refused(tmp_path, capsys, command):
 
 
 def test_universe_above_bound_exits_1(tmp_path, capsys):
-    r = 8
-    n = packing.MAX_UNIVERSE // (r * r) + 1
-    cnf_path = write(tmp_path / "wide.cnf", f"p cnf {n} 1\n1 2 3 0\n")
+    # 1200 variables, each in all 8 groups: a grid of 1200 * 8 * 7 = 67,200 IDs.
+    clauses = "".join(f"{3 * k + 1} {3 * k + 2} {3 * k + 3} 0\n" * 8 for k in range(400))
+    cnf_path = write(tmp_path / "wide.cnf", f"p cnf 1200 3200\n{clauses}")
     out = tmp_path / "wide.sp"
-    assert cli.main(["reduce", cnf_path, "--r", str(r), "--pad", "0", "--output", str(out)]) == 1
-    assert "MAX_UNIVERSE" in capsys.readouterr().err
+    assert cli.main(["reduce", cnf_path, "--r", "8", "--pad", "0", "--output", str(out)]) == 1
+    assert "universe_size 67200 exceeds MAX_UNIVERSE" in capsys.readouterr().err
+    assert not out.exists()
+    # More variables than the bound, with a grid of none.
+    cnf_path = write(tmp_path / "many.cnf", "p cnf 1000000000 1\n1 2 3 0\n")
+    assert cli.main(["reduce", cnf_path, "--r", "1", "--output", str(out)]) == 1
+    assert "got n = 1000000000, r = 1" in capsys.readouterr().err
     assert not out.exists()
     huge = write(tmp_path / "huge.sp", "p sp 99999999999999 1 1\ns 1 999999999999\n")
     assert cli.main(["solve", huge]) == 1
@@ -218,7 +223,7 @@ def test_audit_with_witness(tmp_path, capsys):
     rc = cli.main(["audit", str(out), "--witness", str(out) + ".wit"])
     assert rc == 0
     printed = capsys.readouterr().out
-    assert "ratio" in printed and "breakdown: grid 12 iss 10 dull 0" in printed
+    assert "ratio" in printed and "breakdown: grid 6 iss 10 dull 0" in printed
 
 
 def test_reduce_and_audit_print_the_quick_start_breakdown(tmp_path, capsys):
@@ -229,26 +234,27 @@ def test_reduce_and_audit_print_the_quick_start_breakdown(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["reduce", cnf_path, "--r", "2", "--output", out]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == [
-        "universe 53 = grid 32 + iss 17 (widths 9 8) + dull 4",
+        "universe 35 = grid 14 + iss 17 (widths 9 8) + dull 4",
         "sets 131 = core 115 (per group: 78 37) + padding 16",
     ]
     assert cli.main(["audit", out, "--witness", out + ".wit"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "breakdown: grid 32 iss 17 dull 4"
+    assert capsys.readouterr().out.splitlines()[-1] == "breakdown: grid 14 iss 17 dull 4"
 
 
 def test_audit_refuses_witness_of_another_r(tmp_path, capsys):
     cnf_path = write(tmp_path / "f.cnf", to_dimacs(bench.make_formula(6, 8, 1, False)))
     out = tmp_path / "f.sp"
     cli.main(["reduce", cnf_path, "--r", "2", "--pad", "0", "--output", str(out)])
-    assert "universe 39 " in capsys.readouterr().out
-    # One group of 72 sets over 30 variables: universe 30 + 9 = 39 and 72
-    # sets, like the r = 2 instance, whose grid is 6 * 2^2 = 24.
-    codes = " ".join(map(str, range(72)))
-    wit = write(tmp_path / "r1.wit", f"w 30 1 0\ng 7 1 2 3 4 5 6 7 {codes}\n")
+    assert "universe 27 " in capsys.readouterr().out
+    # Three groups of 24 sets, which share x1: a grid of 3 * 2 IDs and tags of
+    # 3 * 7, so universe 27 and 72 sets, like the r = 2 instance.
+    codes = " ".join(map(str, range(24)))
+    groups = "".join(f"g 5 1 {' '.join(str(v) for v in range(4 * g + 2, 4 * g + 6))} {codes}\n" for g in range(3))
+    wit = write(tmp_path / "r3.wit", f"w 13 3 0\n{groups}")
     assert cli.main(["audit", str(out), "--witness", wit]) == 2
     captured = capsys.readouterr()
     assert "breakdown" not in captured.out
-    assert captured.err == "cspack: witness r 1 does not match instance r 2\n"
+    assert captured.err == "cspack: witness r 3 does not match instance r 2\n"
 
 
 def test_audit_refuses_a_witness_with_padding_at_r_one(tmp_path, capsys):
@@ -276,8 +282,9 @@ def test_audit_refuses_an_instance_its_witness_does_not_build(tmp_path, capsys, 
     if edit.startswith("swap"):
         first, second = second, first
     else:
-        *fields, last = first.split()
-        first = " ".join([*fields, str(int(last) + 1)]) + "\n"
+        # Up to the top ID, a dull ID that no core set holds.
+        *fields, _ = first.split()
+        first = " ".join([*fields, str(int(head.split()[2]) - 1)]) + "\n"
     write(tmp_path / "f.sp", "".join([head, first, second, *rest]))
     packing.parse_instance((tmp_path / "f.sp").read_text())
     assert cli.main(["audit", out, "--witness", out + ".wit"]) == 2

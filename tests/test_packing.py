@@ -432,9 +432,9 @@ def test_verify_refuses_bool_indices():
 def test_audit_two_wide_fixture():
     inst, wit = reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0)
     report = packing.audit_compactness(inst, wit)
-    assert report.universe_size == 22 and report.set_count == 14
-    assert report.ratio == pytest.approx(0.7223, abs=1e-4)
-    assert (report.grid_width, report.iss_width, report.dull_width) == (12, 10, 0)
+    assert report.universe_size == 16 and report.set_count == 14
+    assert report.ratio == pytest.approx(0.5253, abs=1e-4)
+    assert (report.grid_width, report.iss_width, report.dull_width) == (6, 10, 0)
 
 
 def test_audit_contradiction_fixture():

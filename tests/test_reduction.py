@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -283,43 +284,100 @@ def test_encode_decode_inverse():
 # -- grid gadget --------------------------------------------------------------
 
 def layout_for(n, r):
-    return reduction.WitnessMap(num_vars=n, dull_width=0, domains=((),) * r, codes=((),) * r)
+    """A layout in which every group's domain holds all n variables."""
+    return reduction.WitnessMap(num_vars=n, dull_width=0, domains=(tuple(range(1, n + 1)),) * r, codes=((),) * r)
 
 
 def test_grid_edges_examples():
-    layout = layout_for(1, 2)
-    assert layout.grid_mask(0, 0, True) == 0b0101
-    assert layout.grid_mask(0, 1, False) == 0b1100
+    # x1's block at r = 3 holds the pairs (0, 1) (0, 2) (1, 0) (1, 2) (2, 0) (2, 1).
+    layout = layout_for(1, 3)
+    assert layout.grid_size == 6
+    assert layout.grid_mask(0, 0, True) == 0b010100
+    assert layout.grid_mask(0, 1, False) == 0b001100
     assert layout.grid_mask(0, 0, True) & layout.grid_mask(0, 1, False) == 1 << 2
+    # Only groups 0 and 2 hold x1: its block is the pairs (0, 2) and (2, 0).
+    layout = reduction.WitnessMap(num_vars=1, dull_width=0, domains=((1,), (), (1,)), codes=((),) * 3)
+    assert layout.grid_size == 2
+    assert [layout.grid_mask(0, g, value) for g in range(3) for value in (False, True)] == [0b01, 0b10, 0, 0, 0b10, 0b01]
 
 
 def test_grid_edges_row_column_intersection():
-    layout = layout_for(3, 4)
+    r = 4
+    layout = layout_for(3, r)
+    assert layout.grid_size == 3 * r * (r - 1)
     for x in range(3):
-        for i in range(4):
-            for j in range(4):
-                row = layout.grid_mask(x, i, False)
-                col = layout.grid_mask(x, j, True)
-                assert row.bit_count() == 4 and col.bit_count() == 4
-                assert row & col == 1 << layout.grid_id(x, i, j)
-                if i != j:
-                    other_row = layout.grid_mask(x, j, False)
-                    assert not row & other_row
+        rows = [layout.grid_mask(x, i, False) for i in range(r)]
+        cols = [layout.grid_mask(x, j, True) for j in range(r)]
+        block = ((1 << r * (r - 1)) - 1) << x * r * (r - 1)
+        for masks in (rows, cols):
+            assert not any(a & b for a, b in combinations(masks, 2))
+            assert sum(masks) == block  # disjoint, so the sum is their union
+        for i in range(r):
+            for j in range(r):
+                assert rows[i].bit_count() == cols[j].bit_count() == r - 1
+                # Pair (i, j) is entry j of row i, one less past the diagonal.
+                shared = 1 << x * r * (r - 1) + i * (r - 1) + j - (j > i) if i != j else 0
+                assert rows[i] & cols[j] == shared
+
+
+def uniform_grid_mask(r, x, g, value):
+    """The paper's uniform grid, kept here as a reference: r*r IDs per variable, id(x, i, j) = x*r^2 + i*r + j."""
+    if value:
+        return sum(1 << x * r * r + i * r + g for i in range(r))
+    return sum(1 << x * r * r + g * r + j for j in range(r))
+
+
+def uniform_instance(inst, wit):
+    """The instance with its grid replaced by the uniform one: same sets, in the same order, and the same tags."""
+    n, r = wit.num_vars, wit.r
+    width = n * r * r
+    masks = []
+    for idx, mask in enumerate(inst.masks):
+        if idx < wit.core_count:
+            g, code = wit.entry(idx)
+            grid = 0
+            for v, value in reduction.decode_assignment(wit.domains[g], code).items():
+                grid |= uniform_grid_mask(r, v - 1, g, value)
+        else:
+            grid = (1 << width) - 1  # a padding set holds the whole core universe
+        masks.append(grid | mask >> wit.grid_size << width)
+    return packing.SetPackingInstance(universe_size=width + inst.universe_size - wit.grid_size, masks=tuple(masks), r=r)
+
+
+def test_grid_keeps_the_uniform_grids_intersection_graph():
+    rng = random.Random(19)
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        f = bench.make_formula(n, rng.randint(1, 2 * n), rng.randrange(1 << 30), rng.random() < 0.5)
+        r = rng.randint(1, 5)
+        inst, wit = reduction.reduce_to_packing(f, r, dull_width=rng.randint(0, 2) if r > 1 else 0)
+        reference = uniform_instance(inst, wit)
+        for (a, b), (ref_a, ref_b) in zip(combinations(inst.masks, 2), combinations(reference.masks, 2)):
+            assert (a & b == 0) == (ref_a & ref_b == 0)
+        assert solve_exact(inst) == solve_exact(reference)
+        # Every grid ID lies in the grid of exactly two groups.
+        claims = [0] * r
+        for g, domain in enumerate(wit.domains):
+            for v in domain:
+                claims[g] |= wit.grid_mask(v - 1, g, False) | wit.grid_mask(v - 1, g, True)
+        for e in range(wit.grid_size):
+            assert sum(claim >> e & 1 for claim in claims) == 2
+        assert all(claim >> wit.grid_size == 0 for claim in claims)
 
 
 # -- the reduction ------------------------------------------------------------
 
 def test_reduce_contradiction_fixture():
     inst, wit = reduction.reduce_to_packing(PHI_CONTRADICTION, 2, dull_width=0)
-    assert inst.universe_size == 6
-    assert inst.sets == ((0, 2, 4), (2, 3, 5))
+    assert inst.universe_size == 4
+    assert inst.sets == ((1, 2), (1, 3))
     assert inst.r == 2
     assert wit.core_count == 2 and wit.pad_count == 0
 
 
 def test_reduce_two_clause_fixture():
     inst, wit = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0)
-    assert inst.universe_size == 22
+    assert inst.universe_size == 16
     assert inst.set_count == 14
     assert wit.iss_widths == (5, 5)
 
@@ -395,12 +453,21 @@ def test_partition_properties_exhaustive():
                 assert abs(len(group) - m / r) <= 1
 
 
-def test_reduce_refuses_universe_above_bound():
-    r = 8
-    n = MAX_UNIVERSE // (r * r) + 1  # the grid alone exceeds the bound
-    f = cnf.CnfFormula(num_vars=n, clauses=((1, 2, 3),))
-    with pytest.raises(ValueError, match="MAX_UNIVERSE"):
-        reduction.reduce_to_packing(f, r, dull_width=0)
+def test_reduce_refuses_universe_above_bound(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a group was enumerated before the grid was checked")
+
+    monkeypatch.setattr(reduction, "enumerate_group_assignments", no_enumeration)
+    # 1200 variables, each in all 8 groups: the grid alone has 1200 * 8 * 7 = 67,200 IDs.
+    f = cnf.CnfFormula(num_vars=1200, clauses=tuple(t for k in range(400) for t in [(3 * k + 1, 3 * k + 2, 3 * k + 3)] * 8))
+    with pytest.raises(ValueError, match="universe_size 67200 exceeds MAX_UNIVERSE"):
+        reduction.reduce_to_packing(f, 8, dull_width=0)
+    # A variable count above the bound is refused however small the grid.
+    f = cnf.CnfFormula(num_vars=MAX_UNIVERSE + 1, clauses=((1, 2, 3),))
+    with pytest.raises(ValueError, match=f"got n = {MAX_UNIVERSE + 1}, r = 1"):
+        reduction.reduce_to_packing(f, 1)
+    with pytest.raises(ValueError, match=f"got n = 3, r = {MAX_UNIVERSE + 1}"):
+        reduction.reduce_to_packing(PHI_TWO_WIDE, MAX_UNIVERSE + 1, dull_width=0)
 
 
 def test_reduce_max_sets_boundary(monkeypatch):
@@ -461,7 +528,7 @@ def test_check_witness_accepts_the_witness_that_builds_the_instance():
 
 
 def test_check_witness_compares_sizes_before_rebuilding(monkeypatch):
-    # 20 bytes of witness that would build 65,536 padding sets over 32,766 IDs.
+    # 20 bytes of witness that would build 65,536 padding sets over 18 IDs.
     wit = reduction.witness_from_text("w 8187 2 16\ng 0\ng 0\n")
     inst, _ = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0)
 
@@ -469,7 +536,7 @@ def test_check_witness_compares_sizes_before_rebuilding(monkeypatch):
         raise AssertionError("build_instance called before the sizes were compared")
 
     monkeypatch.setattr(reduction, "build_instance", no_rebuild)
-    with pytest.raises(ValueError, match="witness universe 32766 does not match instance universe 22"):
+    with pytest.raises(ValueError, match="witness universe 18 does not match instance universe 16"):
         reduction.check_witness(inst, wit)
 
 
@@ -531,13 +598,14 @@ def sample_instances(count, seed, r_choices=(2, 3), max_n=8):
 
 def test_size_identities():
     for f, inst, wit in sample_instances(40, seed=5):
-        assert inst.universe_size == wit.num_vars * wit.r**2 + wit.iss_total + wit.dull_width
+        holders = Counter(v for domain in wit.domains for v in domain)  # |G_x| per variable x
+        assert inst.universe_size == sum(c * (c - 1) for c in holders.values()) + wit.iss_total + wit.dull_width
         assert wit.core_count == sum(len(codes) for codes in wit.codes)
         assert inst.set_count == wit.core_count + wit.pad_count
         for idx in range(wit.core_count):
             g, _ = wit.entry(idx)
             grid_part = [e for e in inst.sets[idx] if e < wit.grid_size]
-            assert len(grid_part) == wit.r * len(wit.domains[g])
+            assert len(grid_part) == sum(holders[v] - 1 for v in wit.domains[g])
 
 
 def test_intra_group_sets_intersect():
@@ -603,7 +671,8 @@ def test_lower_assignment_example():
     indices = reduction.lower_assignment_to_packing(wit, alpha)
     assert indices == [3, 11]
     assert verify_packing(inst, indices).ok
-    assert set(inst.sets[3]) >= {0, 2, 4, 5, 8, 9}
+    # x1 true claims (1, 0) of x1's block; x2 and x3 false claim (0, 1) of theirs; then the tag.
+    assert inst.sets[3] == (1, 2, 4, 6, 8, 9)
 
 
 def test_lower_rejects_non_satisfying():
@@ -769,7 +838,8 @@ def test_witness_parser_raises_only_its_error_type():
         "w 1 1 -1\ng 0\n",  # negative d
         "w 2 1 0\ng 1 5 1\n",  # domain variable beyond n
         "w 2 1 0\ng 1 0 1\n",  # domain variable 0
-        f"w {MAX_UNIVERSE} 1 0\ng 0\n",  # universe above the bound
+        "w 1 257 0\n" + "g 1 1\n" * 257,  # universe above the bound: a grid of 257 * 256 IDs
+        f"w {MAX_UNIVERSE + 1} 1 0\ng 0\n",  # n above the bound
         "w 1 1 99999999999\ng 0\n",  # 2^d padding sets, d huge
     ]
     for text in bad:

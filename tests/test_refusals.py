@@ -63,9 +63,12 @@ def test_dense_planted_formula_refused_under_default_cap(tmp_path):
 
 
 def test_oversize_grid_refused_before_enumeration():
+    # 1200 variables, each in all 8 groups: a grid of 1200 * 8 * 7 = 67,200
+    # IDs. Each group holds 400 disjoint clauses, 7^400 sets uncapped.
     out = run_python(
+        "clauses = tuple(t for k in range(400) for t in [(3 * k + 1, 3 * k + 2, 3 * k + 3)] * 8)\n"
         "try:\n"
-        "    reduction.reduce_to_packing(bench.make_formula(17000, 40, 1, False), 2)\n"
+        "    reduction.reduce_to_packing(cnf.CnfFormula(num_vars=1200, clauses=clauses), 8)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
@@ -133,14 +136,16 @@ def test_instance_header_above_the_family_bound_is_refused(tmp_path):
 
 
 def test_reduction_above_the_family_bound_is_refused(tmp_path):
-    # r = 8 groups of five disjoint clauses over fifteen fresh variables each:
-    # 8 * 7^5 sets over a grid of 1000 * 64 IDs, 8.6e9 mask bits.
-    clauses = tuple((3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(40))
+    # r = 8 groups, each of the unit clauses (x1) ... (x1100) and five disjoint
+    # clauses over fifteen fresh variables: 8 * 7^5 sets over a grid of
+    # 1100 * 8 * 7 IDs, 8.3e9 mask bits.
+    units = tuple((v,) for v in range(1, 1101) for _ in range(8))
+    clauses = units + tuple((1100 + 3 * i + 1, 1100 + 3 * i + 2, 1100 + 3 * i + 3) for i in range(40))
     path = tmp_path / "wide.cnf"
-    path.write_text(cnf.to_dimacs(cnf.CnfFormula(num_vars=1000, clauses=clauses)))
+    path.write_text(cnf.to_dimacs(cnf.CnfFormula(num_vars=1220, clauses=clauses)))
     done = run_cli(["reduce", str(path), "--r", "8", "--pad", "0", "--output", str(tmp_path / "wide.sp")])
     assert done.returncode == 1, done.stderr
-    assert "134456 sets over a universe of 64136" in done.stderr
+    assert "134456 sets over a universe of 61736" in done.stderr
     assert not (tmp_path / "wide.sp").exists()
 
 
@@ -177,9 +182,11 @@ def test_deep_domain_of_unit_clauses_gives_one_set():
 #   only probing forces the next link;
 # - shrinking: up, where each link also holds (not xv or ya or yb), for the
 #   pairs of the 16 low variables x5001..x5016 in turn, so the forced chain
-#   shrinks the root 120 times and each time rechecks every literal.
-# On a 2-core Xeon, up and down reduce in about 0.1 s, probed in 0.2 s and
-# shrinking in 1 s. Propagation that rewrites and re-files the group until
+#   shrinks the root 120 times; the literals are rechecked once the
+#   worklist drains, not on each shrink.
+# On a 2-core Xeon, up and down reduce in about 0.1 s, and probed and
+# shrinking in 0.2 s (shrinking took 1.0-1.3 s when every shrink rechecked
+# every literal). Propagation that rewrites and re-files the group until
 # nothing new is forced takes one round per link, and ran past 60 s on the
 # same machine.
 CHAINS = {
