@@ -6,10 +6,10 @@ The construction, in element-ID terms:
   every satisfying partial assignment over the group's variables becomes one
   set in the family.
 * Per variable x there is a grid block over G_x, the groups whose domain
-  holds x: one ID per ordered pair (i, j) of distinct groups of G_x,
-  row-major, |G_x| * (|G_x| - 1) IDs in all. A set for group g encodes "x is
-  false" by claiming row g of x's grid (the pairs (g, j)) and "x is true" by
-  claiming column g (the pairs (i, g)). A row and a column of two groups
+  holds x (grid_layout): one ID per ordered pair (i, j) of distinct groups
+  of G_x, row-major, |G_x| * (|G_x| - 1) IDs. A set for group g encodes "x
+  is false" by claiming row g of x's grid (the pairs (g, j)) and "x is true"
+  by claiming column g (the pairs (i, g)). A row and a column of two groups
   always share one ID, so two groups that disagree on a shared variable can
   never both be picked; rows (or columns) of distinct groups are disjoint, so
   agreement never blocks a packing. This departs from the paper's uniform
@@ -36,10 +36,10 @@ map records enough bookkeeping to walk both directions.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
@@ -286,37 +286,41 @@ class WitnessMap:
     domains[g] is group g's domain and codes[g] its satisfying assignments as
     codes over it (first domain variable = most significant bit), both
     strictly increasing, as witness_to_text writes them. Construction checks
-    these orders, each domain variable in [1, n] and each code below
-    2^len(domain), then n, r, d and the grid (check_shape) and the universe,
-    so witness_from_text checks only syntax.
+    each group's domain, then its codes, for that order and then for ends in
+    [1, n] and [0, 2^len(domain)); then n, r, d and the grid (check_shape)
+    and the universe, so witness_from_text checks only syntax.
 
     Core set indices are laid out group by group, in assignment-encoding
     order within each group; padding sets (if any) come after all core sets.
     The element layout, which build_instance follows, comes from the fields:
-    IDs [0, grid_size) are the per-variable grids (grid_blocks), then come r
-    tag blocks in group order, each the minimal intersecting-family universe
-    for its group's set count (build_iss), then dull_width padding-only IDs.
+    IDs [0, grid_size) are the per-variable grids (grid_blocks, the layout
+    the constructor's check_shape call returns), then come r tag blocks in
+    group order, each the minimal intersecting-family universe for its
+    group's set count (build_iss), then dull_width padding-only IDs.
     """
 
     num_vars: int
     dull_width: int
     domains: tuple[tuple[int, ...], ...]
     codes: tuple[tuple[int, ...], ...]
+    grid_blocks: dict[int, tuple[int, tuple[int, ...]]] = field(init=False, repr=False, compare=False)
+    grid_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.domains) != len(self.codes):
             raise ValueError(f"need one domain per group, got {len(self.domains)} for {len(self.codes)} groups")
         for g, (domain, codes) in enumerate(zip(self.domains, self.codes)):
-            if any(not 1 <= v <= self.num_vars for v in domain):
-                raise ValueError(f"group {g}: domain variable out of range [1, {self.num_vars}]")
-            if any(a >= b for a, b in zip(domain, domain[1:])):
+            if not all(map(operator.lt, domain, domain[1:])):
                 raise ValueError(f"group {g}: domain must be strictly increasing")
-            top = 1 << len(domain)
-            if any(not 0 <= c < top for c in codes):
-                raise ValueError(f"group {g}: assignment code out of range for domain size {len(domain)}")
-            if any(a >= b for a, b in zip(codes, codes[1:])):
+            if domain and not (1 <= domain[0] and domain[-1] <= self.num_vars):
+                raise ValueError(f"group {g}: domain variable out of range [1, {self.num_vars}]")
+            if not all(map(operator.lt, codes, codes[1:])):
                 raise ValueError(f"group {g}: codes must be strictly increasing")
-        check_shape(self.num_vars, self.r, self.dull_width, self.domains)
+            if codes and not (0 <= codes[0] and codes[-1] < 1 << len(domain)):
+                raise ValueError(f"group {g}: assignment code out of range for domain size {len(domain)}")
+        blocks, size = check_shape(self.num_vars, self.r, self.dull_width, self.domains)
+        object.__setattr__(self, "grid_blocks", blocks)
+        object.__setattr__(self, "grid_size", size)
         check_universe_size(self.universe_size)
 
     @property
@@ -327,10 +331,6 @@ class WitnessMap:
     def iss_widths(self) -> tuple[int, ...]:
         return tuple(minimal_iss_universe(len(codes)) for codes in self.codes)
 
-    @cached_property
-    def grid_size(self) -> int:
-        return grid_width(self.domains)
-
     @property
     def iss_total(self) -> int:
         return sum(self.iss_widths)
@@ -339,30 +339,8 @@ class WitnessMap:
     def universe_size(self) -> int:
         return self.grid_size + self.iss_total + self.dull_width
 
-    @cached_property
-    def grid_blocks(self) -> dict[int, tuple[int, tuple[int, ...]]]:
-        """x: (first ID of the block, G_x) for each variable block x that some domain holds.
-
-        Block x is variable x + 1's. G_x lists, ascending, the groups whose
-        domain holds that variable, and the block holds one ID per ordered
-        pair (i, j) of distinct groups of G_x, row-major: |G_x| * (|G_x| - 1)
-        IDs. Blocks follow each other in x order from ID 0, so they end at
-        grid_size. Built on first use, from the checked domains alone.
-        """
-        holders: dict[int, list[int]] = {}
-        for g, domain in enumerate(self.domains):
-            for v in domain:
-                holders.setdefault(v - 1, []).append(g)
-        blocks = {}
-        start = 0
-        for x in sorted(holders):
-            groups = tuple(holders[x])
-            blocks[x] = (start, groups)
-            start += len(groups) * (len(groups) - 1)
-        return blocks
-
     def grid_mask(self, x: int, g: int, value: bool) -> int:
-        """Mask of the grid IDs group g's sets claim in variable block x for the given truth value.
+        """Mask of the grid IDs group g's sets claim in variable x's block (grid_blocks[x]) for the given truth value.
 
         value False claims row g (the pairs (g, j)); value True claims column
         g (the pairs (i, g)), for the other groups i, j of G_x: |G_x| - 1 IDs
@@ -393,10 +371,14 @@ class WitnessMap:
     def pad_count(self) -> int:
         return (1 << self.dull_width) if self.dull_width > 0 else 0
 
+    @property
+    def set_count(self) -> int:
+        return self.core_count + self.pad_count
+
     def entry(self, set_index: int) -> tuple[int, int]:
         """(group, assignment code) for a core set index."""
-        if not 0 <= set_index < self.core_count:
-            raise ValueError(f"set index {set_index} is not a core set")
+        if not isinstance(set_index, int) or isinstance(set_index, bool) or not 0 <= set_index < self.core_count:
+            raise ValueError(f"set index {set_index!r} is not a core set")
         offsets = self.group_offsets
         # The last group starting at or before set_index; empty groups share
         # their successor's offset and are skipped.
@@ -438,23 +420,37 @@ def code_masks(codes: tuple[int, ...], value_masks: list[tuple[int, int]]) -> li
     return out
 
 
-def grid_width(domains: Iterable[Iterable[int]]) -> int:
-    """Grid IDs of the groups with these domains: the sum over x of |G_x| * (|G_x| - 1).
+def grid_layout(domains: Iterable[Iterable[int]]) -> tuple[dict[int, tuple[int, tuple[int, ...]]], int]:
+    """The grid of the groups with these domains: (blocks, grid size); the only code that derives G_x.
 
-    G_x is the groups whose domain holds x (see WitnessMap.grid_blocks).
+    blocks[x] is (first ID of the block, G_x) for each variable x some
+    domain holds. G_x lists, ascending, the groups whose domain holds x, and
+    the block holds one ID per ordered pair (i, j) of distinct groups of
+    G_x, row-major: |G_x| * (|G_x| - 1) IDs. Blocks follow each other in
+    variable order from ID 0, and the grid size is where the last one ends.
     """
-    return sum(c * (c - 1) for c in Counter(v for domain in domains for v in domain).values())
+    holders: dict[int, list[int]] = {}
+    for g, domain in enumerate(domains):
+        for v in domain:
+            holders.setdefault(v, []).append(g)
+    blocks, start = {}, 0
+    for x, groups in sorted(holders.items()):
+        blocks[x] = (start, tuple(groups))
+        start += len(groups) * (len(groups) - 1)
+    return blocks, start
 
 
-def check_shape(n: int, r: int, d: int, domains: Iterable[Iterable[int]]) -> None:
-    """Raise ValueError unless n variables, r groups with these domains and d dull IDs make a layout the reduction builds.
+def check_shape(
+    n: int, r: int, d: int, domains: Iterable[Iterable[int]]
+) -> tuple[dict[int, tuple[int, tuple[int, ...]]], int]:
+    """The grid_layout of the domains, once n variables, r groups with them and d dull IDs pass the reduction's rules.
 
-    n >= 1, r >= 1, n and r at most MAX_UNIVERSE (lifting a packing writes
-    all n values, and each group has a tag ID), 0 <= d <= MAX_DULL_WIDTH (2^d
-    padding sets are built), d = 0 at r = 1 (a padding set alone would be a
-    packing), and grid_width(domains) + d <= MAX_UNIVERSE. The domains are
-    read last, so a generator of r domains is only drawn once r is in range;
-    each must hold a variable at most once.
+    Raises ValueError unless n >= 1, r >= 1, n and r at most MAX_UNIVERSE
+    (lifting a packing writes all n values, and each group has a tag ID),
+    0 <= d <= MAX_DULL_WIDTH (2^d padding sets are built), d = 0 at r = 1
+    (a padding set alone would be a packing), and grid size + d <=
+    MAX_UNIVERSE. The domains are read last, so a generator of r domains is
+    only drawn once r is in range; each must hold a variable at most once.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n = {n}, r = {r}")
@@ -464,7 +460,9 @@ def check_shape(n: int, r: int, d: int, domains: Iterable[Iterable[int]]) -> Non
         raise ValueError(f"dull_width {d} is not in [0, {MAX_DULL_WIDTH}] (2^d padding sets are materialized)")
     if r == 1 and d > 0:
         raise ValueError("padding requires r >= 2: with r = 1 any padding set alone is a packing")
-    check_universe_size(grid_width(domains) + d)
+    blocks, size = grid_layout(domains)
+    check_universe_size(size + d)
+    return blocks, size
 
 
 def default_dull_width(n: int, r: int) -> int:
@@ -526,11 +524,11 @@ def build_instance(witness: WitnessMap) -> SetPackingInstance:
     groups before it; a padding set is the core mask with a subset of the dull
     block. A family above MAX_FAMILY_BITS is refused before any mask is built.
     """
-    check_family_size(witness.core_count + witness.pad_count, witness.universe_size)
+    check_family_size(witness.set_count, witness.universe_size)
     masks: list[int] = []
     offset = witness.grid_size
     for g, (domain, codes) in enumerate(zip(witness.domains, witness.codes)):
-        value_masks = [(witness.grid_mask(v - 1, g, False), witness.grid_mask(v - 1, g, True)) for v in domain]
+        value_masks = [(witness.grid_mask(v, g, False), witness.grid_mask(v, g, True)) for v in domain]
         tags = build_iss(len(codes))
         masks.extend(m | tag << offset for m, tag in zip(code_masks(codes, value_masks), tags.masks))
         offset += tags.universe_width
@@ -548,7 +546,7 @@ def check_witness(instance: SetPackingInstance, witness: WitnessMap) -> None:
     for name, ours, theirs in (
         ("r", witness.r, instance.r),
         ("universe", witness.universe_size, instance.universe_size),
-        ("set count", witness.core_count + witness.pad_count, instance.set_count),
+        ("set count", witness.set_count, instance.set_count),
     ):
         if ours != theirs:
             raise ValueError(f"witness {name} {ours} does not match instance {name} {theirs}")
@@ -588,12 +586,13 @@ def lift_packing_to_assignment(witness: WitnessMap, packing: list[int] | tuple[i
     """
     if len(packing) != witness.r:
         raise ValueError(f"expected {witness.r} set indices, got {len(packing)}")
-    total_sets = witness.core_count + witness.pad_count
     merged: Assignment = {}
     seen_groups: set[int] = set()
     for idx in packing:
-        if not 0 <= idx < total_sets:
-            raise ValueError(f"set index {idx} out of range [0, {total_sets})")
+        if not isinstance(idx, int) or isinstance(idx, bool):
+            raise ValueError(f"non-integer set index {idx!r}")
+        if not 0 <= idx < witness.set_count:
+            raise ValueError(f"set index {idx} out of range [0, {witness.set_count})")
         if idx >= witness.core_count:
             raise ValueError(f"set index {idx} is a padding set and carries no assignment")
         group, code = witness.entry(idx)

@@ -66,6 +66,59 @@ def test_the_reduction_and_the_witness_share_one_shape_check():
     assert "check_shape" in calls(post_init)
 
 
+def test_one_function_derives_the_grid_layout(monkeypatch):
+    # G_x, the groups whose domain holds x, sizes the grid. grid_layout alone
+    # derives it, check_shape alone calls it, and a witness keeps the layout
+    # its check_shape call returns, so the reduction's bound and the masks
+    # read one layout.
+    from cspack import reduction
+
+    tree = ast.parse((PACKAGE / "reduction.py").read_text())
+    functions = {}  # name: def, methods as Class.name
+    for node in tree.body:
+        for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(fn, ast.FunctionDef):
+                functions[f"{node.name}.{fn.name}" if fn is not node else fn.name] = fn
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    def files_groups(fn):
+        # G_x holders: a loop over enumerate(...) whose body appends its group index.
+        for loop in ast.walk(fn):
+            if not (isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call) and isinstance(loop.target, ast.Tuple)):
+                continue
+            group = loop.target.elts[0]
+            if getattr(loop.iter.func, "id", None) == "enumerate" and isinstance(group, ast.Name):
+                appends = [call for call in ast.walk(loop) if getattr(getattr(call, "func", None), "attr", None) == "append"]
+                if any(group.id in names(call) for call in appends):
+                    return True
+        return False
+
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert "Counter" not in {alias.name for node in imports for alias in node.names} | names(tree)
+    assert "grid_width" not in functions
+    assert [name for name, fn in functions.items() if files_groups(fn)] == ["grid_layout"]
+    # The reduction and the witness reach it through check_shape (see above).
+    assert [name for name, fn in functions.items() if "grid_layout" in names(fn)] == ["check_shape"]
+
+    layouts = []
+    derive = reduction.grid_layout
+
+    def counted(domains):
+        layouts.append(derive(domains))
+        return layouts[-1]
+
+    monkeypatch.setattr(reduction, "grid_layout", counted)
+    formula = cspack.parse_dimacs("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    instance, witness = reduction.reduce_to_packing(formula, 2, dull_width=0)
+    assert len(layouts) == 2  # the check before enumeration, then the witness's own
+    assert witness.grid_blocks is layouts[1][0] and witness.grid_size == layouts[1][1]
+    parsed = reduction.witness_from_text(reduction.witness_to_text(witness))
+    assert reduction.build_instance(parsed) == instance and parsed.grid_mask(1, 0, True)
+    assert len(layouts) == 3
+
+
 def test_every_source_file_parses_as_python_3_10():
     # 3.10 is the requires-python floor, and the CI leg that runs it is the
     # only other check of it: syntax from a later version, such as except*,

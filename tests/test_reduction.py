@@ -292,23 +292,25 @@ def test_grid_edges_examples():
     # x1's block at r = 3 holds the pairs (0, 1) (0, 2) (1, 0) (1, 2) (2, 0) (2, 1).
     layout = layout_for(1, 3)
     assert layout.grid_size == 6
-    assert layout.grid_mask(0, 0, True) == 0b010100
-    assert layout.grid_mask(0, 1, False) == 0b001100
-    assert layout.grid_mask(0, 0, True) & layout.grid_mask(0, 1, False) == 1 << 2
+    assert layout.grid_mask(1, 0, True) == 0b010100
+    assert layout.grid_mask(1, 1, False) == 0b001100
+    assert layout.grid_mask(1, 0, True) & layout.grid_mask(1, 1, False) == 1 << 2
     # Only groups 0 and 2 hold x1: its block is the pairs (0, 2) and (2, 0).
     layout = reduction.WitnessMap(num_vars=1, dull_width=0, domains=((1,), (), (1,)), codes=((),) * 3)
     assert layout.grid_size == 2
-    assert [layout.grid_mask(0, g, value) for g in range(3) for value in (False, True)] == [0b01, 0b10, 0, 0, 0b10, 0b01]
+    assert layout.grid_blocks == {1: (0, (0, 2))}  # keyed by the variable itself
+    assert layout.grid_mask(0, 0, False) == 0  # no variable 0, so no block
+    assert [layout.grid_mask(1, g, value) for g in range(3) for value in (False, True)] == [0b01, 0b10, 0, 0, 0b10, 0b01]
 
 
 def test_grid_edges_row_column_intersection():
     r = 4
     layout = layout_for(3, r)
     assert layout.grid_size == 3 * r * (r - 1)
-    for x in range(3):
-        rows = [layout.grid_mask(x, i, False) for i in range(r)]
-        cols = [layout.grid_mask(x, j, True) for j in range(r)]
-        block = ((1 << r * (r - 1)) - 1) << x * r * (r - 1)
+    for v in range(1, 4):
+        rows = [layout.grid_mask(v, i, False) for i in range(r)]
+        cols = [layout.grid_mask(v, j, True) for j in range(r)]
+        block = ((1 << r * (r - 1)) - 1) << (v - 1) * r * (r - 1)
         for masks in (rows, cols):
             assert not any(a & b for a, b in combinations(masks, 2))
             assert sum(masks) == block  # disjoint, so the sum is their union
@@ -316,7 +318,7 @@ def test_grid_edges_row_column_intersection():
             for j in range(r):
                 assert rows[i].bit_count() == cols[j].bit_count() == r - 1
                 # Pair (i, j) is entry j of row i, one less past the diagonal.
-                shared = 1 << x * r * (r - 1) + i * (r - 1) + j - (j > i) if i != j else 0
+                shared = 1 << (v - 1) * r * (r - 1) + i * (r - 1) + j - (j > i) if i != j else 0
                 assert rows[i] & cols[j] == shared
 
 
@@ -359,7 +361,7 @@ def test_grid_keeps_the_uniform_grids_intersection_graph():
         claims = [0] * r
         for g, domain in enumerate(wit.domains):
             for v in domain:
-                claims[g] |= wit.grid_mask(v - 1, g, False) | wit.grid_mask(v - 1, g, True)
+                claims[g] |= wit.grid_mask(v, g, False) | wit.grid_mask(v, g, True)
         for e in range(wit.grid_size):
             assert sum(claim >> e & 1 for claim in claims) == 2
         assert all(claim >> wit.grid_size == 0 for claim in claims)
@@ -390,23 +392,24 @@ def test_reduce_grid_portion_matches_grid_edges():
         alpha = reduction.decode_assignment(wit.domains[g], code)
         expected = 0
         for v, value in alpha.items():
-            expected |= wit.grid_mask(v - 1, g, value)
+            expected |= wit.grid_mask(v, g, value)
         assert inst.masks[idx] & ((1 << grid_size) - 1) == expected
 
 
 def test_reduce_grid_masks_across_lookup_chunks():
-    # Domains of 9 to 12 variables are split over two lookup tables.
+    # Domains of 9 to 12 variables are split over two lookup tables; r = 2,
+    # since at r = 1 no variable is in two groups and the grid is empty.
     rng = random.Random(31)
     for _ in range(6):
-        f = bench.make_formula(12, 8, rng.randrange(1 << 30), False)
-        inst, wit = reduction.reduce_to_packing(f, 1, dull_width=0)
-        assert max(len(d) for d in wit.domains) > reduction.CODE_CHUNK_BITS
+        f = bench.make_formula(12, 16, rng.randrange(1 << 30), False)
+        inst, wit = reduction.reduce_to_packing(f, 2, dull_width=0)
+        assert max(len(d) for d in wit.domains) > reduction.CODE_CHUNK_BITS and wit.grid_size > 0
         grid_mask = (1 << wit.grid_size) - 1
         for idx in range(wit.core_count):
             g, code = wit.entry(idx)
             expected = 0
             for v, value in reduction.decode_assignment(wit.domains[g], code).items():
-                expected |= wit.grid_mask(v - 1, g, value)
+                expected |= wit.grid_mask(v, g, value)
             assert inst.masks[idx] & grid_mask == expected
 
 
@@ -713,6 +716,20 @@ def test_lift_rejects_corrupt_packings():
         reduction.lift_packing_to_assignment(wit, [0, 99])
 
 
+@pytest.mark.parametrize("bad", [0.0, "0", None, True])
+def test_lift_and_entry_refuse_non_integer_indices(bad):
+    # (x1 or x2) and (not x1 or x3) at r = 2, whose least packing is (0, 3).
+    formula = cnf.parse_dimacs("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    inst, wit = reduction.reduce_to_packing(formula, 2, dull_width=0)
+    assert solve_exact(inst).packing == (0, 3)
+    assert cnf.evaluate(formula, reduction.lift_packing_to_assignment(wit, [0, 3]))
+    # A bool is not read as set 0 or 1, nor is a float or a string as set 0.
+    with pytest.raises(ValueError, match="non-integer set index"):
+        reduction.lift_packing_to_assignment(wit, [bad, 3])
+    with pytest.raises(ValueError, match="is not a core set"):
+        wit.entry(bad)
+
+
 # -- witness file format --------------------------------------------------------
 
 def test_witness_round_trip_objects():
@@ -770,6 +787,9 @@ def test_witness_format_errors():
         ("w 3 1 0\ng 2 1 2 3 0\n", "codes must be strictly increasing"),
         ("w 3 1 0\ng 2 1 2 3 3\n", "codes must be strictly increasing"),  # a repeated code
         ("w 3 1 0\ng 2 2 1 3\n", "domain must be strictly increasing"),
+        # Out of order and out of range at once: the order is checked first.
+        ("w 3 1 0\ng 2 9 1 0\n", "domain must be strictly increasing"),
+        ("w 3 1 0\ng 2 1 2 9 0\n", "codes must be strictly increasing"),
         ("w 3 1 0\ng -1 1 2\n", r"domain size -1 is not in \[0, 2\]"),
         ("w 3 1 0\ng 3 1 2\n", r"domain size 3 is not in \[0, 2\]"),
         ("w 3 1 0\ng 99999999999999999999 1 2\n", r"domain size 99999999999999999999 is not in \[0, 2\]"),
