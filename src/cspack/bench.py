@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, fields
 from . import cnf
 from .cnf import CnfFormula
 from .packing import DEFAULT_NODE_BUDGET, MAX_UNIVERSE, solve_exact, verify_packing
-from .reduction import lift_packing_to_assignment, reduce_to_packing
+from .reduction import lift_packing_to_assignment, lower_assignment_to_packing, reduce_to_packing
 
 # Largest clause count make_formula draws: 2^20 planted clauses take about 4 s and 140 MB
 # (Python 3.11 on a 2-core Xeon), and their DIMACS text 80 MB more.
@@ -184,7 +184,9 @@ def run_roundtrip_row(
 
     The oracle is skipped, verdict "skip", when n exceeds the cap. A found
     packing is verified and lifted, and the lifted assignment is evaluated;
-    failures there raise, since they mean the toolkit itself is broken.
+    the oracle's model, if any, is lowered to a packing and verified. A
+    failure there raises RuntimeError, since it means the toolkit itself is
+    broken.
     """
     t0 = time.perf_counter()
     instance, witness = reduce_to_packing(formula, r, dull_width=dull_width)
@@ -205,7 +207,16 @@ def run_roundtrip_row(
     if formula.num_vars > oracle_cap:
         oracle_verdict = "skip"
     else:
-        oracle_verdict = "sat" if cnf.brute_force_sat(formula, cap=oracle_cap) is not None else "unsat"
+        model = cnf.brute_force_sat(formula, cap=oracle_cap)
+        oracle_verdict = "sat" if model is not None else "unsat"
+        if model is not None:
+            try:
+                lowered = lower_assignment_to_packing(witness, model)
+            except ValueError as exc:
+                raise RuntimeError(f"oracle model does not lower to a packing: {exc}") from None
+            check = verify_packing(instance, lowered)
+            if not check.ok:
+                raise RuntimeError(f"lowered oracle model is not a valid packing: {check.reason}")
 
     return SweepRow(
         n=formula.num_vars,

@@ -23,8 +23,10 @@ DEFAULT_ORACLE_CAP = 24
 # brute_force_sat evaluates 2^_CHUNK_BITS assignments per big-int operation.
 _CHUNK_BITS = 20
 
-# ASCII digits with an optional minus sign (see read_int).
+# ASCII digits with an optional minus sign (see read_int), and a line of
+# them separated by single spaces (see read_ints).
 _DECIMAL = re.compile(r"-?[0-9]+")
+_DECIMALS = re.compile(rf"{_DECIMAL.pattern}(?: {_DECIMAL.pattern})*")
 
 
 class DimacsError(ValueError):
@@ -110,11 +112,25 @@ def parse_dimacs(text: str) -> CnfFormula:
 def read_int(token: str) -> int:
     """int(token), refusing the spellings int() accepts beyond ASCII -?[0-9]+ ('+1', '1_0', '٣').
 
-    Reads every field of the DIMACS, instance and witness grammars, all of which are decimal.
+    Reads every field of the DIMACS and instance grammars, and through read_ints
+    every field of the witness grammar, all of which are decimal.
     """
     if not _DECIMAL.fullmatch(token):
         raise ValueError(f"not an ASCII decimal integer: {token!r}")
     return int(token)
+
+
+def read_ints(tokens: list[str]) -> list[int]:
+    """read_int over every token, checked by one fullmatch of the tokens joined by spaces.
+
+    Accepts exactly the lists that read_int accepts token by token (a token
+    with whitespace in it fails the match or int()), and for a refused list
+    of whitespace-free tokens, as str.split() gives them, raises read_int's
+    message for the first bad one. Reads every line of the witness grammar.
+    """
+    if _DECIMALS.fullmatch(" ".join(tokens)):
+        return list(map(int, tokens))
+    return list(map(read_int, tokens))
 
 
 def to_dimacs(formula: CnfFormula) -> str:

@@ -44,6 +44,9 @@ _CACHED_IDS = 1 << 12
 
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
+# _BYTE_BITS[v]: bit b of v as byte b, a compress() selector over 8 names.
+_BYTE_BITS = [bytes(v >> b & 1 for b in range(8)) for v in range(256)]
+
 T = TypeVar("T")
 
 
@@ -186,11 +189,34 @@ def serialize_instance(instance: SetPackingInstance) -> str:
     Line 1: "p sp <universe_size> <set_count> <r>". Then one line per set:
     "s <k> <id_1> ... <id_k>" with strictly increasing 0-based IDs. LF line
     endings, no trailing whitespace.
+
+    A set's IDs are written a byte of its mask at a time. Byte column j
+    holds IDs 8j to 8j + 7, and its table maps a byte value to the " <id>"
+    names of the value's set bits; a line is its "s <k>" head joined to one
+    table entry per column. A column with at least 256 nonzero bytes gets
+    all 256 entries, and any other column only the values that occur in it,
+    so the tables stay within a constant factor of the masks' memory. Two
+    sets at MAX_UNIVERSE take about 10 MB in all, where full tables for
+    every column would take about 165 MB.
     """
-    names = [str(e) for e in range(instance.universe_size)]
+    width = (instance.universe_size + 7) // 8
+    rows = b"".join([m.to_bytes(width, "little") for m in instance.masks])
+    columns = [rows[j::width] for j in range(width)]
+    del rows
+    names = [f" {e}" for e in range(8 * width)]
+    entries = []  # per column, its bytes read through its table
+    for j, column in enumerate(columns):
+        names_j = names[8 * j : 8 * j + 8]
+        if len(column) - column.count(0) >= 256:
+            table = [""]
+            for name in names_j:  # doubling: entry v | 1 << b is entry v plus the name of bit b
+                table += [entry + name for entry in table]
+        else:
+            table = {v: "".join(compress(names_j, _BYTE_BITS[v])) for v in set(column)}
+        entries.append(map(table.__getitem__, column))
+    heads = map("s {}".format, map(int.bit_count, instance.masks))
     lines = [f"p sp {instance.universe_size} {instance.set_count} {instance.r}"]
-    for m in instance.masks:
-        lines.append(" ".join(["s", str(m.bit_count()), *_members(m, names)]))
+    lines += map("".join, zip(heads, *entries))
     return "\n".join(lines) + "\n"
 
 

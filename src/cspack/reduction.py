@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .cnf import Assignment, CnfFormula, read_int
+from .cnf import Assignment, CnfFormula, read_ints
 from .iss import build_iss, minimal_iss_universe
 from .packing import MAX_UNIVERSE, SetPackingInstance, check_family_size, check_universe_size
 
@@ -633,8 +633,9 @@ def witness_from_text(text: str) -> WitnessMap:
 
     Checks the syntax only (the header, exactly r group lines, every field a
     read_int integer, 0 <= k <= the fields after it) and leaves ranges, order
-    and layout to WitnessMap. Raises only WitnessFormatError, also for a
-    layout whose universe exceeds MAX_UNIVERSE.
+    and layout to WitnessMap; read_ints checks each line's fields in one
+    match. Raises only WitnessFormatError, also for a layout whose universe
+    exceeds MAX_UNIVERSE.
     """
     lines = [line.split() for line in text.splitlines() if line.strip()]
     if not lines:
@@ -643,7 +644,7 @@ def witness_from_text(text: str) -> WitnessMap:
     try:
         if len(head) != 4 or head[0] != "w":
             raise ValueError
-        n, r, d = map(read_int, head[1:])
+        n, r, d = read_ints(head[1:])
     except ValueError:
         raise WitnessFormatError(f"malformed header line: {' '.join(head)!r}") from None
     if len(groups) != r:
@@ -654,7 +655,7 @@ def witness_from_text(text: str) -> WitnessMap:
         try:
             if len(line) < 2 or line[0] != "g":
                 raise ValueError
-            k, *fields = map(read_int, line[1:])
+            k, *fields = read_ints(line[1:])
         except ValueError:
             raise WitnessFormatError(f"malformed group line: {' '.join(line)!r}") from None
         if not 0 <= k <= len(fields):

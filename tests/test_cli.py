@@ -193,6 +193,37 @@ def test_roundtrip_planted_instance(tmp_path, capsys):
     assert "packing verdict: yes" in printed and "AGREE" in printed
 
 
+def _no_lowering(witness, assignment):
+    raise ValueError("assignment does not satisfy clause group 0 (restriction code 0)")
+
+
+@pytest.mark.parametrize(
+    "lowered, error",
+    [
+        (lambda witness, assignment: [0, 0], "lowered oracle model is not a valid packing: duplicate index 0"),
+        (_no_lowering, "oracle model does not lower to a packing: assignment does not satisfy clause group 0"),
+    ],
+)
+def test_roundtrip_checks_the_lowered_oracle_model(tmp_path, capsys, monkeypatch, lowered, error):
+    # Every satisfying assignment lowers to a verified packing: a lowering
+    # that returns a wrong packing, or refuses the oracle's model, is a
+    # correctness bug, exit 2, not AGREE.
+    calls = []
+
+    def wrong_lowering(witness, assignment):
+        calls.append(assignment)
+        return lowered(witness, assignment)
+
+    monkeypatch.setattr(bench, "lower_assignment_to_packing", wrong_lowering)
+    monkeypatch.setattr(reduction, "lower_assignment_to_packing", wrong_lowering)
+    cnf_path = write(tmp_path / "f.cnf", "p cnf 3 2\n1 2 0\n-1 3 0\n")
+    assert cli.main(["roundtrip", cnf_path, "--r", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "AGREE" not in captured.out
+    assert captured.err.startswith(f"cspack: {error}")
+    assert calls == [{1: False, 2: True, 3: False}]
+
+
 def test_roundtrip_budget_inconclusive(tmp_path, capsys):
     gen = tmp_path / "g.cnf"
     cli.main(["gen-cnf", "--n", "8", "--m", "16", "--seed", "5", "--output", str(gen)])

@@ -127,6 +127,31 @@ def test_parse_rejects_non_dimacs_literal(token):
         cnf.parse_dimacs(f"p cnf 10 1\n{token} 1 0\n")
 
 
+def _read_each(tokens):
+    """read_int token by token: the value list, or the message of its ValueError."""
+    try:
+        return list(map(cnf.read_int, tokens))
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.lists(st.sampled_from(["0", "7", "-1", "007", "--1", "+4", "1_0", "\u0663", "", " ", "1 2", " 3", "4\n"])))
+@settings(max_examples=300)
+def test_read_ints_reads_a_line_as_read_int_reads_each_token(tokens):
+    # One match over the joined tokens accepts exactly the lists read_int
+    # accepts token by token; for whitespace-free tokens, as str.split()
+    # gives them, it also refuses with read_int's message for the first bad one.
+    expected = _read_each(tokens)
+    try:
+        got = cnf.read_ints(tokens)
+    except ValueError as exc:
+        assert isinstance(expected, str)
+        if not any(c.isspace() for t in tokens for c in t):
+            assert str(exc) == expected
+    else:
+        assert got == expected
+
+
 @pytest.mark.parametrize("token", NON_DIMACS_INTEGERS)
 def test_parse_rejects_non_dimacs_header_field(token):
     with pytest.raises(cnf.DimacsError, match="header"):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cspack import bench, cnf, packing
@@ -222,6 +224,17 @@ def reference_serialize(universe_size, sets, r):
     return "\n".join(lines) + "\n"
 
 
+def _wide_family():
+    """300 draws of 5 of IDs 0-15, so that byte columns 0 and 1 hold at least
+    256 nonzero bytes (full tables), plus a few IDs from 16-39 (sparse tables)."""
+    rng = random.Random(5)
+    sets = (
+        tuple(sorted({*rng.sample(range(16), 5), *([16 + i % 24] if i % 50 == 0 else [])}))
+        for i in range(300)
+    )
+    return 40, (*dict.fromkeys(sets), (17, 39)), 2
+
+
 @st.composite
 def id_families(draw):
     universe = draw(st.integers(min_value=0, max_value=600))
@@ -233,6 +246,15 @@ def id_families(draw):
 
 @given(id_families())
 @settings(max_examples=300)
+# serialize_instance writes a mask a byte at a time, through a full table for
+# a column of at least 256 nonzero bytes and a table of the values that occur
+# for any other; id_families draws too few sets for a full table.
+@example(_wide_family())
+@example((24, ((7, 8), (15, 16), (7, 8, 15, 16), (0, 23), ()), 1))  # IDs on byte edges
+@example((13, ((12,), (0, 7, 8, 12), (1, 2, 3)), 1))  # a partial top byte with its top ID set
+@example((0, ((),), 1))
+@example((0, (), 1))
+@example((65536, ((65535,), (0, 8, 65528, 65535), ()), 2))
 def test_masks_and_text_match_the_tuples(case):
     universe, family, r = case
     inst = packing.SetPackingInstance(universe, masks_of(family), r)
@@ -241,6 +263,29 @@ def test_masks_and_text_match_the_tuples(case):
     text = packing.serialize_instance(inst)
     assert text == reference_serialize(universe, family, r)
     assert packing.parse_instance(text) == inst
+
+
+def test_the_wide_family_holds_both_table_kinds():
+    universe, family, _ = _wide_family()
+    width = (universe + 7) // 8
+    rows = b"".join(m.to_bytes(width, "little") for m in masks_of(family))
+    nonzero = [len(rows[j::width]) - rows[j::width].count(0) for j in range(width)]
+    assert min(nonzero[:2]) >= 256 and max(nonzero[2:]) < 256
+
+
+def test_serialize_memory_stays_bounded_at_max_universe():
+    # Two sets over the largest universe: full tables for all 8192 byte
+    # columns would take about 165 MB; with tables of only the values that
+    # occur, the whole call peaks near 10 MB.
+    inst = packing.SetPackingInstance(packing.MAX_UNIVERSE, (1, (1 << packing.MAX_UNIVERSE) - 1), 1)
+    tracemalloc.start()
+    try:
+        text = packing.serialize_instance(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == reference_serialize(packing.MAX_UNIVERSE, ((0,), tuple(range(packing.MAX_UNIVERSE))), 1)
+    assert peak < 16 << 20
 
 
 @given(id_families())

@@ -42,8 +42,18 @@ def test_the_sat_oracle_stays_independent_of_the_reduction():
     # reuses the other's code: the reduction takes no more than the formula
     # types and the integer reader from cnf, and cnf nothing from the package.
     from_cnf = [names for name, names in package_imports("reduction") if name in ("cspack", "cspack.cnf")]
-    assert from_cnf == [["Assignment", "CnfFormula", "read_int"]]
+    assert from_cnf == [["Assignment", "CnfFormula", "read_ints"]]
     assert package_imports("cnf") == []
+
+
+def test_cnf_alone_spells_the_integer_rule():
+    # read_int and read_ints hold the one rule for what text spells an
+    # integer; the witness parser calls read_ints and compiles no pattern.
+    tree = ast.parse((PACKAGE / "reduction.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert "re" not in {alias.name for node in imports for alias in node.names}
+    assert not {"compile", "fullmatch", "match"} & {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and "[0-9]" in str(n.value)]
 
 
 def test_the_reduction_and_the_witness_share_one_shape_check():

@@ -781,6 +781,12 @@ def test_witness_format_errors():
         ("w 3 2 0\ng 2 1 2 0 3\n\ng\n", "malformed group line"),
         ("w 3 2 0\ng 2 1 2 0 3\nh 0 0\n", "malformed group line"),
         ("w 3 2 0\ng 2 1 2 0 x\ng 0 0\n", "malformed group line"),
+        # One match checks a whole group line: a bad field after the first,
+        # deep in a long line, is still refused as read_int refuses it.
+        *[
+            (f"w 3 2 0\ng 2 1 2 {' '.join(['0'] * 40)} {bad} 3\ng 0 0\n", "malformed group line")
+            for bad in ("+4", "1_0", "\u0663", "--1")
+        ],
         ("w 3 2 0\ng 2 1 2 0 4\ng 0 0\n", "out of range for domain size 2"),
         ("w 3 2 0\ng 2 1 2 -1 3\ng 0 0\n", "out of range for domain size 2"),
         ("w 3 2 0\ng 2 1 2 0 3\ng 0 1\n", "out of range for domain size 0"),
