@@ -44,9 +44,6 @@ _CACHED_IDS = 1 << 12
 
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
-# _BYTE_BITS[v]: bit b of v as byte b, a compress() selector over 8 names.
-_BYTE_BITS = [bytes(v >> b & 1 for b in range(8)) for v in range(256)]
-
 T = TypeVar("T")
 
 
@@ -197,7 +194,9 @@ def serialize_instance(instance: SetPackingInstance) -> str:
     all 256 entries, and any other column only the values that occur in it,
     so the tables stay within a constant factor of the masks' memory. Two
     sets at MAX_UNIVERSE take about 10 MB in all, where full tables for
-    every column would take about 165 MB.
+    every column would take about 165 MB. A full table costs one
+    concatenation per entry, so on the workloads' many-set columns it is
+    cheaper than a dict of entries built one by one.
     """
     width = (instance.universe_size + 7) // 8
     rows = b"".join([m.to_bytes(width, "little") for m in instance.masks])
@@ -212,11 +211,12 @@ def serialize_instance(instance: SetPackingInstance) -> str:
             for name in names_j:  # doubling: entry v | 1 << b is entry v plus the name of bit b
                 table += [entry + name for entry in table]
         else:
-            table = {v: "".join(compress(names_j, _BYTE_BITS[v])) for v in set(column)}
+            table = {v: "".join(_members(v, names_j)) for v in set(column)}
         entries.append(map(table.__getitem__, column))
     heads = map("s {}".format, map(int.bit_count, instance.masks))
     lines = [f"p sp {instance.universe_size} {instance.set_count} {instance.r}"]
     lines += map("".join, zip(heads, *entries))
+    del columns, entries  # free the byte columns before the join
     return "\n".join(lines) + "\n"
 
 

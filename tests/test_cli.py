@@ -215,7 +215,6 @@ def test_roundtrip_checks_the_lowered_oracle_model(tmp_path, capsys, monkeypatch
         return lowered(witness, assignment)
 
     monkeypatch.setattr(bench, "lower_assignment_to_packing", wrong_lowering)
-    monkeypatch.setattr(reduction, "lower_assignment_to_packing", wrong_lowering)
     cnf_path = write(tmp_path / "f.cnf", "p cnf 3 2\n1 2 0\n-1 3 0\n")
     assert cli.main(["roundtrip", cnf_path, "--r", "2"]) == 2
     captured = capsys.readouterr()
