@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import bench, cnf, packing, reduction
 
@@ -20,6 +21,9 @@ EXIT_INCONCLUSIVE = 3
 
 # reduce warns when m/n exceeds this: the reduction is meant for sparse formulas.
 DENSITY_WARNING = 8.0
+
+# Characters per block that solve, verify and audit read an instance file in.
+READ_CHARS = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,6 +37,12 @@ class _Parser(argparse.ArgumentParser):
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def _read_instance(path: str) -> packing.SetPackingInstance:
+    """Parse an instance file a block at a time, never holding its whole text."""
+    with open(path, encoding="utf-8") as fh:
+        return packing.parse_instance(iter(partial(fh.read, READ_CHARS), ""))
 
 
 def _write(path: str, text: str) -> None:
@@ -68,7 +78,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     group_sizes = " ".join(str(len(c)) for c in witness.codes)
     print(f"sets {instance.set_count} = core {witness.core_count} (per group: {group_sizes}) "
           f"+ padding {witness.pad_count}")
-    _write(args.output, packing.serialize_instance(instance))
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.writelines(packing.instance_blocks(instance))
     witness_path = args.witness or args.output + ".wit"
     _write(witness_path, reduction.witness_to_text(witness))
     print(f"wrote instance to {args.output}, witness to {witness_path}")
@@ -76,7 +87,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    instance = packing.parse_instance(_read(args.instance))
+    instance = _read_instance(args.instance)
     result = packing.solve_exact(instance, budget=args.budget)
     print(f"verdict {result.verdict} nodes {result.nodes}")
     if result.verdict == "yes":
@@ -88,7 +99,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    instance = packing.parse_instance(_read(args.instance))
+    instance = _read_instance(args.instance)
     result = packing.verify_packing(instance, args.indices)
     print("valid" if result.ok else f"invalid: {result.reason}")
     return EXIT_OK if result.ok else EXIT_DISAGREE
@@ -114,7 +125,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    instance = packing.parse_instance(_read(args.instance))
+    instance = _read_instance(args.instance)
     witness = reduction.witness_from_text(_read(args.witness)) if args.witness else None
     if witness is not None:
         try:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import chain, compress, islice, repeat
 from operator import or_
-from typing import TYPE_CHECKING, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
 
 from .cnf import read_int
 
@@ -38,11 +38,23 @@ MAX_UNIVERSE = 1 << 16
 # its masks are built.
 MAX_FAMILY_BITS = 1 << 31
 
+# Characters of instance text that parse_instance splits into lines at a time.
+_READ_CHARS = 1 << 14
+
+# Mask bytes per block of set lines that instance_blocks writes.
+_WRITE_BYTES = 1 << 12
+
+# Mask bytes per slice of sets that _occurrence_masks transposes at a time.
+_TRANSPOSE_BYTES = 1 << 16
+
 # parse_instance builds from the header a table of the bits of the canonically
 # spelled IDs below this bound (about 1 MiB); _id_bit reads any other token.
 _CACHED_IDS = 1 << 12
 
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+# _BIT_DIGITS[b] maps a byte to b"1" if its bit b is set, else to b"0".
+_BIT_DIGITS = [bytes(b"01"[v >> b & 1] for v in range(256)) for b in range(8)]
 
 T = TypeVar("T")
 
@@ -115,15 +127,27 @@ class SetPackingInstance:
         return tuple(tuple(_members(m, ids)) for m in self.masks)
 
 
-def parse_instance(text: str) -> SetPackingInstance:
+def parse_instance(text: str | Iterable[str]) -> SetPackingInstance:
     """Parse the instance format; see serialize_instance for the grammar.
 
-    The header's universe size is checked against MAX_UNIVERSE, and its set
-    count times universe size against MAX_FAMILY_BITS, before any set line is
-    read; each set line becomes a mask as it is read.
+    text is the whole text, or an iterable of consecutive pieces of it, such
+    as blocks read from a file. Either way the text is split into lines a
+    block at a time, each block cut after a "\n", so the lines and their
+    numbers are those of text.splitlines(). The header's universe size is
+    checked against MAX_UNIVERSE, and its set count times universe size
+    against MAX_FAMILY_BITS, before any set line is read; each set line
+    becomes a mask as it is read. The set count is checked once the set
+    lines end, so an error in one of the first set_count set lines is
+    reported before a count mismatch; set lines beyond the declared count
+    are only counted, for the mismatch message.
     """
-    lines = text.splitlines()
-    if not lines:
+    if isinstance(text, str):
+        pieces: Iterable[str] = (text[i : i + _READ_CHARS] for i in range(0, len(text), _READ_CHARS))
+    else:
+        pieces = text
+    blocks = _line_blocks(pieces)
+    lines = next(blocks, None)
+    if lines is None:
         raise InstanceFormatError("empty instance text")
     head = lines[0].split()
     if len(head) != 5 or head[0] != "p" or head[1] != "sp":
@@ -137,36 +161,61 @@ def parse_instance(text: str) -> SetPackingInstance:
         check_family_size(set_count, universe_size)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
-    if len(lines) - 1 != set_count:
-        raise InstanceFormatError(f"header declares {set_count} sets but found {len(lines) - 1} set lines")
     bit_of = {str(e): 1 << e for e in range(min(universe_size, _CACHED_IDS))}
     masks: list[int] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts or parts[0] != "s":
-            raise InstanceFormatError(f"line {lineno}: expected a set line starting with 's'")
-        tokens = parts[2:]
-        k = len(tokens)
-        try:
-            # Only a count spelled other than str(k), such as "02", needs reading.
-            declared = k if parts[1] == str(k) else read_int(parts[1])
-        except (ValueError, IndexError):
-            raise InstanceFormatError(f"line {lineno}: malformed set line") from None
-        if declared != k:
-            raise InstanceFormatError(f"line {lineno}: declared {declared} IDs but found {k}")
-        try:
-            bits = list(map(bit_of.__getitem__, tokens))
-        except KeyError:
-            bits = [bit_of.get(token) or _id_bit(token, lineno, universe_size) for token in tokens]
-        # Distinct bits sum to their OR; a repeated ID carries and loses a bit.
-        mask = sum(bits)
-        if mask.bit_count() != k or bits != sorted(bits):
-            raise InstanceFormatError(f"line {lineno}: element IDs must be strictly increasing")
-        masks.append(mask)
+    found = 0  # set lines so far
+    for lines in chain([lines[1:]], blocks):
+        start = found + 2  # the line number of lines[0]
+        found += len(lines)
+        if found > set_count:
+            lines = lines[: max(set_count - len(masks), 0)]
+        for lineno, line in enumerate(lines, start):
+            parts = line.split()
+            if not parts or parts[0] != "s":
+                raise InstanceFormatError(f"line {lineno}: expected a set line starting with 's'")
+            tokens = parts[2:]
+            k = len(tokens)
+            try:
+                # Only a count spelled other than str(k), such as "02", needs reading.
+                declared = k if parts[1] == str(k) else read_int(parts[1])
+            except (ValueError, IndexError):
+                raise InstanceFormatError(f"line {lineno}: malformed set line") from None
+            if declared != k:
+                raise InstanceFormatError(f"line {lineno}: declared {declared} IDs but found {k}")
+            try:
+                bits = list(map(bit_of.__getitem__, tokens))
+            except KeyError:
+                bits = [bit_of.get(token) or _id_bit(token, lineno, universe_size) for token in tokens]
+            # Distinct bits sum to their OR; a repeated ID carries and loses a bit.
+            mask = sum(bits)
+            if mask.bit_count() != k or bits != sorted(bits):
+                raise InstanceFormatError(f"line {lineno}: element IDs must be strictly increasing")
+            masks.append(mask)
+    if found != set_count:
+        raise InstanceFormatError(f"header declares {set_count} sets but found {found} set lines")
     try:
         return SetPackingInstance(universe_size=universe_size, masks=tuple(masks), r=r)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
+
+
+def _line_blocks(pieces: Iterable[str]) -> Iterator[list[str]]:
+    """The lines of the joined pieces, a list per run of pieces up to a "\n".
+
+    Cutting only after a "\n" keeps every line break, "\r\n" included,
+    inside one block, so the lists concatenate to the joined text's
+    splitlines().
+    """
+    carry = ""
+    for piece in pieces:
+        cut = piece.rfind("\n") + 1
+        if cut:
+            yield (carry + piece[:cut]).splitlines()
+            carry = piece[cut:]
+        else:
+            carry += piece
+    if carry:
+        yield carry.splitlines()
 
 
 def _id_bit(token: str, lineno: int, universe_size: int) -> int:
@@ -181,23 +230,36 @@ def _id_bit(token: str, lineno: int, universe_size: int) -> int:
 
 
 def serialize_instance(instance: SetPackingInstance) -> str:
-    """Byte-deterministic text form.
+    """Byte-deterministic text form: the join of instance_blocks(instance).
 
     Line 1: "p sp <universe_size> <set_count> <r>". Then one line per set:
     "s <k> <id_1> ... <id_k>" with strictly increasing 0-based IDs. LF line
     endings, no trailing whitespace.
+    """
+    return "".join(instance_blocks(instance))
+
+
+def instance_blocks(instance: SetPackingInstance) -> Iterator[str]:
+    """serialize_instance's text in consecutive blocks, to write without holding it whole.
+
+    The first block is the header line. Each later one holds the set lines
+    of _WRITE_BYTES mask bytes (at least one line): a mask byte spells at
+    most 8 IDs of at most 6 characters, so a block stays within about 48
+    characters per byte.
 
     A set's IDs are written a byte of its mask at a time. Byte column j
     holds IDs 8j to 8j + 7, and its table maps a byte value to the " <id>"
     names of the value's set bits; a line is its "s <k>" head joined to one
-    table entry per column. A column with at least 256 nonzero bytes gets
-    all 256 entries, and any other column only the values that occur in it,
-    so the tables stay within a constant factor of the masks' memory. Two
-    sets at MAX_UNIVERSE take about 10 MB in all, where full tables for
-    every column would take about 165 MB. A full table costs one
-    concatenation per entry, so on the workloads' many-set columns it is
-    cheaper than a dict of entries built one by one.
+    table entry per column. The columns and tables are built once, before
+    the first set line. A column with at least 256 nonzero bytes gets all
+    256 entries, and any other column only the values that occur in it, so
+    the tables stay within a constant factor of the masks' memory. Two sets
+    at MAX_UNIVERSE peak at about 9.5 MB in all, where full tables for every
+    column would take about 165 MB. A full table costs one concatenation
+    per entry, so on the workloads' many-set columns it is cheaper than a
+    dict of entries built one by one.
     """
+    yield f"p sp {instance.universe_size} {instance.set_count} {instance.r}\n"
     width = (instance.universe_size + 7) // 8
     rows = b"".join([m.to_bytes(width, "little") for m in instance.masks])
     columns = [rows[j::width] for j in range(width)]
@@ -214,10 +276,10 @@ def serialize_instance(instance: SetPackingInstance) -> str:
             table = {v: "".join(_members(v, names_j)) for v in set(column)}
         entries.append(map(table.__getitem__, column))
     heads = map("s {}".format, map(int.bit_count, instance.masks))
-    lines = [f"p sp {instance.universe_size} {instance.set_count} {instance.r}"]
-    lines += map("".join, zip(heads, *entries))
-    del columns, entries  # free the byte columns before the join
-    return "\n".join(lines) + "\n"
+    lines = map("".join, zip(heads, *entries, repeat("\n")))
+    step = max(1, _WRITE_BYTES // max(width, 1))
+    while block := "".join(islice(lines, step)):
+        yield block
 
 
 @dataclass(frozen=True)
@@ -235,32 +297,34 @@ class SolveResult:
     nodes: int
 
 
-# Characters of binary text per slice of the occurrence-mask transpose, so
-# that its working memory stays a few MB at any universe size.
-_TRANSPOSE_CHARS = 1 << 22
-
-
 def _occurrence_masks(masks: Sequence[int], universe_size: int) -> list[int]:
     """occ[e]: the mask over set indices with bit i set iff set i contains element e.
 
-    Transposes the family slice by slice as binary text: the slice's masks
-    are packed into one int, one row of whole bytes per set, and written in
-    binary, which puts bit e of every row at a stride of the row width,
-    highest set index first.
+    Transposes the family a slice of sets at a time, each slice at most
+    _TRANSPOSE_BYTES of mask rows (and at least 8 sets), so that beyond the
+    result it holds the result's pieces and one slice: about 4 times the
+    rows of a 6,000-set family over 160 IDs, where binary text of the whole
+    family took 16 times. A slice's rows are joined highest set index
+    first, and byte column j of the rows, read through the digit table of
+    bit b, spells in binary the slice's piece of occ[8j + b].
     """
     row_bytes = (universe_size + 7) // 8
-    width = 8 * row_bytes
     # Slices of a multiple of 8 sets give whole-byte column pieces to join.
-    chunk = max(8, _TRANSPOSE_CHARS // max(width, 1)) & ~7
+    chunk = max(8, _TRANSPOSE_BYTES // max(row_bytes, 1)) & ~7
     columns: list[list[bytes]] = [[] for _ in range(universe_size)]
     for base in range(0, len(masks), chunk):
         part = masks[base : base + chunk]
-        packed = int.from_bytes(b"".join([m.to_bytes(row_bytes, "little") for m in part]), "little")
-        digits = format(packed, f"0{len(part) * width}b")
+        rows = b"".join([m.to_bytes(row_bytes, "little") for m in reversed(part)])
         size = (len(part) + 7) // 8
-        for e, column in enumerate(columns):
-            column.append(int(digits[width - 1 - e :: width], 2).to_bytes(size, "little"))
-    return [int.from_bytes(b"".join(column), "little") for column in columns]
+        for j in range(row_bytes):
+            byte_column = rows[j::row_bytes]
+            for digits, column in zip(_BIT_DIGITS, columns[8 * j : 8 * j + 8]):
+                column.append(int(byte_column.translate(digits), 2).to_bytes(size, "little"))
+    occ = []
+    for column in columns:  # free each element's pieces once its mask is built
+        occ.append(int.from_bytes(b"".join(column), "little"))
+        column.clear()
+    return occ
 
 
 def solve_exact(instance: SetPackingInstance, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:

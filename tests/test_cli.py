@@ -136,6 +136,30 @@ def test_solve_and_verify(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().out
 
 
+def test_instance_files_are_read_in_blocks(tmp_path, capsys, monkeypatch):
+    # Blocks of 5 characters end mid-line and mid-"\r\n"; solve, verify and
+    # audit see the instance, and a fault's line number, of the whole file.
+    monkeypatch.setattr(cli, "READ_CHARS", 5)
+    cnf_path = write(tmp_path / "phi2.cnf", PHI2)
+    out = tmp_path / "phi2.sp"
+    assert cli.main(["reduce", cnf_path, "--r", "2", "--pad", "2", "--output", str(out)]) == 0
+    text = out.read_text()
+    inst, _ = reduction.reduce_to_packing(parse_dimacs(PHI2), 2, dull_width=2)
+    assert text == packing.serialize_instance(inst)
+    out.write_bytes(text.replace("\n", "\r\n").encode())
+    capsys.readouterr()
+    result = packing.solve_exact(inst)
+    assert cli.main(["solve", str(out)]) == 0
+    assert capsys.readouterr().out == f"verdict yes nodes {result.nodes}\npacking {' '.join(map(str, result.packing))}\n"
+    assert cli.main(["audit", str(out), "--witness", str(out) + ".wit"]) == 0
+    assert f"sets {inst.set_count}" in capsys.readouterr().out
+    lines = text.splitlines()
+    lines[-2] = "s 1 x"
+    out.write_text("\n".join(lines) + "\n")
+    assert cli.main(["verify", str(out), "0", "1"]) == 1
+    assert capsys.readouterr().err == f"cspack: line {len(lines) - 1}: malformed set line\n"
+
+
 def test_solve_packing_deeper_than_the_recursion_limit(tmp_path, capsys):
     inst = packing.SetPackingInstance(1200, tuple(1 << e for e in range(1200)), 1200)
     path = write(tmp_path / "singletons.sp", packing.serialize_instance(inst))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,30 @@ def test_parse_instance_raises_only_its_error_and_round_trips(text):
     canonical = packing.serialize_instance(instance)
     assert packing.parse_instance(canonical) == instance
     assert packing.serialize_instance(packing.parse_instance(canonical)) == canonical
+
+
+def _parse_outcome(text):
+    """The instance parse_instance reads from text, or the message of its error."""
+    try:
+        return packing.parse_instance(text)
+    except packing.InstanceFormatError as exc:
+        return str(exc)
+
+
+@given(inputs(INSTANCE_TEXTS))
+@settings(max_examples=400, deadline=None)
+def test_parse_instance_outcome_and_round_trip_survive_minimum_blocks(text):
+    # One character per read block and one set line per written block put a
+    # block edge everywhere; the instance, or the error and its line number,
+    # stays the same.
+    outcome = _parse_outcome(text)
+    with mock.patch.multiple(packing, _READ_CHARS=1, _WRITE_BYTES=1):
+        assert _parse_outcome(text) == outcome
+        if isinstance(outcome, str):
+            return
+        canonical = packing.serialize_instance(outcome)
+        assert packing.parse_instance(canonical) == outcome
+        assert packing.serialize_instance(packing.parse_instance(canonical)) == canonical
 
 
 @given(inputs(WITNESS_TEXTS))

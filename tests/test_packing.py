@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import tracemalloc
 from itertools import combinations
 from unittest import mock
@@ -184,6 +185,37 @@ def test_parse_errors():
         packing.parse_instance("p sp 4 2 1\ns 1 2\ns 1 2\n")
 
 
+def test_parse_checks_the_set_count_once_the_set_lines_end():
+    # A count mismatch alone, with fewer and with more set lines than declared.
+    with pytest.raises(packing.InstanceFormatError, match="^header declares 3 sets but found 2 set lines$"):
+        packing.parse_instance("p sp 4 3 1\ns 1 0\ns 1 1\n")
+    with pytest.raises(packing.InstanceFormatError, match="^header declares 1 sets but found 3 set lines$"):
+        packing.parse_instance("p sp 4 1 1\ns 1 0\ns 1 1\ns 1 2\n")
+    # Lines beyond the declared count are only counted, not read.
+    with pytest.raises(packing.InstanceFormatError, match="^header declares 1 sets but found 3 set lines$"):
+        packing.parse_instance("p sp 4 1 1\ns 1 0\ns 1 x\nq\n")
+    # A fault in one of the declared lines comes before the count.
+    with pytest.raises(packing.InstanceFormatError, match="^line 3: malformed set line$"):
+        packing.parse_instance("p sp 4 3 1\ns 1 0\ns 1 x\n")
+
+
+def _numbered_lines(count, bad):
+    """An instance text of count singleton set lines, with line bad made malformed."""
+    lines = [f"p sp {count} {count} 1", *(f"s 1 {e}" for e in range(count))]
+    lines[bad - 1] = "s 1 x"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_fault_after_a_block_edge_reports_its_line_number(newline):
+    text = _numbered_lines(4000, 3002).replace("\n", newline)
+    assert text.index("x") > packing._READ_CHARS  # past the first block
+    pieces = [text[i : i + 7] for i in range(0, len(text), 7)]  # edges inside "\r\n" too
+    for source in (text, [text], pieces, iter(text)):
+        with pytest.raises(packing.InstanceFormatError, match="^line 3002: malformed set line$"):
+            packing.parse_instance(source)
+
+
 def test_parse_accepts_noncanonical_ids_and_serializes_them_canonically():
     inst = packing.parse_instance("p sp 300 2 1\ns 2 01 007\ns 3 1 7 0299\n")
     assert inst.sets == ((1, 7), (1, 7, 299))
@@ -263,6 +295,11 @@ def test_masks_and_text_match_the_tuples(case):
     text = packing.serialize_instance(inst)
     assert text == reference_serialize(universe, family, r)
     assert packing.parse_instance(text) == inst
+    # Once more with one set line per written block and one character per read block.
+    with mock.patch.multiple(packing, _WRITE_BYTES=1, _READ_CHARS=1):
+        assert len(list(packing.instance_blocks(inst))) == 1 + len(family)
+        assert packing.serialize_instance(inst) == text
+        assert packing.parse_instance(text) == inst
 
 
 def test_the_wide_family_holds_both_table_kinds():
@@ -273,19 +310,84 @@ def test_the_wide_family_holds_both_table_kinds():
     assert min(nonzero[:2]) >= 256 and max(nonzero[2:]) < 256
 
 
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_serialize_memory_stays_bounded_at_max_universe():
     # Two sets over the largest universe: full tables for all 8192 byte
     # columns would take about 165 MB; with tables of only the values that
-    # occur, the whole call peaks near 10 MB.
+    # occur, the whole call peaks near 9.5 MB.
     inst = packing.SetPackingInstance(packing.MAX_UNIVERSE, (1, (1 << packing.MAX_UNIVERSE) - 1), 1)
-    tracemalloc.start()
-    try:
-        text = packing.serialize_instance(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    text, peak = _traced_peak(packing.serialize_instance, inst)
     assert text == reference_serialize(packing.MAX_UNIVERSE, ((0,), tuple(range(packing.MAX_UNIVERSE))), 1)
     assert peak < 16 << 20
+
+
+def _size_of_ints(ints):
+    return sys.getsizeof(ints) + sum(map(sys.getsizeof, ints))
+
+
+def _random_family(count=6000, universe=160):
+    """About count distinct sets of about a quarter of a 160-ID universe."""
+    rng = random.Random(3)
+    masks = {rng.getrandbits(universe) & rng.getrandbits(universe) for _ in range(count)}
+    return packing.SetPackingInstance(universe, tuple(sorted(masks)), 2)
+
+
+# The bounds below sit between the peaks measured before and after the
+# instance path went to blocks (text and rows as in each test):
+# parse beyond its masks 2.33x the text before, 0.93x after (most of that is
+# the constructor's duplicate check); serialize 3.45x the text before, 2.00x
+# after (the blocks and their join); the transpose beyond its result 16x the
+# rows before, 4.0x after.
+
+
+def test_parse_holds_a_block_of_lines_not_the_whole_text():
+    text = packing.serialize_instance(_random_family())
+    parsed, peak = _traced_peak(packing.parse_instance, text)
+    assert packing.serialize_instance(parsed) == text
+    beyond_masks = peak - _size_of_ints(parsed.masks)
+    assert beyond_masks < 1.5 * len(text)
+
+
+def test_serialize_peaks_at_the_blocks_and_their_join():
+    inst = _random_family()
+    text, peak = _traced_peak(packing.serialize_instance, inst)
+    assert peak < 2.5 * len(text)
+
+
+def test_transpose_works_a_slice_of_rows_at_a_time():
+    inst = _random_family()
+    rows = inst.set_count * 20
+    assert rows > packing._TRANSPOSE_BYTES  # two slices
+    occ, peak = _traced_peak(packing._occurrence_masks, inst.masks, inst.universe_size)
+    assert occ == [sum(1 << i for i, m in enumerate(inst.masks) if m >> e & 1) for e in range(160)]
+    beyond_result = peak - _size_of_ints(occ)
+    assert beyond_result < 8 * rows
+
+
+def test_blocks_give_the_whole_text_on_the_n20_row(tmp_path):
+    # The n=20, r=5 row of 49,096 sets: the blocks written to a file and read
+    # back in blocks that end mid-line give the whole-string text and masks.
+    inst, _ = reduce_to_packing(bench.make_formula(20, 40, 7, True), 5, dull_width=0)
+    blocks = list(packing.instance_blocks(inst))
+    text = "".join(blocks)
+    assert text == reference_serialize(inst.universe_size, inst.sets, inst.r)
+    # At most 48 characters of IDs per mask byte, and a head per line.
+    assert max(map(len, blocks[1:])) <= 56 * packing._WRITE_BYTES
+    path = tmp_path / "row.sp"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(packing.instance_blocks(inst))
+    assert path.read_text(encoding="utf-8") == text
+    with open(path, encoding="utf-8") as fh:
+        read = packing.parse_instance(iter(lambda: fh.read(4093), ""))
+    assert read.masks == packing.parse_instance(text).masks == inst.masks
 
 
 @given(id_families())
@@ -296,7 +398,7 @@ def test_occurrence_masks_transpose_the_family(case):
     expected = [sum(1 << i for i, ids in enumerate(family) if e in ids) for e in range(universe)]
     assert packing._occurrence_masks(inst.masks, universe) == expected
     # The smallest slice holds 8 sets, so a family of 9 to 12 spans two.
-    with mock.patch.object(packing, "_TRANSPOSE_CHARS", 1):
+    with mock.patch.object(packing, "_TRANSPOSE_BYTES", 1):
         assert packing._occurrence_masks(inst.masks, universe) == expected
 
 
