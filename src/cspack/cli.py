@@ -9,8 +9,10 @@ Exit codes: 0 = done / verdicts agree, 1 = usage or I/O error,
 from __future__ import annotations
 
 import argparse
+import codecs
 import sys
 from functools import partial
+from itertools import chain
 
 from . import bench, cnf, packing, reduction
 
@@ -22,7 +24,7 @@ EXIT_INCONCLUSIVE = 3
 # reduce warns when m/n exceeds this: the reduction is meant for sparse formulas.
 DENSITY_WARNING = 8.0
 
-# Characters per block that solve, verify and audit read an instance file in.
+# Bytes per block that solve, verify and audit read an instance file in.
 READ_CHARS = 1 << 16
 
 
@@ -40,9 +42,21 @@ def _read(path: str) -> str:
 
 
 def _read_instance(path: str) -> packing.SetPackingInstance:
-    """Parse an instance file a block at a time, never holding its whole text."""
-    with open(path, encoding="utf-8") as fh:
-        return packing.parse_instance(iter(partial(fh.read, READ_CHARS), ""))
+    """Parse an instance file a block at a time, never holding its whole text.
+
+    A UTF-8 decode error names the bad byte's position in the file.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    with open(path, "rb") as fh:
+        blocks = chain(iter(partial(fh.read, READ_CHARS), b""), [b""])  # the empty block ends the text
+        try:
+            return packing.parse_instance(decoder.decode(block, final=not block) for block in blocks)
+        except UnicodeDecodeError as exc:
+            # exc.object is the bytes the decoder held back, then the block just read.
+            position = fh.tell() - len(exc.object) + exc.start
+            raise ValueError(
+                f"'utf-8' codec can't decode byte 0x{exc.object[exc.start]:02x} in position {position}: {exc.reason}"
+            ) from None
 
 
 def _write(path: str, text: str) -> None:

@@ -44,7 +44,7 @@ _READ_CHARS = 1 << 14
 # Mask bytes per block of set lines that instance_blocks writes.
 _WRITE_BYTES = 1 << 12
 
-# Mask bytes per slice of sets that _occurrence_masks transposes at a time.
+# Mask bytes per slice of sets that _byte_columns transposes at a time.
 _TRANSPOSE_BYTES = 1 << 16
 
 # parse_instance builds from the header a table of the bits of the canonically
@@ -247,28 +247,27 @@ def instance_blocks(instance: SetPackingInstance) -> Iterator[str]:
     most 8 IDs of at most 6 characters, so a block stays within about 48
     characters per byte.
 
-    A set's IDs are written a byte of its mask at a time. Byte column j
-    holds IDs 8j to 8j + 7, and its table maps a byte value to the " <id>"
-    names of the value's set bits; a line is its "s <k>" head joined to one
-    table entry per column. The columns and tables are built once, before
-    the first set line. A column with at least 256 nonzero bytes gets all
-    256 entries, and any other column only the values that occur in it, so
-    the tables stay within a constant factor of the masks' memory. Two sets
-    at MAX_UNIVERSE peak at about 9.5 MB in all, where full tables for every
-    column would take about 165 MB. A full table costs one concatenation
-    per entry, so on the workloads' many-set columns it is cheaper than a
-    dict of entries built one by one.
+    A set's IDs are written a byte of its mask at a time. Byte column j,
+    from _byte_columns, holds IDs 8j to 8j + 7, and its table maps a byte
+    value to the " <id>" names of its set bits; a line is its "s <k>" head
+    joined to one table entry per column. The columns and tables, built
+    before the first set line, are most of what this holds beyond the
+    masks. A column with 256 or more nonzero bytes gets all 256 entries,
+    any other only the values that occur in it, so the tables stay within
+    a constant factor of the masks' memory: two sets at MAX_UNIVERSE peak
+    at about 9.5 MB in all, not the 165 MB of full tables. A full table
+    costs one concatenation per entry, so on the workloads' many-set
+    columns it is cheaper than a dict of entries built one by one.
     """
     yield f"p sp {instance.universe_size} {instance.set_count} {instance.r}\n"
     width = (instance.universe_size + 7) // 8
-    rows = b"".join([m.to_bytes(width, "little") for m in instance.masks])
-    columns = [rows[j::width] for j in range(width)]
-    del rows
     names = [f" {e}" for e in range(8 * width)]
     entries = []  # per column, its bytes read through its table
-    for j, column in enumerate(columns):
+    for j, column in enumerate(_byte_columns(instance.masks, width)):
+        if not (nonzero := len(column) - column.count(0)):
+            continue  # an all-zero column adds nothing to any line
         names_j = names[8 * j : 8 * j + 8]
-        if len(column) - column.count(0) >= 256:
+        if nonzero >= 256:
             table = [""]
             for name in names_j:  # doubling: entry v | 1 << b is entry v plus the name of bit b
                 table += [entry + name for entry in table]
@@ -300,31 +299,31 @@ class SolveResult:
 def _occurrence_masks(masks: Sequence[int], universe_size: int) -> list[int]:
     """occ[e]: the mask over set indices with bit i set iff set i contains element e.
 
-    Transposes the family a slice of sets at a time, each slice at most
-    _TRANSPOSE_BYTES of mask rows (and at least 8 sets), so that beyond the
-    result it holds the result's pieces and one slice: about 4 times the
-    rows of a 6,000-set family over 160 IDs, where binary text of the whole
-    family took 16 times. A slice's rows are joined highest set index
-    first, and byte column j of the rows, read through the digit table of
-    bit b, spells in binary the slice's piece of occ[8j + b].
+    Byte column j, reversed to put the highest set index first and read
+    through the digit table of bit b, spells occ[8j + b] in binary. Each
+    column is dropped once used, so beyond the result this holds the columns.
     """
-    row_bytes = (universe_size + 7) // 8
-    # Slices of a multiple of 8 sets give whole-byte column pieces to join.
-    chunk = max(8, _TRANSPOSE_BYTES // max(row_bytes, 1)) & ~7
-    columns: list[list[bytes]] = [[] for _ in range(universe_size)]
-    for base in range(0, len(masks), chunk):
-        part = masks[base : base + chunk]
-        rows = b"".join([m.to_bytes(row_bytes, "little") for m in reversed(part)])
-        size = (len(part) + 7) // 8
-        for j in range(row_bytes):
-            byte_column = rows[j::row_bytes]
-            for digits, column in zip(_BIT_DIGITS, columns[8 * j : 8 * j + 8]):
-                column.append(int(byte_column.translate(digits), 2).to_bytes(size, "little"))
-    occ = []
-    for column in columns:  # free each element's pieces once its mask is built
-        occ.append(int.from_bytes(b"".join(column), "little"))
-        column.clear()
+    occ: list[int] = []
+    columns = _byte_columns(masks, (universe_size + 7) // 8)
+    for j, column in enumerate(columns):
+        columns[j] = bytearray()  # hold each column only until its elements are built
+        column = column[::-1] or b"\0"  # highest set index first; no sets spell 0
+        occ += [int(column.translate(digits), 2) for digits in _BIT_DIGITS[: universe_size - 8 * j]]
     return occ
+
+
+def _byte_columns(masks: Sequence[int], width: int) -> list[bytearray]:
+    """Column j: byte j of every mask, little-endian, in set order.
+
+    Grown _TRANSPOSE_BYTES of rows at a time: beyond the columns, one slice.
+    """
+    step = max(1, _TRANSPOSE_BYTES // max(width, 1))
+    columns = [bytearray() for _ in range(width)]
+    for base in range(0, len(masks), step):
+        rows = b"".join([m.to_bytes(width, "little") for m in masks[base : base + step]])
+        for j, column in enumerate(columns):
+            column += rows[j::width]
+    return columns
 
 
 def solve_exact(instance: SetPackingInstance, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:

@@ -160,6 +160,27 @@ def test_instance_files_are_read_in_blocks(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"cspack: line {len(lines) - 1}: malformed set line\n"
 
 
+def test_a_decode_error_gives_its_position_in_the_file(tmp_path, capsys, monkeypatch):
+    # The bad byte lies well past the first block read, and the file's
+    # position of it is reported, not its position in that block.
+    data = ("p sp 20001 20002 1\n" + "".join(f"s 1 {e}\n" for e in range(20001))).encode()
+    path = tmp_path / "bad.sp"
+    path.write_bytes(data + b"\xff\n")
+    assert len(data) > 2 * cli.READ_CHARS
+    assert cli.main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == f"cspack: 'utf-8' codec can't decode byte 0xff in position {len(data)}: invalid start byte\n"
+    # In 5-byte blocks a "€" across bytes 18-20 decodes, and a sequence
+    # begun at byte 24 and broken in the next block, or cut off by the end
+    # of the file, is placed at its first byte.
+    monkeypatch.setattr(cli, "READ_CHARS", 5)
+    head = "p sp 1 1 1\ns 1 0\na€bcd".encode()
+    assert len(head) == 24
+    for tail, reason in ((b"\xe2\x82(\n", "invalid continuation byte"), (b"\xe2\x82", "unexpected end of data")):
+        path.write_bytes(head + tail)
+        assert cli.main(["verify", str(path), "0"]) == 1
+        assert capsys.readouterr().err == f"cspack: 'utf-8' codec can't decode byte 0xe2 in position {len(head)}: {reason}\n"
+
+
 def test_solve_packing_deeper_than_the_recursion_limit(tmp_path, capsys):
     inst = packing.SetPackingInstance(1200, tuple(1 << e for e in range(1200)), 1200)
     path = write(tmp_path / "singletons.sp", packing.serialize_instance(inst))

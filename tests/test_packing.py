@@ -345,7 +345,11 @@ def _random_family(count=6000, universe=160):
 # parse beyond its masks 2.33x the text before, 0.93x after (most of that is
 # the constructor's duplicate check); serialize 3.45x the text before, 2.00x
 # after (the blocks and their join); the transpose beyond its result 16x the
-# rows before, 4.0x after.
+# rows before, 4.0x after, 3.7x with the columns from _byte_columns (most of
+# it one slice's rows, half of this family). instance_blocks up to its first
+# set-line block peaked at 8.1x the rows when it joined every set's row
+# before slicing out its byte columns, and at 4.9x (the columns and their
+# tables) with the columns from _byte_columns.
 
 
 def test_parse_holds_a_block_of_lines_not_the_whole_text():
@@ -360,6 +364,19 @@ def test_serialize_peaks_at_the_blocks_and_their_join():
     inst = _random_family()
     text, peak = _traced_peak(packing.serialize_instance, inst)
     assert peak < 2.5 * len(text)
+
+
+def test_the_writer_holds_its_columns_not_every_row_before_its_first_set_line():
+    inst = _random_family()
+    rows = inst.set_count * 20
+
+    def first_set_lines(inst):
+        blocks = packing.instance_blocks(inst)
+        return next(blocks) + next(blocks)
+
+    text, peak = _traced_peak(first_set_lines, inst)
+    assert packing.serialize_instance(inst).startswith(text) and text.count("\n") > 1
+    assert peak < 6.5 * rows
 
 
 def test_transpose_works_a_slice_of_rows_at_a_time():
@@ -397,7 +414,7 @@ def test_occurrence_masks_transpose_the_family(case):
     inst = packing.SetPackingInstance(universe, masks_of(family), r)
     expected = [sum(1 << i for i, ids in enumerate(family) if e in ids) for e in range(universe)]
     assert packing._occurrence_masks(inst.masks, universe) == expected
-    # The smallest slice holds 8 sets, so a family of 9 to 12 spans two.
+    # A slice of one set each, so a family of two or more spans as many slices.
     with mock.patch.object(packing, "_TRANSPOSE_BYTES", 1):
         assert packing._occurrence_masks(inst.masks, universe) == expected
 

@@ -129,6 +129,20 @@ def test_one_function_derives_the_grid_layout(monkeypatch):
     assert len(layouts) == 3
 
 
+def test_one_function_takes_the_masks_apart_into_byte_columns():
+    # _byte_columns alone turns masks into bytes, and both the instance
+    # writer and the solver's occurrence masks take their columns from it.
+    tree = ast.parse((PACKAGE / "packing.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def calls(fn, name):
+        return any(getattr(n.func, "attr", getattr(n.func, "id", None)) == name for n in ast.walk(fn) if isinstance(n, ast.Call))
+
+    assert [fn.name for fn in functions if calls(fn, "to_bytes")] == ["_byte_columns"]
+    assert sum(isinstance(n, ast.Attribute) and n.attr == "to_bytes" for n in ast.walk(tree)) == 1
+    assert sorted(fn.name for fn in functions if calls(fn, "_byte_columns")) == ["_occurrence_masks", "instance_blocks"]
+
+
 def test_every_source_file_parses_as_python_3_10():
     # 3.10 is the requires-python floor, and the CI leg that runs it is the
     # only other check of it: syntax from a later version, such as except*,
