@@ -12,7 +12,6 @@ import argparse
 import codecs
 import sys
 from functools import partial
-from itertools import chain
 
 from . import bench, cnf, packing, reduction
 
@@ -23,9 +22,6 @@ EXIT_INCONCLUSIVE = 3
 
 # reduce warns when m/n exceeds this: the reduction is meant for sparse formulas.
 DENSITY_WARNING = 8.0
-
-# Bytes per block that solve, verify and audit read an instance file in.
-READ_CHARS = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,15 +38,14 @@ def _read(path: str) -> str:
 
 
 def _read_instance(path: str) -> packing.SetPackingInstance:
-    """Parse an instance file a block at a time, never holding its whole text.
+    """Parse an instance file as it is read, packing._READ_CHARS bytes at a time, never whole.
 
-    A UTF-8 decode error names the bad byte's position in the file.
+    It is decoded as UTF-8 on the way; a decode error names the bad byte's position in the file.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
     with open(path, "rb") as fh:
-        blocks = chain(iter(partial(fh.read, READ_CHARS), b""), [b""])  # the empty block ends the text
+        blocks = iter(partial(fh.read, packing._READ_CHARS), b"")
         try:
-            return packing.parse_instance(decoder.decode(block, final=not block) for block in blocks)
+            return packing.parse_instance(codecs.iterdecode(blocks, "utf-8"))
         except UnicodeDecodeError as exc:
             # exc.object is the bytes the decoder held back, then the block just read.
             position = fh.tell() - len(exc.object) + exc.start

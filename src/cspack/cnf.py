@@ -14,11 +14,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import or_
 
 Assignment = dict[int, bool]
 
-DEFAULT_ORACLE_CAP = 24
+DEFAULT_ORACLE_CAP = 28
 
 # brute_force_sat evaluates 2^_CHUNK_BITS assignments per big-int operation.
 _CHUNK_BITS = 20
@@ -61,32 +62,28 @@ class CnfFormula:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF text: 'c' comments, one 'p cnf n m' header, m zero-terminated clauses."""
-    tokens: list[str] = []
-    header: tuple[int, int] | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError(f"malformed header line: {line!r}")
-            try:
-                header = (read_int(parts[2]), read_int(parts[3]))
-            except ValueError:
-                raise DimacsError(f"malformed header line: {line!r}") from None
-            continue
-        tokens.extend(line.split())
+    """Parse DIMACS CNF text: 'c' comments, one 'p cnf n m' header, m zero-terminated clauses.
+
+    One pass: the first stripped line that is neither empty nor a comment is
+    the header, and the literals of the later ones are read in turn.
+    """
+    lines = (line for line in map(str.strip, text.splitlines()) if line and not line.startswith("c"))
+    header = next(lines, None)
     if header is None:
         raise DimacsError("missing 'p cnf' header")
-    num_vars, num_clauses = header
+    parts = header.split()
+    if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+        raise DimacsError(f"malformed header line: {header!r}")
+    try:
+        num_vars, num_clauses = map(read_int, parts[2:])
+    except ValueError:
+        raise DimacsError(f"malformed header line: {header!r}") from None
     if num_vars < 1:
         raise DimacsError(f"header declares {num_vars} variables, expected at least 1")
 
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for tok in tokens:
+    for tok in chain.from_iterable(map(str.split, lines)):
         try:
             lit = read_int(tok)
         except ValueError:

@@ -130,32 +130,31 @@ class SetPackingInstance:
 def parse_instance(text: str | Iterable[str]) -> SetPackingInstance:
     """Parse the instance format; see serialize_instance for the grammar.
 
-    text is the whole text, or an iterable of consecutive pieces of it, such
-    as blocks read from a file. Either way the text is split into lines a
-    block at a time, each block cut after a "\n", so the lines and their
-    numbers are those of text.splitlines(). The header's universe size is
-    checked against MAX_UNIVERSE, and its set count times universe size
-    against MAX_FAMILY_BITS, before any set line is read; each set line
-    becomes a mask as it is read. The set count is checked once the set
-    lines end, so an error in one of the first set_count set lines is
-    reported before a count mismatch; set lines beyond the declared count
-    are only counted, for the mismatch message.
+    text is the whole text (read _READ_CHARS characters at a time) or an
+    iterable of consecutive pieces of it, such as blocks read from a file.
+    Its lines are read as one stream, split a block at a time after a "\n",
+    so they and their numbers are those of text.splitlines(). The header's
+    universe size is checked against MAX_UNIVERSE, and its set count times
+    universe size against MAX_FAMILY_BITS, before any set line is read; each
+    of the next set_count lines becomes a mask as it is read. The lines left
+    are then counted, so an error in one of those lines is reported before a
+    count mismatch.
     """
     if isinstance(text, str):
         pieces: Iterable[str] = (text[i : i + _READ_CHARS] for i in range(0, len(text), _READ_CHARS))
     else:
         pieces = text
-    blocks = _line_blocks(pieces)
-    lines = next(blocks, None)
-    if lines is None:
+    lines = chain.from_iterable(_line_blocks(pieces))
+    header = next(lines, None)
+    if header is None:
         raise InstanceFormatError("empty instance text")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 5 or head[0] != "p" or head[1] != "sp":
-        raise InstanceFormatError(f"malformed header line: {lines[0]!r}")
+        raise InstanceFormatError(f"malformed header line: {header!r}")
     try:
         universe_size, set_count, r = map(read_int, head[2:])
     except ValueError:
-        raise InstanceFormatError(f"malformed header line: {lines[0]!r}") from None
+        raise InstanceFormatError(f"malformed header line: {header!r}") from None
     try:
         check_universe_size(universe_size)
         check_family_size(set_count, universe_size)
@@ -163,34 +162,29 @@ def parse_instance(text: str | Iterable[str]) -> SetPackingInstance:
         raise InstanceFormatError(str(exc)) from None
     bit_of = {str(e): 1 << e for e in range(min(universe_size, _CACHED_IDS))}
     masks: list[int] = []
-    found = 0  # set lines so far
-    for lines in chain([lines[1:]], blocks):
-        start = found + 2  # the line number of lines[0]
-        found += len(lines)
-        if found > set_count:
-            lines = lines[: max(set_count - len(masks), 0)]
-        for lineno, line in enumerate(lines, start):
-            parts = line.split()
-            if not parts or parts[0] != "s":
-                raise InstanceFormatError(f"line {lineno}: expected a set line starting with 's'")
-            tokens = parts[2:]
-            k = len(tokens)
-            try:
-                # Only a count spelled other than str(k), such as "02", needs reading.
-                declared = k if parts[1] == str(k) else read_int(parts[1])
-            except (ValueError, IndexError):
-                raise InstanceFormatError(f"line {lineno}: malformed set line") from None
-            if declared != k:
-                raise InstanceFormatError(f"line {lineno}: declared {declared} IDs but found {k}")
-            try:
-                bits = list(map(bit_of.__getitem__, tokens))
-            except KeyError:
-                bits = [bit_of.get(token) or _id_bit(token, lineno, universe_size) for token in tokens]
-            # Distinct bits sum to their OR; a repeated ID carries and loses a bit.
-            mask = sum(bits)
-            if mask.bit_count() != k or bits != sorted(bits):
-                raise InstanceFormatError(f"line {lineno}: element IDs must be strictly increasing")
-            masks.append(mask)
+    for lineno, line in enumerate(islice(lines, max(set_count, 0)), 2):
+        parts = line.split()
+        if not parts or parts[0] != "s":
+            raise InstanceFormatError(f"line {lineno}: expected a set line starting with 's'")
+        tokens = parts[2:]
+        k = len(tokens)
+        try:
+            # Only a count spelled other than str(k), such as "02", needs reading.
+            declared = k if parts[1] == str(k) else read_int(parts[1])
+        except (ValueError, IndexError):
+            raise InstanceFormatError(f"line {lineno}: malformed set line") from None
+        if declared != k:
+            raise InstanceFormatError(f"line {lineno}: declared {declared} IDs but found {k}")
+        try:
+            bits = list(map(bit_of.__getitem__, tokens))
+        except KeyError:
+            bits = [bit_of.get(token) or _id_bit(token, lineno, universe_size) for token in tokens]
+        # Distinct bits sum to their OR; a repeated ID carries and loses a bit.
+        mask = sum(bits)
+        if mask.bit_count() != k or bits != sorted(bits):
+            raise InstanceFormatError(f"line {lineno}: element IDs must be strictly increasing")
+        masks.append(mask)
+    found = len(masks) + sum(1 for _ in lines)
     if found != set_count:
         raise InstanceFormatError(f"header declares {set_count} sets but found {found} set lines")
     try:

@@ -139,7 +139,7 @@ def test_solve_and_verify(tmp_path, capsys):
 def test_instance_files_are_read_in_blocks(tmp_path, capsys, monkeypatch):
     # Blocks of 5 characters end mid-line and mid-"\r\n"; solve, verify and
     # audit see the instance, and a fault's line number, of the whole file.
-    monkeypatch.setattr(cli, "READ_CHARS", 5)
+    monkeypatch.setattr(packing, "_READ_CHARS", 5)
     cnf_path = write(tmp_path / "phi2.cnf", PHI2)
     out = tmp_path / "phi2.sp"
     assert cli.main(["reduce", cnf_path, "--r", "2", "--pad", "2", "--output", str(out)]) == 0
@@ -166,13 +166,13 @@ def test_a_decode_error_gives_its_position_in_the_file(tmp_path, capsys, monkeyp
     data = ("p sp 20001 20002 1\n" + "".join(f"s 1 {e}\n" for e in range(20001))).encode()
     path = tmp_path / "bad.sp"
     path.write_bytes(data + b"\xff\n")
-    assert len(data) > 2 * cli.READ_CHARS
+    assert len(data) > 2 * packing._READ_CHARS
     assert cli.main(["solve", str(path)]) == 1
     assert capsys.readouterr().err == f"cspack: 'utf-8' codec can't decode byte 0xff in position {len(data)}: invalid start byte\n"
     # In 5-byte blocks a "€" across bytes 18-20 decodes, and a sequence
     # begun at byte 24 and broken in the next block, or cut off by the end
     # of the file, is placed at its first byte.
-    monkeypatch.setattr(cli, "READ_CHARS", 5)
+    monkeypatch.setattr(packing, "_READ_CHARS", 5)
     head = "p sp 1 1 1\ns 1 0\na€bcd".encode()
     assert len(head) == 24
     for tail, reason in ((b"\xe2\x82(\n", "invalid continuation byte"), (b"\xe2\x82", "unexpected end of data")):

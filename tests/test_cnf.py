@@ -230,7 +230,7 @@ def test_oracle_n1():
     assert cnf.brute_force_sat(cnf.CnfFormula(num_vars=1, clauses=((1, -1),))) == {1: False}
 
 
-@pytest.mark.parametrize("n", [2, 7, 20, 21, 24])
+@pytest.mark.parametrize("n", [2, 7, 20, 21, 24, 28])
 def test_oracle_model_at_first_and_last_code(n):
     # All-negative units: only code 0; all-positive units: only code 2^n - 1.
     negative = cnf.CnfFormula(num_vars=n, clauses=tuple((-v,) for v in range(1, n + 1)))

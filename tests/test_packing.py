@@ -197,6 +197,14 @@ def test_parse_checks_the_set_count_once_the_set_lines_end():
     # A fault in one of the declared lines comes before the count.
     with pytest.raises(packing.InstanceFormatError, match="^line 3: malformed set line$"):
         packing.parse_instance("p sp 4 3 1\ns 1 0\ns 1 x\n")
+    # A negative or zero count reads no set line, and every line is counted.
+    for text, declared, found in (
+        ("p sp 4 -1 1\n", -1, 0),
+        ("p sp 4 -1 1\ns 1 0\n", -1, 1),
+        ("p sp 4 0 1\ns 1 0\n", 0, 1),
+    ):
+        with pytest.raises(packing.InstanceFormatError, match=f"^header declares {declared} sets but found {found} set lines$"):
+            packing.parse_instance(text)
 
 
 def _numbered_lines(count, bad):

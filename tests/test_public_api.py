@@ -143,6 +143,21 @@ def test_one_function_takes_the_masks_apart_into_byte_columns():
     assert sorted(fn.name for fn in functions if calls(fn, "_byte_columns")) == ["_occurrence_masks", "instance_blocks"]
 
 
+def test_each_text_reader_reads_one_stream_of_lines():
+    # parse_instance and parse_dimacs each make one pass, a single for
+    # statement over their lines, and the CLI reads instance files in the
+    # parser's own block size rather than binding one of its own.
+    for module, name in (("packing", "parse_instance"), ("cnf", "parse_dimacs")):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+        assert sum(isinstance(node, ast.For) for node in ast.walk(fn)) == 1, name
+    body = ast.parse((PACKAGE / "cli.py").read_text()).body
+    bound = [target.id for node in body if isinstance(node, ast.Assign) for target in node.targets]
+    assert not [name for name in bound if any(word in name for word in ("READ", "CHARS", "BYTES", "BLOCK"))]
+    (read,) = [node for node in body if isinstance(node, ast.FunctionDef) and node.name == "_read_instance"]
+    assert "_READ_CHARS" in {node.attr for node in ast.walk(read) if isinstance(node, ast.Attribute)}
+
+
 def test_every_source_file_parses_as_python_3_10():
     # 3.10 is the requires-python floor, and the CI leg that runs it is the
     # only other check of it: syntax from a later version, such as except*,

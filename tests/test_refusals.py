@@ -241,11 +241,11 @@ def test_solver_decides_rows_within_default_budget(n, m, seed, planted, r, dull_
 @pytest.mark.parametrize(
     "formula",
     [
-        "bench.make_formula(24, 120, 3, False)",
-        "cnf.CnfFormula(24, ((24,), (-24,)))",
+        "bench.make_formula(28, 140, 3, False)",
+        "cnf.CnfFormula(28, ((28,), (-28,)))",
         # No assignment falsifies a tautology, so an oracle that tests one
-        # assignment at a time checks all 50 clauses on each of 2^24 codes.
-        "cnf.CnfFormula(24, tuple((v, -v) for v in range(1, 25)) * 2 + ((24,), (-24,)))",
+        # assignment at a time checks all 58 clauses on each of 2^28 codes.
+        "cnf.CnfFormula(28, tuple((v, -v) for v in range(1, 29)) * 2 + ((28,), (-28,)))",
     ],
 )
 def test_oracle_scans_unsat_formulas_at_the_default_cap(formula):
