@@ -43,8 +43,8 @@ class SweepConfig:
     r = ceil(log2(n)). padding is an explicit dull width (0, the default,
     turns padding off) or "default". density fixes m = max(1, int(density *
     n)); the largest row must pass make_formula's bounds. Formulas get seeds
-    config.seed, config.seed + 1, ... in row order. The oracle is skipped
-    (verdict "skip") for rows with n > oracle_cap.
+    config.seed, config.seed + 1, ... in row order. A config with an n above
+    cnf.ORACLE_CAP is refused, since the oracle could not judge its rows.
     """
 
     n_values: tuple[int, ...]
@@ -54,7 +54,6 @@ class SweepConfig:
     density: float = 3.0
     padding: int | str = 0
     budget: int = DEFAULT_NODE_BUDGET
-    oracle_cap: int = cnf.DEFAULT_ORACLE_CAP
     planted: bool = False
 
     def __post_init__(self) -> None:
@@ -65,14 +64,12 @@ class SweepConfig:
             _require_int("every n in n_values", n)
         if not self.n_values or any(n < 3 for n in self.n_values):
             raise ValueError("n_values must be nonempty with every n >= 3")
-        for name in ("instances", "seed", "budget", "oracle_cap"):
+        for name in ("instances", "seed", "budget"):
             _require_int(name, getattr(self, name))
         if self.instances < 1:
             raise ValueError("instances per point must be positive")
         if self.budget < 1:
             raise ValueError(f"budget must be positive, got {self.budget}")
-        if self.oracle_cap < 0:
-            raise ValueError(f"oracle_cap must be nonnegative, got {self.oracle_cap}")
         if isinstance(self.r_rule, str):
             if self.r_rule != "log2":
                 raise ValueError(f"unknown r rule {self.r_rule!r}")
@@ -86,7 +83,8 @@ class SweepConfig:
         if isinstance(density, bool) or not isinstance(density, (int, float)) or not 0 < density < math.inf:
             raise ValueError(f"density must be a positive finite number, got {density!r}")
         n = max(self.n_values)
-        _check_formula_size(n, 0)
+        if n > cnf.ORACLE_CAP:
+            raise ValueError(f"n = {n} exceeds the oracle cap of {cnf.ORACLE_CAP}")
         if not density * n < MAX_CLAUSES + 1:  # so that run_sweep's largest m, int(density * n), passes
             raise ValueError(f"density {density!r} times n = {n} is above MAX_CLAUSES = {MAX_CLAUSES}")
         if not isinstance(self.planted, bool):
@@ -165,29 +163,24 @@ def make_formula(n: int, m: int, seed: int, planted: bool) -> CnfFormula:
 
 
 def _agreement(verdict: str, oracle_verdict: str) -> str:
-    if verdict == "budget" or oracle_verdict == "skip":
+    if verdict == "budget":
         return "na"
     if (verdict == "yes") == (oracle_verdict == "sat"):
         return "agree"
     return "disagree"
 
 
-def run_roundtrip_row(
-    formula: CnfFormula,
-    r: int,
-    *,
-    dull_width: int | None,
-    budget: int,
-    oracle_cap: int,
-) -> SweepRow:
-    """Reduce, solve, lift, and oracle-check one formula.
+def run_roundtrip_row(formula: CnfFormula, r: int, *, dull_width: int | None, budget: int) -> SweepRow:
+    """Oracle-check, reduce, solve, and lift one formula.
 
-    The oracle is skipped, verdict "skip", when n exceeds the cap. A found
-    packing is verified and lifted, and the lifted assignment is evaluated;
-    the oracle's model, if any, is lowered to a packing and verified. A
-    failure there raises RuntimeError, since it means the toolkit itself is
-    broken.
+    The oracle runs first, so a formula above cnf.ORACLE_CAP is refused with
+    its ValueError before any reduction. A found packing is verified and
+    lifted, and the lifted assignment is evaluated; the oracle's model, if
+    any, is lowered to a packing and verified. A failure there raises
+    RuntimeError, since it means the toolkit itself is broken.
     """
+    model = cnf.brute_force_sat(formula)
+
     t0 = time.perf_counter()
     instance, witness = reduce_to_packing(formula, r, dull_width=dull_width)
     reduce_time = time.perf_counter() - t0
@@ -204,19 +197,15 @@ def run_roundtrip_row(
         if not cnf.evaluate(formula, lifted):
             raise RuntimeError("lifted assignment does not satisfy the formula")
 
-    if formula.num_vars > oracle_cap:
-        oracle_verdict = "skip"
-    else:
-        model = cnf.brute_force_sat(formula, cap=oracle_cap)
-        oracle_verdict = "sat" if model is not None else "unsat"
-        if model is not None:
-            try:
-                lowered = lower_assignment_to_packing(witness, model)
-            except ValueError as exc:
-                raise RuntimeError(f"oracle model does not lower to a packing: {exc}") from None
-            check = verify_packing(instance, lowered)
-            if not check.ok:
-                raise RuntimeError(f"lowered oracle model is not a valid packing: {check.reason}")
+    oracle_verdict = "sat" if model is not None else "unsat"
+    if model is not None:
+        try:
+            lowered = lower_assignment_to_packing(witness, model)
+        except ValueError as exc:
+            raise RuntimeError(f"oracle model does not lower to a packing: {exc}") from None
+        check = verify_packing(instance, lowered)
+        if not check.ok:
+            raise RuntimeError(f"lowered oracle model is not a valid packing: {check.reason}")
 
     return SweepRow(
         n=formula.num_vars,
@@ -245,9 +234,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         for _ in range(config.instances):
             formula = make_formula(n, m, seed, config.planted)
             seed += 1
-            row = run_roundtrip_row(
-                formula, r, dull_width=dull, budget=config.budget, oracle_cap=config.oracle_cap
-            )
+            row = run_roundtrip_row(formula, r, dull_width=dull, budget=config.budget)
             if row.agreement == "disagree":
                 raise SweepDisagreement(
                     f"n={row.n} m={row.m} r={row.r}: packing verdict {row.verdict} "

@@ -116,11 +116,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     formula = cnf.parse_dimacs(_read(args.input))
-    if formula.num_vars > args.oracle_cap:
-        raise ValueError(f"formula has {formula.num_vars} variables, oracle cap is {args.oracle_cap}")
-    row = bench.run_roundtrip_row(
-        formula, args.r, dull_width=args.pad, budget=args.budget, oracle_cap=args.oracle_cap
-    )
+    row = bench.run_roundtrip_row(formula, args.r, dull_width=args.pad, budget=args.budget)
     print(f"packing verdict: {row.verdict} (nodes {row.solver_nodes})")
     print(f"oracle verdict:  {row.oracle_verdict}")
     if row.verdict == "budget":
@@ -206,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--pad", type=int, metavar="D", help="dull padding width, 2^D padding sets; 0 turns padding off")
     p.add_argument("--budget", type=int, default=packing.DEFAULT_NODE_BUDGET)
-    p.add_argument("--oracle-cap", type=int, default=cnf.DEFAULT_ORACLE_CAP)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("audit", help="report the compactness ratio of an instance")

@@ -19,7 +19,7 @@ from operator import or_
 
 Assignment = dict[int, bool]
 
-DEFAULT_ORACLE_CAP = 28
+ORACLE_CAP = 28
 
 # brute_force_sat evaluates 2^_CHUNK_BITS assignments per big-int operation.
 _CHUNK_BITS = 20
@@ -159,13 +159,13 @@ def assignment_from_code(num_vars: int, code: int) -> Assignment:
     return {v: bool((code >> (num_vars - v)) & 1) for v in range(1, num_vars + 1)}
 
 
-def brute_force_sat(formula: CnfFormula, cap: int = DEFAULT_ORACLE_CAP) -> Assignment | None:
+def brute_force_sat(formula: CnfFormula) -> Assignment | None:
     """Exhaustive satisfiability oracle.
 
     Scans all 2^n total assignments in encoding order (variable 1 = most
     significant bit) and returns the first satisfying one, so the result is
     the minimal satisfying assignment under that encoding. Returns None when
-    unsatisfiable. Raises ValueError when num_vars exceeds the cap.
+    unsatisfiable. Raises ValueError when num_vars exceeds ORACLE_CAP.
 
     The scan is bit-parallel: the codes are split into chunks of
     2^min(n, 20) consecutive codes, and within a chunk each clause is one
@@ -174,8 +174,8 @@ def brute_force_sat(formula: CnfFormula, cap: int = DEFAULT_ORACLE_CAP) -> Assig
     (about 5 MB once n >= 20).
     """
     n = formula.num_vars
-    if n > cap:
-        raise ValueError(f"formula has {n} variables, oracle cap is {cap}")
+    if n > ORACLE_CAP:
+        raise ValueError(f"formula has {n} variables, oracle cap is {ORACLE_CAP}")
     low = min(n, _CHUNK_BITS)
     full = (1 << (1 << low)) - 1
     true_at = _code_bit_patterns(low)

@@ -38,8 +38,8 @@ def test_config_validation():
     for budget in (0, -5):
         with pytest.raises(ValueError, match="budget must be positive"):
             bench.SweepConfig(n_values=(6,), budget=budget)
-    with pytest.raises(ValueError, match="oracle_cap must be nonnegative, got -3"):
-        bench.SweepConfig(n_values=(6,), oracle_cap=-3)
+    with pytest.raises(ValueError, match="n = 29 exceeds the oracle cap of 28"):
+        bench.SweepConfig(n_values=(6, 29))
 
 
 def test_load_config(tmp_path):
@@ -78,11 +78,14 @@ def test_sweep_planted_rows_are_sat():
     assert all(row.verdict == "yes" for row in rows)
 
 
-def test_sweep_skips_oracle_above_cap():
-    config = bench.SweepConfig(n_values=(8,), r_rule=2, instances=2, seed=1,
-                               density=1.0, oracle_cap=6)
-    rows = bench.run_sweep(config)
-    assert all(row.oracle_verdict == "skip" and row.agreement == "na" for row in rows)
+def test_sweep_refuses_n_above_oracle_cap_before_any_row(monkeypatch):
+    # Every row is judged: a config whose largest n the oracle cannot scan is
+    # refused when it is built, before any formula is drawn.
+    monkeypatch.setattr(bench.cnf, "ORACLE_CAP", 6)
+    monkeypatch.setattr(bench, "make_formula", None)  # any row would raise TypeError
+    with pytest.raises(ValueError, match="n = 8 exceeds the oracle cap of 6"):
+        bench.run_sweep(bench.SweepConfig(n_values=(6, 8), r_rule=2, instances=2, seed=1, density=1.0))
+    bench.SweepConfig(n_values=(6,))
 
 
 def test_csv_deterministic_outside_timing():
@@ -96,7 +99,7 @@ def test_csv_deterministic_outside_timing():
 
 def test_csv_text_pinned_outside_timing():
     config = bench.SweepConfig(n_values=(5, 7), r_rule=2, instances=3, seed=9, density=4.0,
-                               padding="default", oracle_cap=6)
+                               padding="default")
     lines = bench.rows_to_csv(bench.run_sweep(config)).splitlines()
     for i in range(1, len(lines)):
         cols = lines[i].split(",")
@@ -107,9 +110,9 @@ def test_csv_text_pinned_outside_timing():
         "5,20,2,23,26,4.700440,,,25,no,unsat,agree",
         "5,20,2,23,25,4.643856,,,24,no,unsat,agree",
         "5,20,2,23,23,4.523562,,,2,yes,sat,agree",
-        "7,28,2,31,46,5.523562,,,6,yes,skip,na",
-        "7,28,2,31,56,5.807355,,,3,yes,skip,na",
-        "7,28,2,32,56,5.807355,,,6,yes,skip,na",
+        "7,28,2,31,46,5.523562,,,6,yes,sat,agree",
+        "7,28,2,31,56,5.807355,,,3,yes,sat,agree",
+        "7,28,2,32,56,5.807355,,,6,yes,sat,agree",
     ]
 
 
@@ -136,12 +139,12 @@ def test_make_formula_refuses_oversize_inputs_before_drawing(monkeypatch):
         for m in (-1, bench.MAX_CLAUSES + 1):
             with pytest.raises(ValueError, match=f"MAX_CLAUSES = {bench.MAX_CLAUSES}], got {m}"):
                 bench.make_formula(20, m, 0, planted)
-    with pytest.raises(ValueError, match="exceeds MAX_UNIVERSE"):
-        bench.SweepConfig(n_values=(3, packing.MAX_UNIVERSE + 1), density=0.5)
+    with pytest.raises(ValueError, match="exceeds the oracle cap"):
+        bench.SweepConfig(n_values=(3, cnf.ORACLE_CAP + 1), density=0.5)
     with pytest.raises(ValueError, match="above MAX_CLAUSES"):
         bench.SweepConfig(n_values=(4, 3), density=(bench.MAX_CLAUSES + 1) / 4)
     # The largest row at the bounds is accepted: int(density * n) = MAX_CLAUSES.
-    bench.SweepConfig(n_values=(4, packing.MAX_UNIVERSE), density=(bench.MAX_CLAUSES + 0.5) / packing.MAX_UNIVERSE)
+    bench.SweepConfig(n_values=(4, cnf.ORACLE_CAP), density=(bench.MAX_CLAUSES + 0.5) / cnf.ORACLE_CAP)
 
 
 def reference_gen_random_3cnf(n, m, seed, planted=None):
@@ -183,7 +186,7 @@ def test_make_formula_matches_the_two_generator_reference():
 
 def test_sweep_aborts_on_disagreement(monkeypatch):
     # force the oracle to lie so the cross-check must trip
-    monkeypatch.setattr(bench.cnf, "brute_force_sat", lambda f, cap=24: None)
+    monkeypatch.setattr(bench.cnf, "brute_force_sat", lambda f: None)
     config = bench.SweepConfig(n_values=(6,), r_rule=2, instances=3, seed=7,
                                density=2.0, planted=True)
     with pytest.raises(bench.SweepDisagreement):
@@ -192,6 +195,6 @@ def test_sweep_aborts_on_disagreement(monkeypatch):
 
 def test_roundtrip_row_budget_is_inconclusive():
     formula = bench.make_formula(8, 16, 3, False)
-    row = bench.run_roundtrip_row(formula, 2, dull_width=0, budget=1, oracle_cap=24)
+    row = bench.run_roundtrip_row(formula, 2, dull_width=0, budget=1)
     assert row.verdict == "budget"
     assert row.agreement == "na"

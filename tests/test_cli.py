@@ -283,8 +283,9 @@ def test_roundtrip_strict_oracle_cap(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(bench, "reduce_to_packing", no_reduction)
     monkeypatch.setattr(reduction, "reduce_to_packing", no_reduction)
+    monkeypatch.setattr(bench.cnf, "ORACLE_CAP", 4)
     cnf_path = write(tmp_path / "f.cnf", to_dimacs(bench.make_formula(8, 8, 3, False)))
-    assert cli.main(["roundtrip", cnf_path, "--r", "2", "--pad", "0", "--oracle-cap", "4"]) == 1
+    assert cli.main(["roundtrip", cnf_path, "--r", "2", "--pad", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "cspack: formula has 8 variables, oracle cap is 4\n"
@@ -409,11 +410,12 @@ def test_bench_bad_config(tmp_path, capsys):
     {"n_values": [6], "planted": "yes"},
     {"n_values": [6], "budget": 0},
     [1, 2],
-    {"n_values": [6], "oracle_cap": -3},
+    {"n_values": [6], "oracle_cap": -3},  # a removed key is an unknown key
     {"n_values": [6], "density": 1e308},  # m = int(6e308) is not a finite count
-    {"n_values": [10**400]},  # 3.0 * n overflows a float
+    {"n_values": [10**400]},  # above the oracle cap; 3.0 * n would overflow a float
     {"n_values": [6], "padding": "none"},  # 0 is the one spelling of "no padding"
     {"n_values": [3], "density": 1e7},  # m = 3e7 is above MAX_CLAUSES
+    {"n_values": [29]},  # above the oracle cap, so no row could be judged
 ])
 def test_bench_config_type_errors(tmp_path, capsys, config):
     path = tmp_path / "sweep.json"

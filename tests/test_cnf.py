@@ -258,10 +258,11 @@ def test_oracle_empty_formula_all_false():
     assert cnf.brute_force_sat(f) == {1: False, 2: False}
 
 
-def test_oracle_cap():
+def test_oracle_cap(monkeypatch):
+    monkeypatch.setattr(cnf, "ORACLE_CAP", 4)
     f = cnf.CnfFormula(num_vars=5, clauses=((1,),))
-    with pytest.raises(ValueError, match="cap"):
-        cnf.brute_force_sat(f, cap=4)
+    with pytest.raises(ValueError, match="formula has 5 variables, oracle cap is 4"):
+        cnf.brute_force_sat(f)
 
 
 @given(formula_strategy(max_vars=8, max_clauses=24))

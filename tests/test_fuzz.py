@@ -2,7 +2,9 @@
 
 On any text, each parser raises only its declared error type, and whatever
 it accepts serializes to canonical text that parses back to the same object.
-Inputs are arbitrary strings and valid files with random edits spliced in.
+Inputs are arbitrary strings, valid files with random edits spliced in, and
+valid files with one edit that often leaves them valid (so the accept path
+is fuzzed too).
 Every decimal token of the valid files is also respelled in ways int()
 would read, each of which its parser must refuse.
 """
@@ -56,8 +58,52 @@ def edited(draw, texts):
     return text
 
 
+# The field of each header that counts the lines below it, by the header's
+# first token: sets ("p sp") or clauses ("p cnf") after "p", groups after "w".
+COUNT_FIELDS = {"p": 3, "w": 2}
+
+
+@st.composite
+def one_edit(draw, texts):
+    """A valid text with one edit, which often leaves it valid.
+
+    The edit respells a decimal token with a leading zero ("07", "-07"),
+    adds or subtracts 1 from one, drops or duplicates a line, or splices in a
+    line of another valid text. A line dropped or added below the header
+    moves the header's line count with it.
+    """
+    lines = draw(st.sampled_from(texts)).splitlines(keepends=True)
+    header = next(j for j, line in enumerate(lines) if line[0] in COUNT_FIELDS)
+    i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    edit = draw(st.sampled_from(("respell", "shift", "drop", "duplicate", "splice")))
+    if edit in ("respell", "shift"):
+        tokens = list(re.finditer(r"-?[0-9]+", lines[i]))
+        if tokens:
+            token = draw(st.sampled_from(tokens))
+            if edit == "respell":
+                value = re.sub(r"^-?", r"\g<0>0", token.group())
+            else:
+                value = str(int(token.group()) + draw(st.sampled_from((-1, 1))))
+            lines[i] = lines[i][: token.start()] + value + lines[i][token.end() :]
+        return "".join(lines)
+    if edit == "drop":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        lines.insert(i, draw(st.sampled_from(draw(st.sampled_from(texts)).splitlines(keepends=True))))
+    if i > header:
+        fields = lines[header].rstrip("\n").split(" ")
+        k = COUNT_FIELDS[fields[0]]
+        fields[k] = str(int(fields[k]) + (-1 if edit == "drop" else 1))
+        lines[header] = " ".join(fields) + "\n"
+    return "".join(lines)
+
+
 def inputs(texts):
-    return st.one_of(st.text(max_size=120), st.text(alphabet=EDIT_ALPHABET, max_size=120), edited(texts))
+    return st.one_of(
+        st.text(max_size=120), st.text(alphabet=EDIT_ALPHABET, max_size=120), edited(texts), one_edit(texts)
+    )
 
 
 @given(inputs(INSTANCE_TEXTS))

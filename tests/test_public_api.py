@@ -158,6 +158,33 @@ def test_each_text_reader_reads_one_stream_of_lines():
     assert "_READ_CHARS" in {node.attr for node in ast.walk(read) if isinstance(node, ast.Attribute)}
 
 
+def test_the_oracle_has_one_reach():
+    # cnf.ORACLE_CAP alone bounds the oracle: no function takes a cap of its
+    # own, a sweep writes no unjudged "skip" row, and roundtrip has no option
+    # that moves the cap.
+    capped = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and {"cap", "oracle_cap"} & {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+    ]
+    assert capped == []
+    bench = ast.parse((PACKAGE / "bench.py").read_text())
+    assert "skip" not in {node.value for node in ast.walk(bench) if isinstance(node, ast.Constant)}
+    (build,) = [node for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
+    options: dict[str, list[str]] = {}
+    for statement in build.body:
+        call = getattr(statement, "value", None)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.args:
+            if call.func.attr == "add_parser":
+                command = call.args[0].value
+            elif call.func.attr == "add_argument" and call.args[0].value.startswith("-"):
+                options.setdefault(command, []).append(call.args[0].value)
+    assert options["roundtrip"] == ["--r", "--pad", "--budget"]
+
+
 def test_every_source_file_parses_as_python_3_10():
     # 3.10 is the requires-python floor, and the CI leg that runs it is the
     # only other check of it: syntax from a later version, such as except*,

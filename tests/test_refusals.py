@@ -251,7 +251,7 @@ def test_solver_decides_rows_within_default_budget(n, m, seed, planted, r, dull_
 def test_oracle_scans_unsat_formulas_at_the_default_cap(formula):
     out = run_python(
         f"f = {formula}\n"
-        "assert f.num_vars == cnf.DEFAULT_ORACLE_CAP\n"
+        "assert f.num_vars == cnf.ORACLE_CAP\n"
         "print(cnf.brute_force_sat(f))\n"
     )
     assert out.split() == ["None"]
