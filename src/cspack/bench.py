@@ -1,10 +1,12 @@
 """Round-trip checks and benchmark sweeps over generated formulas.
 
 A sweep reduces random formulas at a range of sizes, solves the packing
-instances, cross-checks against the exhaustive SAT oracle, and emits one CSV
-row per instance. Verdict disagreement is a correctness bug and aborts the
-sweep. Timing columns are wall-clock and excluded from the determinism
-guarantee; every other column is reproducible from (config, seed).
+instances, judges each verdict with the exhaustive SAT oracle, and emits one
+CSV row per instance. A verdict the oracle contradicts is a correctness bug,
+like a packing that fails to verify or lift: run_roundtrip_row raises
+RuntimeError for each, and the sweep stops there. Timing columns are
+wall-clock and excluded from the determinism guarantee; every other column is
+reproducible from (config, seed).
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from .reduction import lift_packing_to_assignment, lower_assignment_to_packing, 
 MAX_CLAUSES = 1 << 20
 
 
-class SweepDisagreement(Exception):
-    """A sweep row's packing verdict contradicted the SAT oracle."""
-
-
 def _require_int(name: str, value: object) -> None:
     # bool is an int subclass, but true/false in a config is a typo, not a number.
     if not isinstance(value, int) or isinstance(value, bool):
@@ -44,7 +42,8 @@ class SweepConfig:
     turns padding off) or "default". density fixes m = max(1, int(density *
     n)); the largest row must pass make_formula's bounds. Formulas get seeds
     config.seed, config.seed + 1, ... in row order. A config with an n above
-    cnf.ORACLE_CAP is refused, since the oracle could not judge its rows.
+    cnf.ORACLE_CAP is refused with cnf.check_oracle_reach's ValueError, since
+    the oracle could not judge its rows.
     """
 
     n_values: tuple[int, ...]
@@ -83,8 +82,7 @@ class SweepConfig:
         if isinstance(density, bool) or not isinstance(density, (int, float)) or not 0 < density < math.inf:
             raise ValueError(f"density must be a positive finite number, got {density!r}")
         n = max(self.n_values)
-        if n > cnf.ORACLE_CAP:
-            raise ValueError(f"n = {n} exceeds the oracle cap of {cnf.ORACLE_CAP}")
+        cnf.check_oracle_reach(n)
         if not density * n < MAX_CLAUSES + 1:  # so that run_sweep's largest m, int(density * n), passes
             raise ValueError(f"density {density!r} times n = {n} is above MAX_CLAUSES = {MAX_CLAUSES}")
         if not isinstance(self.planted, bool):
@@ -127,16 +125,6 @@ class SweepRow:
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def _check_formula_size(n: int, m: int) -> None:
-    if n < 3:
-        raise ValueError(f"need n >= 3 to draw 3 distinct variables per clause, got {n}")
-    if n > MAX_UNIVERSE:
-        # check_shape refuses such an n at every r.
-        raise ValueError(f"n = {n} exceeds MAX_UNIVERSE = {MAX_UNIVERSE}, so no r can reduce it")
-    if not 0 <= m <= MAX_CLAUSES:
-        raise ValueError(f"clause count must be in [0, MAX_CLAUSES = {MAX_CLAUSES}], got {m}")
-
-
 def make_formula(n: int, m: int, seed: int, planted: bool) -> CnfFormula:
     """m random clauses of 3 distinct variables with random signs, deterministic in the arguments.
 
@@ -145,7 +133,13 @@ def make_formula(n: int, m: int, seed: int, planted: bool) -> CnfFormula:
     that assignment satisfies it. Raises ValueError, before any draw, unless
     3 <= n <= MAX_UNIVERSE and 0 <= m <= MAX_CLAUSES.
     """
-    _check_formula_size(n, m)
+    if n < 3:
+        raise ValueError(f"need n >= 3 to draw 3 distinct variables per clause, got {n}")
+    if n > MAX_UNIVERSE:
+        # check_shape refuses such an n at every r.
+        raise ValueError(f"n = {n} exceeds MAX_UNIVERSE = {MAX_UNIVERSE}, so no r can reduce it")
+    if not 0 <= m <= MAX_CLAUSES:
+        raise ValueError(f"clause count must be in [0, MAX_CLAUSES = {MAX_CLAUSES}], got {m}")
     rng = random.Random(seed)
     alpha = None
     if planted:
@@ -162,24 +156,18 @@ def make_formula(n: int, m: int, seed: int, planted: bool) -> CnfFormula:
     return CnfFormula(num_vars=n, clauses=tuple(clauses))
 
 
-def _agreement(verdict: str, oracle_verdict: str) -> str:
-    if verdict == "budget":
-        return "na"
-    if (verdict == "yes") == (oracle_verdict == "sat"):
-        return "agree"
-    return "disagree"
-
-
 def run_roundtrip_row(formula: CnfFormula, r: int, *, dull_width: int | None, budget: int) -> SweepRow:
-    """Oracle-check, reduce, solve, and lift one formula.
+    """Reduce, solve and lift one formula, then judge its verdict with the oracle.
 
-    The oracle runs first, so a formula above cnf.ORACLE_CAP is refused with
-    its ValueError before any reduction. A found packing is verified and
-    lifted, and the lifted assignment is evaluated; the oracle's model, if
-    any, is lowered to a packing and verified. A failure there raises
-    RuntimeError, since it means the toolkit itself is broken.
+    A formula above cnf.ORACLE_CAP is refused with cnf.check_oracle_reach's
+    ValueError before any reduction. A found packing is verified and lifted,
+    and the lifted assignment is evaluated. Then the oracle runs last, and its
+    model, if any, is lowered to a packing and verified. A failed check, or a
+    "yes" or "no" verdict that the oracle contradicts, raises RuntimeError,
+    since it means the toolkit itself is broken. A "budget" verdict is not
+    judged: its row's agreement is "na", and "agree" otherwise.
     """
-    model = cnf.brute_force_sat(formula)
+    cnf.check_oracle_reach(formula.num_vars)
 
     t0 = time.perf_counter()
     instance, witness = reduce_to_packing(formula, r, dull_width=dull_width)
@@ -197,6 +185,7 @@ def run_roundtrip_row(formula: CnfFormula, r: int, *, dull_width: int | None, bu
         if not cnf.evaluate(formula, lifted):
             raise RuntimeError("lifted assignment does not satisfy the formula")
 
+    model = cnf.brute_force_sat(formula)
     oracle_verdict = "sat" if model is not None else "unsat"
     if model is not None:
         try:
@@ -206,6 +195,9 @@ def run_roundtrip_row(formula: CnfFormula, r: int, *, dull_width: int | None, bu
         check = verify_packing(instance, lowered)
         if not check.ok:
             raise RuntimeError(f"lowered oracle model is not a valid packing: {check.reason}")
+    if result.verdict != "budget" and (result.verdict == "yes") != (model is not None):
+        n, m = formula.num_vars, formula.num_clauses
+        raise RuntimeError(f"n={n} m={m} r={r}: packing verdict {result.verdict} but oracle says {oracle_verdict}")
 
     return SweepRow(
         n=formula.num_vars,
@@ -219,12 +211,12 @@ def run_roundtrip_row(formula: CnfFormula, r: int, *, dull_width: int | None, bu
         solver_nodes=result.nodes,
         verdict=result.verdict,
         oracle_verdict=oracle_verdict,
-        agreement=_agreement(result.verdict, oracle_verdict),
+        agreement="na" if result.verdict == "budget" else "agree",
     )
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """All rows of a sweep, in config order. Raises SweepDisagreement on the first disagreement."""
+    """All rows of a sweep, in config order. Raises run_roundtrip_row's RuntimeError on the first failed row."""
     rows: list[SweepRow] = []
     seed = config.seed
     dull = None if config.padding == "default" else config.padding
@@ -234,13 +226,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         for _ in range(config.instances):
             formula = make_formula(n, m, seed, config.planted)
             seed += 1
-            row = run_roundtrip_row(formula, r, dull_width=dull, budget=config.budget)
-            if row.agreement == "disagree":
-                raise SweepDisagreement(
-                    f"n={row.n} m={row.m} r={row.r}: packing verdict {row.verdict} "
-                    f"but oracle says {row.oracle_verdict}"
-                )
-            rows.append(row)
+            rows.append(run_roundtrip_row(formula, r, dull_width=dull, budget=config.budget))
     return rows
 
 

@@ -159,6 +159,12 @@ def assignment_from_code(num_vars: int, code: int) -> Assignment:
     return {v: bool((code >> (num_vars - v)) & 1) for v in range(1, num_vars + 1)}
 
 
+def check_oracle_reach(num_vars: int) -> None:
+    """Raise ValueError when brute_force_sat would refuse a formula with num_vars variables."""
+    if num_vars > ORACLE_CAP:
+        raise ValueError(f"formula has {num_vars} variables, oracle cap is {ORACLE_CAP}")
+
+
 def brute_force_sat(formula: CnfFormula) -> Assignment | None:
     """Exhaustive satisfiability oracle.
 
@@ -174,8 +180,7 @@ def brute_force_sat(formula: CnfFormula) -> Assignment | None:
     (about 5 MB once n >= 20).
     """
     n = formula.num_vars
-    if n > ORACLE_CAP:
-        raise ValueError(f"formula has {n} variables, oracle cap is {ORACLE_CAP}")
+    check_oracle_reach(n)
     low = min(n, _CHUNK_BITS)
     full = (1 << (1 << low)) - 1
     true_at = _code_bit_patterns(low)

@@ -38,7 +38,7 @@ def test_config_validation():
     for budget in (0, -5):
         with pytest.raises(ValueError, match="budget must be positive"):
             bench.SweepConfig(n_values=(6,), budget=budget)
-    with pytest.raises(ValueError, match="n = 29 exceeds the oracle cap of 28"):
+    with pytest.raises(ValueError, match="formula has 29 variables, oracle cap is 28"):
         bench.SweepConfig(n_values=(6, 29))
 
 
@@ -83,7 +83,7 @@ def test_sweep_refuses_n_above_oracle_cap_before_any_row(monkeypatch):
     # refused when it is built, before any formula is drawn.
     monkeypatch.setattr(bench.cnf, "ORACLE_CAP", 6)
     monkeypatch.setattr(bench, "make_formula", None)  # any row would raise TypeError
-    with pytest.raises(ValueError, match="n = 8 exceeds the oracle cap of 6"):
+    with pytest.raises(ValueError, match="formula has 8 variables, oracle cap is 6"):
         bench.run_sweep(bench.SweepConfig(n_values=(6, 8), r_rule=2, instances=2, seed=1, density=1.0))
     bench.SweepConfig(n_values=(6,))
 
@@ -139,7 +139,7 @@ def test_make_formula_refuses_oversize_inputs_before_drawing(monkeypatch):
         for m in (-1, bench.MAX_CLAUSES + 1):
             with pytest.raises(ValueError, match=f"MAX_CLAUSES = {bench.MAX_CLAUSES}], got {m}"):
                 bench.make_formula(20, m, 0, planted)
-    with pytest.raises(ValueError, match="exceeds the oracle cap"):
+    with pytest.raises(ValueError, match=f"formula has {cnf.ORACLE_CAP + 1} variables, oracle cap is {cnf.ORACLE_CAP}"):
         bench.SweepConfig(n_values=(3, cnf.ORACLE_CAP + 1), density=0.5)
     with pytest.raises(ValueError, match="above MAX_CLAUSES"):
         bench.SweepConfig(n_values=(4, 3), density=(bench.MAX_CLAUSES + 1) / 4)
@@ -189,7 +189,7 @@ def test_sweep_aborts_on_disagreement(monkeypatch):
     monkeypatch.setattr(bench.cnf, "brute_force_sat", lambda f: None)
     config = bench.SweepConfig(n_values=(6,), r_rule=2, instances=3, seed=7,
                                density=2.0, planted=True)
-    with pytest.raises(bench.SweepDisagreement):
+    with pytest.raises(RuntimeError, match="packing verdict yes but oracle says unsat"):
         bench.run_sweep(config)
 
 

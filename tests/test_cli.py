@@ -291,6 +291,40 @@ def test_roundtrip_strict_oracle_cap(tmp_path, capsys, monkeypatch):
     assert captured.err == "cspack: formula has 8 variables, oracle cap is 4\n"
 
 
+def test_a_contradicted_verdict_fails_like_every_check(tmp_path, capsys, monkeypatch):
+    # A verdict the oracle contradicts is a correctness bug like a packing
+    # that fails to verify: exit 2 with one "cspack:" line, no AGREE, no CSV.
+    monkeypatch.setattr(bench.cnf, "brute_force_sat", lambda formula: None)
+    cnf_path = write(tmp_path / "f.cnf", "p cnf 3 2\n1 2 0\n-1 3 0\n")
+    assert cli.main(["roundtrip", cnf_path, "--r", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "AGREE" not in captured.out
+    assert captured.err == "cspack: n=3 m=2 r=2: packing verdict yes but oracle says unsat\n"
+    config = write(tmp_path / "sweep.json", json.dumps(
+        {"n_values": [6], "instances": 2, "seed": 7, "density": 2.0, "planted": True}))
+    out = tmp_path / "rows.csv"
+    assert cli.main(["bench", config, "--output", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cspack: n=6 m=12 r=2: packing verdict yes but oracle says unsat\n"
+
+
+def test_a_formula_the_reduction_refuses_never_reaches_the_oracle(tmp_path, capsys, monkeypatch):
+    # The oracle runs last, so a refused reduction costs no 2^n scan.
+    def no_oracle(formula):
+        raise AssertionError("the oracle ran on a formula the reduction refuses")
+
+    monkeypatch.setattr(bench.cnf, "brute_force_sat", no_oracle)
+    monkeypatch.setattr(reduction, "MAX_SETS", 4)
+    cnf_path = write(tmp_path / "f.cnf", to_dimacs(bench.make_formula(8, 8, 3, False)))
+    assert cli.main(["roundtrip", cnf_path, "--r", "2", "--pad", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cspack: family refused under MAX_SETS = 4: group 0: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_audit_with_witness(tmp_path, capsys):
     cnf_path = write(tmp_path / "phi2.cnf", PHI2)
     out = tmp_path / "phi2.sp"
