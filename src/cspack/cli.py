@@ -2,8 +2,9 @@
 
 Subcommands: gen-cnf, reduce, solve, verify, roundtrip, audit, bench.
 Exit codes: 0 = done / verdicts agree, 1 = usage or I/O error,
-2 = disagreement or failed verification (a correctness bug),
-3 = inconclusive (solver budget exhausted).
+2 = a failed check (a correctness bug), 3 = inconclusive (solver budget
+exhausted). Integer arguments follow the file grammars' rule, cnf.read_int,
+so "+2" and "1_0" are usage errors.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ DENSITY_WARNING = 8.0
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; keep 2 reserved for disagreements.
+    # argparse exits with status 2 on usage errors; keep 2 reserved for failed checks.
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -133,8 +134,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         try:
             reduction.check_witness(instance, witness)
         except ValueError as exc:
-            print(f"cspack: {exc}", file=sys.stderr)
-            return EXIT_DISAGREE
+            raise RuntimeError(exc) from None
     report = packing.audit_compactness(instance, witness)
     print(f"universe {report.universe_size} sets {report.set_count} r {report.r}")
     print(f"log2(sets) {report.log2_set_count:.6f}")
@@ -164,9 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-cnf", help="generate a random 3-CNF formula in DIMACS")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=cnf.read_int, required=True)
+    p.add_argument("--m", type=cnf.read_int, required=True)
+    p.add_argument("--seed", type=cnf.read_int, default=0)
     p.add_argument("--planted", action="store_true",
                    help="plant a seed-derived satisfying assignment")
     p.add_argument("--output", help="output path (stdout when omitted)")
@@ -174,27 +174,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduce a DIMACS CNF file to a set packing instance")
     p.add_argument("input", help="DIMACS CNF path")
-    p.add_argument("--r", type=int, required=True, help="number of clause groups / packing parameter")
-    p.add_argument("--pad", type=int, metavar="D", help="dull padding width, 2^D padding sets; 0 turns padding off")
+    p.add_argument("--r", type=cnf.read_int, required=True, help="number of clause groups / packing parameter")
+    p.add_argument("--pad", type=cnf.read_int, metavar="D", help="dull padding width, 2^D padding sets; 0 turns padding off")
     p.add_argument("--output", required=True, help="instance output path")
     p.add_argument("--witness", help="witness output path (default: OUTPUT.wit)")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("solve", help="decide an instance file exactly")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=packing.DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=cnf.read_int, default=packing.DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="verify that indices form an r-packing")
     p.add_argument("instance")
-    p.add_argument("indices", type=int, nargs="+")
+    p.add_argument("indices", type=cnf.read_int, nargs="+")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("roundtrip", help="reduce, solve, lift, and cross-check the SAT oracle")
     p.add_argument("input", help="DIMACS CNF path")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--pad", type=int, metavar="D", help="dull padding width, 2^D padding sets; 0 turns padding off")
-    p.add_argument("--budget", type=int, default=packing.DEFAULT_NODE_BUDGET)
+    p.add_argument("--r", type=cnf.read_int, required=True)
+    p.add_argument("--pad", type=cnf.read_int, metavar="D", help="dull padding width, 2^D padding sets; 0 turns padding off")
+    p.add_argument("--budget", type=cnf.read_int, default=packing.DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("audit", help="report the compactness ratio of an instance")
@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cspack: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
-        # run_roundtrip_row raises RuntimeError only for correctness bugs: a failed check or a contradicted verdict.
+        # Raised only for correctness bugs: a failed check of a round trip or a witness, or a contradicted verdict.
         print(f"cspack: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
 

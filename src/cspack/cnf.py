@@ -65,7 +65,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text: 'c' comments, one 'p cnf n m' header, m zero-terminated clauses.
 
     One pass: the first stripped line that is neither empty nor a comment is
-    the header, and the literals of the later ones are read in turn.
+    the header, and the literals of the later ones are read in turn. n and the
+    clauses are CnfFormula's to check, and its ValueError is raised as DimacsError.
     """
     lines = (line for line in map(str.strip, text.splitlines()) if line and not line.startswith("c"))
     header = next(lines, None)
@@ -78,8 +79,6 @@ def parse_dimacs(text: str) -> CnfFormula:
         num_vars, num_clauses = map(read_int, parts[2:])
     except ValueError:
         raise DimacsError(f"malformed header line: {header!r}") from None
-    if num_vars < 1:
-        raise DimacsError(f"header declares {num_vars} variables, expected at least 1")
 
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
@@ -89,28 +88,27 @@ def parse_dimacs(text: str) -> CnfFormula:
         except ValueError:
             raise DimacsError(f"non-integer token {tok!r} in clause data") from None
         if lit == 0:
-            if not current:
-                raise DimacsError(f"clause {len(clauses)} is empty")
-            if len(current) > 3:
-                raise DimacsError(f"clause {len(clauses)} has {len(current)} literals, limit is 3")
             clauses.append(tuple(current))
             current = []
         else:
-            if not 1 <= abs(lit) <= num_vars:
-                raise DimacsError(f"variable index {abs(lit)} out of range [1, {num_vars}]")
             current.append(lit)
     if current:
         raise DimacsError("final clause is not zero-terminated")
-    if len(clauses) != num_clauses:
-        raise DimacsError(f"header declares {num_clauses} clauses but found {len(clauses)}")
-    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+    try:
+        formula = CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+    except ValueError as exc:
+        raise DimacsError(str(exc)) from None
+    if formula.num_clauses != num_clauses:
+        raise DimacsError(f"header declares {num_clauses} clauses but found {formula.num_clauses}")
+    return formula
 
 
 def read_int(token: str) -> int:
     """int(token), refusing the spellings int() accepts beyond ASCII -?[0-9]+ ('+1', '1_0', '٣').
 
-    Reads every field of the DIMACS and instance grammars, and through read_ints
-    every field of the witness grammar, all of which are decimal.
+    Reads every field of the DIMACS and instance grammars, through read_ints
+    every field of the witness grammar, all of which are decimal, and every
+    integer argument of the command line.
     """
     if not _DECIMAL.fullmatch(token):
         raise ValueError(f"not an ASCII decimal integer: {token!r}")

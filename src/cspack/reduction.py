@@ -376,9 +376,13 @@ class WitnessMap:
         return self.core_count + self.pad_count
 
     def entry(self, set_index: int) -> tuple[int, int]:
-        """(group, assignment code) for a core set index."""
-        if not isinstance(set_index, int) or isinstance(set_index, bool) or not 0 <= set_index < self.core_count:
-            raise ValueError(f"set index {set_index!r} is not a core set")
+        """(group, assignment code) for a core set index; any other index, a bool included, raises ValueError."""
+        if not isinstance(set_index, int) or isinstance(set_index, bool):
+            raise ValueError(f"non-integer set index {set_index!r}")
+        if not 0 <= set_index < self.set_count:
+            raise ValueError(f"set index {set_index} out of range [0, {self.set_count})")
+        if set_index >= self.core_count:
+            raise ValueError(f"set index {set_index} is a padding set and carries no assignment")
         offsets = self.group_offsets
         # The last group starting at or before set_index; empty groups share
         # their successor's offset and are skipped.
@@ -589,12 +593,6 @@ def lift_packing_to_assignment(witness: WitnessMap, packing: list[int] | tuple[i
     merged: Assignment = {}
     seen_groups: set[int] = set()
     for idx in packing:
-        if not isinstance(idx, int) or isinstance(idx, bool):
-            raise ValueError(f"non-integer set index {idx!r}")
-        if not 0 <= idx < witness.set_count:
-            raise ValueError(f"set index {idx} out of range [0, {witness.set_count})")
-        if idx >= witness.core_count:
-            raise ValueError(f"set index {idx} is a padding set and carries no assignment")
         group, code = witness.entry(idx)
         if group in seen_groups:
             raise ValueError(f"two sets from group {group}: not a valid packing")

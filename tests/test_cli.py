@@ -199,6 +199,13 @@ def test_solve_budget_exit_code(tmp_path, capsys):
     assert "verdict budget" in capsys.readouterr().out
 
 
+def test_solve_no_exits_0(tmp_path, capsys):
+    # Both sets hold element 0, so no two of them are disjoint: "no" is a verdict, not a failure.
+    path = write(tmp_path / "clash.sp", "p sp 2 2 2\ns 1 0\ns 2 0 1\n")
+    assert cli.main(["solve", path]) == 0
+    assert capsys.readouterr().out == "verdict no nodes 1\n"
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_nonpositive_budget_exits_1(tmp_path, capsys, budget):
     cnf_path = write(tmp_path / "phi2.cnf", PHI2)
@@ -266,6 +273,27 @@ def test_roundtrip_checks_the_lowered_oracle_model(tmp_path, capsys, monkeypatch
     assert "AGREE" not in captured.out
     assert captured.err.startswith(f"cspack: {error}")
     assert calls == [{1: False, 2: True, 3: False}]
+
+
+@pytest.mark.parametrize("stage, broken, error", [
+    ("solve_exact", lambda instance, budget: packing.SolveResult("yes", (0, 0), 1),
+     "solver returned an invalid packing: duplicate index 0"),
+    ("lift_packing_to_assignment", lambda witness, indices: {1: False, 2: False, 3: False},
+     "lifted assignment does not satisfy the formula"),
+], ids=["verify", "lift"])
+def test_roundtrip_checks_the_found_packing(tmp_path, capsys, monkeypatch, stage, broken, error):
+    # A packing that does not verify, or whose lift falsifies (x1 or x2), is
+    # a correctness bug: exit 2 with one "cspack:" line, before the oracle runs.
+    def no_oracle(formula):
+        raise AssertionError("the oracle ran after a failed check")
+
+    monkeypatch.setattr(bench, stage, broken)
+    monkeypatch.setattr(bench.cnf, "brute_force_sat", no_oracle)
+    cnf_path = write(tmp_path / "f.cnf", "p cnf 3 2\n1 2 0\n-1 3 0\n")
+    assert cli.main(["roundtrip", cnf_path, "--r", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cspack: {error}\n"
 
 
 def test_roundtrip_budget_inconclusive(tmp_path, capsys):
@@ -423,6 +451,31 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert rs == [3, 3, 4, 4, 4, 4]
 
 
+def test_bench_writes_csv_to_stdout(tmp_path, capsys):
+    config = write(tmp_path / "sweep.json", json.dumps(
+        {"n_values": [6], "instances": 2, "seed": 7, "density": 2.0, "planted": True}))
+    assert cli.main(["bench", config]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    header, *rows = captured.out.splitlines()
+    assert header == ",".join(bench.CSV_COLUMNS)
+    assert [row.split(",")[-3:] for row in rows] == [["yes", "sat", "agree"]] * 2
+
+
+def test_bench_budget_rows_exit_3(tmp_path, capsys):
+    # A one-node budget decides no row: each is written with agreement "na",
+    # and the sweep is inconclusive, not failed.
+    config = write(tmp_path / "sweep.json", json.dumps(
+        {"n_values": [6], "instances": 2, "seed": 7, "density": 2.0, "planted": True, "budget": 1}))
+    out = tmp_path / "rows.csv"
+    assert cli.main(["bench", config, "--output", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 2 rows to {out}\n"
+    assert captured.err == "some rows are INCONCLUSIVE (budget exhausted)\n"
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[-3:] for row in rows] == [["budget", "sat", "na"]] * 2
+
+
 def test_bench_bad_config(tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"n_values": []}))
@@ -457,6 +510,38 @@ def test_bench_config_type_errors(tmp_path, capsys, config):
     assert cli.main(["bench", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("cspack: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, name, token", [
+    (["gen-cnf", "--n", "+5", "--m", "10"], "--n", "+5"),
+    (["gen-cnf", "--n", "5", "--m", "1_0"], "--m", "1_0"),
+    (["gen-cnf", "--n", "5", "--m", "10", "--seed", "\u0663"], "--seed", "\u0663"),
+    (["reduce", "f.cnf", "--r", "\uff12", "--output", "f.sp"], "--r", "\uff12"),
+    (["reduce", "f.cnf", "--r", "2", "--pad", " 0 ", "--output", "f.sp"], "--pad", " 0 "),
+    (["solve", "f.sp", "--budget", "1_000"], "--budget", "1_000"),
+    (["verify", "f.sp", "\uff10", "1"], "indices", "\uff10"),
+    (["roundtrip", "f.cnf", "--r", "+2"], "--r", "+2"),
+    (["roundtrip", "f.cnf", "--r", "2", "--pad", "1_0"], "--pad", "1_0"),
+    (["roundtrip", "f.cnf", "--r", "2", "--budget", "\u0663"], "--budget", "\u0663"),
+], ids=["gen-cnf-n", "gen-cnf-m", "gen-cnf-seed", "reduce-r", "reduce-pad", "solve-budget",
+        "verify-index", "roundtrip-r", "roundtrip-pad", "roundtrip-budget"])
+def test_integer_arguments_follow_the_file_grammars_rule(tmp_path, capsys, monkeypatch, argv, name, token):
+    # cnf.read_int reads every integer argument as it reads every integer
+    # field of a file, so a spelling that int() also reads is a usage error.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: cspack {argv[0]} ")
+    assert err.endswith(f"\ncspack {argv[0]}: error: argument {name}: invalid read_int value: {token!r}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_integer_arguments_keep_a_sign_and_leading_zeros(capsys):
+    # -?[0-9]+ as in the files: "-3" is a seed and "007" is 7.
+    assert cli.main(["gen-cnf", "--n", "007", "--m", "5", "--seed", "-3"]) == 0
+    assert capsys.readouterr().out == to_dimacs(bench.make_formula(7, 5, -3, False))
 
 
 def test_usage_error_exit_code(capsys):

@@ -84,17 +84,17 @@ def test_parse_clause_spanning_lines():
 
 
 def test_parse_variable_out_of_range():
-    with pytest.raises(cnf.DimacsError, match="out of range"):
+    with pytest.raises(cnf.DimacsError, match="^clause 0: literal 3 out of range for n=2$"):
         cnf.parse_dimacs("p cnf 2 1\n1 2 3 0\n")
 
 
 def test_parse_rejects_wide_clause():
-    with pytest.raises(cnf.DimacsError, match="limit is 3"):
+    with pytest.raises(cnf.DimacsError, match=r"^clause 0 has 4 literals, expected 1\.\.3$"):
         cnf.parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
 
 
 def test_parse_rejects_empty_clause():
-    with pytest.raises(cnf.DimacsError, match="empty"):
+    with pytest.raises(cnf.DimacsError, match=r"^clause 1 has 0 literals, expected 1\.\.3$"):
         cnf.parse_dimacs("p cnf 2 2\n1 0\n0\n")
 
 
@@ -115,6 +115,9 @@ def test_parse_rejects_clause_count_mismatch():
 def test_parse_rejects_unterminated_clause():
     with pytest.raises(cnf.DimacsError, match="zero-terminated"):
         cnf.parse_dimacs("p cnf 2 1\n1 2\n")
+    # The grammar is checked before CnfFormula checks the literals.
+    with pytest.raises(cnf.DimacsError, match="^final clause is not zero-terminated$"):
+        cnf.parse_dimacs("p cnf 2 1\n3 1\n")
 
 
 # int() reads each of these as a number that the text does not spell in DIMACS.

@@ -56,6 +56,30 @@ def test_cnf_alone_spells_the_integer_rule():
     assert not [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and "[0-9]" in str(n.value)]
 
 
+def test_the_command_line_reads_integers_by_the_same_rule():
+    # Every integer argument is read by cnf.read_int, as every integer field
+    # of a file is, and no argument is read by int().
+    (build,) = [node for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
+    types: dict[tuple[str, str], str] = {}
+    for statement in build.body:
+        call = getattr(statement, "value", None)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.args:
+            if call.func.attr == "add_parser":
+                command = call.args[0].value
+            elif call.func.attr == "add_argument":
+                for keyword in call.keywords:
+                    if keyword.arg == "type":
+                        types[command, call.args[0].value] = ast.unparse(keyword.value)
+    assert types == dict.fromkeys([
+        ("gen-cnf", "--n"), ("gen-cnf", "--m"), ("gen-cnf", "--seed"),
+        ("reduce", "--r"), ("reduce", "--pad"),
+        ("solve", "--budget"),
+        ("verify", "indices"),
+        ("roundtrip", "--r"), ("roundtrip", "--pad"), ("roundtrip", "--budget"),
+    ], "cnf.read_int")
+
+
 def test_the_reduction_and_the_witness_share_one_shape_check():
     # n, r and the padding width are checked in one place, check_shape, so
     # a witness is refused exactly when the reduction would refuse its layout.

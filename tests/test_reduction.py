@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from itertools import combinations, product
 
@@ -716,6 +717,21 @@ def test_lift_rejects_corrupt_packings():
         reduction.lift_packing_to_assignment(wit, [0, 99])
 
 
+def test_entry_owns_the_set_index_checks():
+    # lift_packing_to_assignment reads each index through entry, so both
+    # refuse an index outside the family or a padding set with one message.
+    inst, wit = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=1)
+    assert (wit.core_count, wit.set_count) == (inst.set_count - 2, inst.set_count)
+    for bad, message in (
+        (-1, f"set index -1 out of range [0, {wit.set_count})"),
+        (wit.set_count, f"set index {wit.set_count} out of range [0, {wit.set_count})"),
+        (wit.core_count, f"set index {wit.core_count} is a padding set and carries no assignment"),
+    ):
+        for read in (wit.entry, lambda idx: reduction.lift_packing_to_assignment(wit, [0, idx])):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read(bad)
+
+
 @pytest.mark.parametrize("bad", [0.0, "0", None, True])
 def test_lift_and_entry_refuse_non_integer_indices(bad):
     # (x1 or x2) and (not x1 or x3) at r = 2, whose least packing is (0, 3).
@@ -726,11 +742,18 @@ def test_lift_and_entry_refuse_non_integer_indices(bad):
     # A bool is not read as set 0 or 1, nor is a float or a string as set 0.
     with pytest.raises(ValueError, match="non-integer set index"):
         reduction.lift_packing_to_assignment(wit, [bad, 3])
-    with pytest.raises(ValueError, match="is not a core set"):
+    with pytest.raises(ValueError, match=f"^non-integer set index {re.escape(repr(bad))}$"):
         wit.entry(bad)
 
 
 # -- witness file format --------------------------------------------------------
+
+def test_witness_map_needs_one_domain_per_group():
+    # witness_from_text reads a group's domain and codes from one line, so
+    # only a direct construction can give them in different counts.
+    with pytest.raises(ValueError, match=r"^need one domain per group, got 1 for 2 groups$"):
+        reduction.WitnessMap(num_vars=2, dull_width=0, domains=((1,),), codes=((0,), (1,)))
+
 
 def test_witness_round_trip_objects():
     for f, inst, wit in sample_instances(10, seed=12):
