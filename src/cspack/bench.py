@@ -4,7 +4,8 @@ A sweep reduces random formulas at a range of sizes, solves the packing
 instances, judges each verdict with the exhaustive SAT oracle, and emits one
 CSV row per instance. A verdict the oracle contradicts is a correctness bug,
 like a packing that fails to verify or lift: run_roundtrip_row raises
-RuntimeError for each, and the sweep stops there. Timing columns are
+RuntimeError for each, and the sweep stops there. A "budget" verdict is not
+judged; every other written verdict agrees with the oracle's. Timing columns are
 wall-clock and excluded from the determinism guarantee; every other column is
 reproducible from (config, seed).
 """
@@ -119,7 +120,6 @@ class SweepRow:
     solver_nodes: int
     verdict: str
     oracle_verdict: str
-    agreement: str
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
@@ -165,7 +165,7 @@ def run_roundtrip_row(formula: CnfFormula, r: int, *, dull_width: int | None, bu
     model, if any, is lowered to a packing and verified. A failed check, or a
     "yes" or "no" verdict that the oracle contradicts, raises RuntimeError,
     since it means the toolkit itself is broken. A "budget" verdict is not
-    judged: its row's agreement is "na", and "agree" otherwise.
+    judged; a returned row with any other verdict agrees with the oracle.
     """
     cnf.check_oracle_reach(formula.num_vars)
 
@@ -211,7 +211,6 @@ def run_roundtrip_row(formula: CnfFormula, r: int, *, dull_width: int | None, bu
         solver_nodes=result.nodes,
         verdict=result.verdict,
         oracle_verdict=oracle_verdict,
-        agreement="na" if result.verdict == "budget" else "agree",
     )
 
 

@@ -18,7 +18,7 @@ from . import bench, cnf, packing, reduction
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_DISAGREE = 2
+EXIT_FAILED_CHECK = 2
 EXIT_INCONCLUSIVE = 3
 
 # reduce warns when m/n exceeds this: the reduction is meant for sparse formulas.
@@ -90,9 +90,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
           f"+ padding {witness.pad_count}")
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.writelines(packing.instance_blocks(instance))
-    witness_path = args.witness or args.output + ".wit"
-    _write(witness_path, reduction.witness_to_text(witness))
-    print(f"wrote instance to {args.output}, witness to {witness_path}")
+    _write(args.output + ".wit", reduction.witness_to_text(witness))
+    print(f"wrote instance to {args.output}, witness to {args.output}.wit")
     return EXIT_OK
 
 
@@ -112,7 +111,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     instance = _read_instance(args.instance)
     result = packing.verify_packing(instance, args.indices)
     print("valid" if result.ok else f"invalid: {result.reason}")
-    return EXIT_OK if result.ok else EXIT_DISAGREE
+    return EXIT_OK if result.ok else EXIT_FAILED_CHECK
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
@@ -176,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="DIMACS CNF path")
     p.add_argument("--r", type=cnf.read_int, required=True, help="number of clause groups / packing parameter")
     p.add_argument("--pad", type=cnf.read_int, metavar="D", help="dull padding width, 2^D padding sets; 0 turns padding off")
-    p.add_argument("--output", required=True, help="instance output path")
-    p.add_argument("--witness", help="witness output path (default: OUTPUT.wit)")
+    p.add_argument("--output", required=True, help="instance output path; the witness goes to OUTPUT.wit")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("solve", help="decide an instance file exactly")
@@ -221,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         # Raised only for correctness bugs: a failed check of a round trip or a witness, or a contradicted verdict.
         print(f"cspack: {exc}", file=sys.stderr)
-        return EXIT_DISAGREE
+        return EXIT_FAILED_CHECK
 
 
 if __name__ == "__main__":

@@ -390,11 +390,11 @@ class WitnessMap:
         return group, self.codes[group][set_index - offsets[group]]
 
     def set_index_of(self, group: int, code: int) -> int:
-        """Core set index of the given group's assignment code, if present."""
+        """Core set index of the given group's assignment code; a code the group lacks raises ValueError."""
         codes = self.codes[group]
         pos = bisect_left(codes, code)
         if pos == len(codes) or codes[pos] != code:
-            raise ValueError(f"group {group} has no satisfying assignment with code {code}")
+            raise ValueError(f"assignment does not satisfy clause group {group} (restriction code {code})")
         return self.group_offsets[group] + pos
 
 
@@ -568,16 +568,7 @@ def lower_assignment_to_packing(witness: WitnessMap, assignment: Assignment) -> 
     its group, which happens exactly when the assignment does not satisfy
     the formula.
     """
-    indices = []
-    for g in range(witness.r):
-        code = encode_assignment(witness.domains[g], assignment)
-        try:
-            indices.append(witness.set_index_of(g, code))
-        except ValueError:
-            raise ValueError(
-                f"assignment does not satisfy clause group {g} (restriction code {code})"
-            ) from None
-    return indices
+    return [witness.set_index_of(g, encode_assignment(witness.domains[g], assignment)) for g in range(witness.r)]
 
 
 def lift_packing_to_assignment(witness: WitnessMap, packing: list[int] | tuple[int, ...]) -> Assignment:

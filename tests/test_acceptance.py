@@ -304,7 +304,7 @@ def test_criterion_7_scaling_smoke():
         rows.extend(bench.run_sweep(config))
     log2_counts = [row.log2_set_count for row in rows]
     decreasing = all(a > b for a, b in zip(log2_counts, log2_counts[1:]))
-    judged = all(row.agreement == "agree" for row in rows)
+    judged = all((row.verdict, row.oracle_verdict) == ("yes", "sat") for row in rows)
     ok = decreasing and judged
     detail = ", ".join(f"r={row.r}: log2(sets)={row.log2_set_count:.2f} verdict={row.verdict}/{row.oracle_verdict}"
                        for row in rows)

@@ -51,6 +51,13 @@ def test_reduce_writes_instance_and_witness(tmp_path, capsys):
     assert inst.universe_size == wit.universe_size
     printed = capsys.readouterr().out
     assert "universe 4" in printed and "core 2" in printed
+    assert printed.endswith(f"wrote instance to {out}, witness to {out}.wit\n")
+    # The witness always goes next to the instance: there is no option to move it.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reduce", cnf_path, "--r", "2", "--output", str(out), "--witness", "x"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cspack ") and err.endswith("cspack: error: unrecognized arguments: --witness x\n")
 
 
 def test_reduce_reparse_matches_in_memory(tmp_path):
@@ -459,12 +466,12 @@ def test_bench_writes_csv_to_stdout(tmp_path, capsys):
     assert captured.err == ""
     header, *rows = captured.out.splitlines()
     assert header == ",".join(bench.CSV_COLUMNS)
-    assert [row.split(",")[-3:] for row in rows] == [["yes", "sat", "agree"]] * 2
+    assert [row.split(",")[-2:] for row in rows] == [["yes", "sat"]] * 2
 
 
 def test_bench_budget_rows_exit_3(tmp_path, capsys):
-    # A one-node budget decides no row: each is written with agreement "na",
-    # and the sweep is inconclusive, not failed.
+    # A one-node budget decides no row: each is written with verdict "budget",
+    # unjudged, and the sweep is inconclusive, not failed.
     config = write(tmp_path / "sweep.json", json.dumps(
         {"n_values": [6], "instances": 2, "seed": 7, "density": 2.0, "planted": True, "budget": 1}))
     out = tmp_path / "rows.csv"
@@ -473,7 +480,7 @@ def test_bench_budget_rows_exit_3(tmp_path, capsys):
     assert captured.out == f"wrote 2 rows to {out}\n"
     assert captured.err == "some rows are INCONCLUSIVE (budget exhausted)\n"
     rows = out.read_text().splitlines()[1:]
-    assert [row.split(",")[-3:] for row in rows] == [["budget", "sat", "na"]] * 2
+    assert [row.split(",")[-2:] for row in rows] == [["budget", "sat"]] * 2
 
 
 def test_bench_bad_config(tmp_path, capsys):
@@ -503,6 +510,7 @@ def test_bench_bad_config(tmp_path, capsys):
     {"n_values": [6], "padding": "none"},  # 0 is the one spelling of "no padding"
     {"n_values": [3], "density": 1e7},  # m = 3e7 is above MAX_CLAUSES
     {"n_values": [29]},  # above the oracle cap, so no row could be judged
+    {"r_rule": 2},  # no n_values
 ])
 def test_bench_config_type_errors(tmp_path, capsys, config):
     path = tmp_path / "sweep.json"

@@ -182,6 +182,21 @@ def test_each_text_reader_reads_one_stream_of_lines():
     assert "_READ_CHARS" in {node.attr for node in ast.walk(read) if isinstance(node, ast.Attribute)}
 
 
+def options_of_each_command() -> dict[str, list[str]]:
+    """The options, in order, that cli.build_parser gives each subcommand."""
+    (build,) = [node for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
+    options: dict[str, list[str]] = {}
+    for statement in build.body:
+        call = getattr(statement, "value", None)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.args:
+            if call.func.attr == "add_parser":
+                command = call.args[0].value
+            elif call.func.attr == "add_argument" and call.args[0].value.startswith("-"):
+                options.setdefault(command, []).append(call.args[0].value)
+    return options
+
+
 def test_the_oracle_has_one_reach():
     # cnf.ORACLE_CAP alone bounds the oracle: no function takes a cap of its
     # own, a sweep writes no unjudged "skip" row, and roundtrip has no option
@@ -196,17 +211,20 @@ def test_the_oracle_has_one_reach():
     assert capped == []
     bench = ast.parse((PACKAGE / "bench.py").read_text())
     assert "skip" not in {node.value for node in ast.walk(bench) if isinstance(node, ast.Constant)}
-    (build,) = [node for node in ast.parse((PACKAGE / "cli.py").read_text()).body
-                if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
-    options: dict[str, list[str]] = {}
-    for statement in build.body:
-        call = getattr(statement, "value", None)
-        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.args:
-            if call.func.attr == "add_parser":
-                command = call.args[0].value
-            elif call.func.attr == "add_argument" and call.args[0].value.startswith("-"):
-                options.setdefault(command, []).append(call.args[0].value)
-    assert options["roundtrip"] == ["--r", "--pad", "--budget"]
+    assert options_of_each_command()["roundtrip"] == ["--r", "--pad", "--budget"]
+
+
+def test_each_output_has_one_owner():
+    # reduce writes its witness to OUTPUT.wit with no option to move it, the
+    # verdict columns end a sweep row with no column derived from them, and
+    # the lowering passes on set_index_of's message instead of rewording it.
+    from cspack import bench
+
+    assert options_of_each_command()["reduce"] == ["--r", "--pad", "--output"]
+    assert bench.CSV_COLUMNS[-2:] == ("verdict", "oracle_verdict")
+    (lower,) = [node for node in ast.parse((PACKAGE / "reduction.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "lower_assignment_to_packing"]
+    assert not [node for node in ast.walk(lower) if isinstance(node, ast.Try)]
 
 
 def test_a_round_trip_fails_one_way_and_runs_the_oracle_last():

@@ -245,6 +245,18 @@ def test_enumerate_bounds_search_work():
         reduction.enumerate_group_assignments(f.clauses, limit=10)
 
 
+def test_enumerate_counts_a_leaf_table_read_out_against_the_budget():
+    # x2..x17 are the low variables, forced true; x1 is searched and free, so
+    # the search pops 3 prefixes and reads out 2 one-code leaf tables of 2^16
+    # bits at 512 visits each: 1027 visits, just past limit 123's budget of
+    # 1025, found only once the second leaf is read out.
+    group = ((1, 2),) + tuple((v,) for v in range(2, 18))
+    budget = 17 + (1 << 16) // reduction.TABLE_BITS_PER_VISIT + reduction.SEARCH_NODES_PER_SET * 124
+    with pytest.raises(ValueError, match=f"search visited more than {budget} partial assignments"):
+        reduction.enumerate_group_assignments(group, limit=123)
+    assert reduction.enumerate_group_assignments(group, limit=124).codes == (0xFFFF, 0x1FFFF)
+
+
 @pytest.mark.parametrize(
     "core",
     [
@@ -681,8 +693,14 @@ def test_lower_assignment_example():
 
 def test_lower_rejects_non_satisfying():
     _, wit = reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0)
-    with pytest.raises(ValueError, match="does not satisfy"):
+    message = "assignment does not satisfy clause group 1 (restriction code 7)"
+    with pytest.raises(ValueError) as exc:
         reduction.lower_assignment_to_packing(wit, {1: True, 2: True, 3: True})
+    assert str(exc.value) == message
+    # set_index_of owns the message: the lowering passes it on unchanged.
+    with pytest.raises(ValueError) as exc:
+        wit.set_index_of(1, 7)
+    assert str(exc.value) == message
     with pytest.raises(ValueError, match="missing"):
         reduction.lower_assignment_to_packing(wit, {1: True})
 
