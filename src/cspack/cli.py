@@ -32,6 +32,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    # Each parser, a subcommand's included, refuses the arguments it does not
+    # know, so the usage line printed names the subcommand they were given to.
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:

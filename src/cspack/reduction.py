@@ -2,9 +2,14 @@
 
 The construction, in element-ID terms:
 
-* The clauses are split round-robin into r balanced groups. For each group,
-  every satisfying partial assignment over the group's variables becomes one
-  set in the family.
+* The clauses are split into r groups of round-robin sizes, each group in
+  its turn taking the clause that adds the fewest new variables to its
+  domain (clause_groups), so domains, and the families with them, stay
+  small. Which clauses share a group does not change the answer: the
+  argument below holds for any split, and the witness, the lift and the
+  lowering read only domains and codes. For each group, every satisfying
+  partial assignment over the group's variables becomes one set in the
+  family.
 * Per variable x there is a grid block over G_x, the groups whose domain
   holds x (grid_layout): one ID per ordered pair (i, j) of distinct groups
   of G_x, row-major, |G_x| * (|G_x| - 1) IDs. A set for group g encodes "x
@@ -444,17 +449,13 @@ def grid_layout(domains: Iterable[Iterable[int]]) -> tuple[dict[int, tuple[int, 
     return blocks, start
 
 
-def check_shape(
-    n: int, r: int, d: int, domains: Iterable[Iterable[int]]
-) -> tuple[dict[int, tuple[int, tuple[int, ...]]], int]:
-    """The grid_layout of the domains, once n variables, r groups with them and d dull IDs pass the reduction's rules.
+def check_counts(n: int, r: int, d: int) -> None:
+    """Raise ValueError unless n variables, r groups and d dull IDs pass the reduction's rules.
 
-    Raises ValueError unless n >= 1, r >= 1, n and r at most MAX_UNIVERSE
-    (lifting a packing writes all n values, and each group has a tag ID),
-    0 <= d <= MAX_DULL_WIDTH (2^d padding sets are built), d = 0 at r = 1
-    (a padding set alone would be a packing), and grid size + d <=
-    MAX_UNIVERSE. The domains are read last, so a generator of r domains is
-    only drawn once r is in range; each must hold a variable at most once.
+    The rules: n >= 1, r >= 1, n and r at most MAX_UNIVERSE (lifting a
+    packing writes all n values, and each group has a tag ID), 0 <= d <=
+    MAX_DULL_WIDTH (2^d padding sets are built), and d = 0 at r = 1 (a
+    padding set alone would be a packing).
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n = {n}, r = {r}")
@@ -464,6 +465,18 @@ def check_shape(
         raise ValueError(f"dull_width {d} is not in [0, {MAX_DULL_WIDTH}] (2^d padding sets are materialized)")
     if r == 1 and d > 0:
         raise ValueError("padding requires r >= 2: with r = 1 any padding set alone is a packing")
+
+
+def check_shape(
+    n: int, r: int, d: int, domains: Iterable[Iterable[int]]
+) -> tuple[dict[int, tuple[int, tuple[int, ...]]], int]:
+    """The grid_layout of the domains, once n variables, r groups with them and d dull IDs pass the reduction's rules.
+
+    Raises ValueError unless check_counts(n, r, d) passes and grid size + d
+    <= MAX_UNIVERSE. The domains are read last, so a generator of r domains
+    is only drawn once r is in range; each must hold a variable at most once.
+    """
+    check_counts(n, r, d)
     blocks, size = grid_layout(domains)
     check_universe_size(size + d)
     return blocks, size
@@ -476,6 +489,117 @@ def default_dull_width(n: int, r: int) -> int:
     return min(MAX_DULL_WIDTH, math.ceil(n * math.log2(r) / r))
 
 
+def clause_groups(formula: CnfFormula, r: int) -> tuple[tuple[int, ...], ...]:
+    """The clause indices of each of r >= 1 groups, each ascending: the turn-taking split.
+
+    The groups take turns in order 0, 1, ..., r - 1, repeatedly, and group g
+    stops at its round-robin size len(range(g, m, r)), so turn t is group
+    t mod r's and sizes differ by at most one. In its turn a group takes the
+    unassigned clause that adds the fewest new variables to its domain, the
+    lowest index among ties. On variable-disjoint clauses this is
+    round-robin.
+
+    A clause's key for a group is the number of its distinct variables the
+    group's domain lacks. In a turn no unassigned clause has a key below the
+    lowest one present, so the pick is the lowest index among: for key 0 or
+    1, the group's heaps of the clauses whose key fell there as a variable
+    joined its domain; for key 2, a merge of the occurrence lists of its
+    domain; and for a key equal to a clause's width, the unassigned head of
+    the clauses of that width in index order, which all groups share (a head
+    the group touches would be in a lower heap or in its merge). The work is
+    about the sum, over the groups, of the occurrences of their domain
+    variables.
+
+    Raises ValueError as soon as the grid of the domains so far, the size
+    grid_layout gives them, exceeds MAX_UNIVERSE. The grid only grows, so
+    check_shape would refuse the finished split; and a variable that joins
+    a group it is not the first to hold adds at least 2 to it, so at most
+    n + MAX_UNIVERSE / 2 + 1 variables join a domain before that.
+    """
+    # Imported on the first split, so that importing cspack does not load it.
+    from heapq import heappop, heappush, heapreplace
+
+    m = formula.num_clauses
+    # The distinct variables of each clause, then 0, which every domain holds,
+    # up to three. Each variable is one shared int object (canon), which keeps
+    # the index small and the scans' reads close together.
+    canon = list(range(formula.num_vars + 1))
+    variables = [(*{canon[abs(lit)] for lit in clause}, 0, 0)[:3] for clause in formula.clauses]
+    occurs: list[list[int]] = [[] for _ in range(formula.num_vars + 1)]  # the clauses of each variable, ascending
+    fresh: tuple[list[int], ...] = ([], [], [], [])  # the clauses of each width, ascending
+    for c in range(m):
+        width = 3 - variables[c].count(0)
+        fresh[width].append(c)
+        for v in variables[c][:width]:
+            occurs[v].append(c)
+
+    taken = bytearray(m)
+    heads = [0] * 4
+
+    def head(width: int) -> int:
+        order, i = fresh[width], heads[width]
+        while i < len(order) and taken[order[i]]:
+            i += 1
+        heads[width] = i
+        return order[i] if i < len(order) else m
+
+    def top(heap: list[int]) -> int:
+        while heap and taken[heap[0]]:
+            heappop(heap)
+        return heap[0] if heap else m
+
+    def merged(heap: list[tuple[int, int, int]]) -> int:  # entries (clause, position in occurs[v], v)
+        while heap and taken[heap[0][0]]:
+            _, p, v = heap[0]
+            occ = occurs[v]
+            p += 1
+            while p < len(occ) and taken[occ[p]]:
+                p += 1
+            if p < len(occ):
+                heapreplace(heap, (occ[p], p, v))
+            else:
+                heappop(heap)
+        return heap[0][0] if heap else m
+
+    active = min(r, m)
+    members: list[list[int]] = [[] for _ in range(active)]
+    domains = [{0} for _ in range(active)]
+    keyed: list[tuple[list[int], list[int]]] = [([], []) for _ in range(active)]
+    touching: list[list[tuple[int, int, int]]] = [[] for _ in range(active)]
+    holders = [0] * (formula.num_vars + 1)  # the groups so far whose domain holds each variable
+    grid = 0
+    for t in range(m):
+        g = t % r
+        low = keyed[g]
+        best = top(low[0])
+        if best == m:
+            best = min(top(low[1]), head(1))
+            if best == m:
+                best = min(merged(touching[g]), head(2))
+                if best == m:
+                    best = head(3)
+        taken[best] = 1
+        members[g].append(best)
+        domain = domains[g]
+        new = [v for v in variables[best] if v not in domain]
+        domain.update(new)
+        for v in new:
+            grid += 2 * holders[v]  # |G_v| (|G_v| - 1) grows by 2 |G_v|
+            holders[v] += 1
+            if grid > MAX_UNIVERSE:
+                raise ValueError(
+                    f"the grid exceeds MAX_UNIVERSE = {MAX_UNIVERSE}: {grid} IDs once {t + 1} of {m} clauses are grouped"
+                )
+            for c in occurs[v]:
+                if not taken[c]:
+                    x, y, z = variables[c]
+                    key = (x not in domain) + (y not in domain) + (z not in domain)
+                    if key < 2:
+                        heappush(low[key], c)
+            heappush(touching[g], (occurs[v][0], 0, v))
+    return tuple(tuple(sorted(group)) for group in members) + ((),) * (r - active)
+
+
 def reduce_to_packing(
     formula: CnfFormula,
     r: int,
@@ -485,10 +609,11 @@ def reduce_to_packing(
     """Build the set packing instance and its witness map for the formula.
 
     dull_width None picks the default padding width; 0 disables padding.
-    check_shape, which WitnessMap calls too, refuses n, r, the width and the
-    grid plus dull block with ValueError before any group is enumerated; the
-    grid width comes from the variables of each group's clauses, which are
-    its domain.
+    check_counts refuses n, r and the width with ValueError before the
+    clauses are split (clause_groups), and check_shape, which WitnessMap
+    calls too, refuses the grid plus dull block before any group is
+    enumerated; the grid width comes from the variables of each group's
+    clauses, which are its domain.
 
     A family of more than MAX_SETS sets is refused with ValueError: the 2^d
     padding sets are counted first, and each group's enumeration gets the
@@ -502,15 +627,17 @@ def reduce_to_packing(
     """
     n = formula.num_vars
     d = default_dull_width(n, r) if dull_width is None else dull_width
-    check_shape(n, r, d, ({abs(lit) for clause in formula.clauses[g::r] for lit in clause} for g in range(r)))
+    check_counts(n, r, d)
+    groups = [tuple(map(formula.clauses.__getitem__, group)) for group in clause_groups(formula, r)]
+    check_shape(n, r, d, ({abs(lit) for clause in group for lit in clause} for group in groups))
 
     allowance = MAX_SETS - ((1 << d) if d > 0 else 0)
     if allowance < 0:
         raise ValueError(f"the {1 << d} padding sets alone exceed MAX_SETS = {MAX_SETS}")
     domains, codes = [], []
-    for g in range(r):
+    for g, group_clauses in enumerate(groups):
         try:
-            group = enumerate_group_assignments(formula.clauses[g::r], limit=allowance)
+            group = enumerate_group_assignments(group_clauses, limit=allowance)
         except ValueError as exc:
             raise ValueError(f"family refused under MAX_SETS = {MAX_SETS}: group {g}: {exc}") from None
         domains.append(group.domain)

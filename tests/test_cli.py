@@ -57,7 +57,28 @@ def test_reduce_writes_instance_and_witness(tmp_path, capsys):
         cli.main(["reduce", cnf_path, "--r", "2", "--output", str(out), "--witness", "x"])
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: cspack ") and err.endswith("cspack: error: unrecognized arguments: --witness x\n")
+    assert err.startswith("usage: cspack reduce ") and err.endswith("cspack reduce: error: unrecognized arguments: --witness x\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-cnf", "--n", "5", "--m", "3", "--bogus"],
+    ["reduce", "f.cnf", "--bogus", "--r", "2", "--output", "f.sp"],
+    ["solve", "f.sp", "--bogus", "1"],
+    ["verify", "f.sp", "0", "--bogus"],
+    ["roundtrip", "f.cnf", "--r", "2", "--bogus"],
+    ["audit", "f.sp", "--bogus"],
+    ["bench", "sweep.json", "--bogus"],
+])
+def test_an_unknown_option_is_refused_with_its_subcommands_usage(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # no file is read or written
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    extras = " ".join(argv[argv.index("--bogus"):]) if argv[0] == "solve" else "--bogus"
+    assert captured.err.startswith(f"usage: cspack {argv[0]} ")
+    assert captured.err.endswith(f"cspack {argv[0]}: error: unrecognized arguments: {extras}\n")
+    assert captured.out == "" and not list(tmp_path.iterdir())
 
 
 def test_reduce_reparse_matches_in_memory(tmp_path):
@@ -104,7 +125,7 @@ def test_universe_above_bound_exits_1(tmp_path, capsys):
     cnf_path = write(tmp_path / "wide.cnf", f"p cnf 1200 3200\n{clauses}")
     out = tmp_path / "wide.sp"
     assert cli.main(["reduce", cnf_path, "--r", "8", "--pad", "0", "--output", str(out)]) == 1
-    assert "universe_size 67200 exceeds MAX_UNIVERSE" in capsys.readouterr().err
+    assert "cspack: the grid exceeds MAX_UNIVERSE = 65536: 65538 IDs once 3123 of 3200 clauses are grouped\n" in capsys.readouterr().err
     assert not out.exists()
     # More variables than the bound, with a grid of none.
     cnf_path = write(tmp_path / "many.cnf", "p cnf 1000000000 1\n1 2 3 0\n")
@@ -379,18 +400,21 @@ def test_reduce_and_audit_print_the_quick_start_breakdown(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["reduce", cnf_path, "--r", "2", "--output", out]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == [
-        "universe 35 = grid 14 + iss 17 (widths 9 8) + dull 4",
-        "sets 131 = core 115 (per group: 78 37) + padding 16",
+        "universe 32 = grid 12 + iss 16 (widths 9 7) + dull 4",
+        "sets 126 = core 110 (per group: 92 18) + padding 16",
     ]
     assert cli.main(["audit", out, "--witness", out + ".wit"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "breakdown: grid 14 iss 17 dull 4"
+    assert capsys.readouterr().out.splitlines()[-1] == "breakdown: grid 12 iss 16 dull 4"
 
 
 def test_audit_refuses_witness_of_another_r(tmp_path, capsys):
-    cnf_path = write(tmp_path / "f.cnf", to_dimacs(bench.make_formula(6, 8, 1, False)))
+    cnf_path = write(tmp_path / "f.cnf", to_dimacs(bench.make_formula(6, 8, 54, False)))
     out = tmp_path / "f.sp"
     cli.main(["reduce", cnf_path, "--r", "2", "--pad", "0", "--output", str(out)])
-    assert "universe 27 " in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "universe 27 = grid 12 + iss 15 (widths 7 8) + dull 0",
+        "sets 72 = core 72 (per group: 34 38) + padding 0",
+    ]
     # Three groups of 24 sets, which share x1: a grid of 3 * 2 IDs and tags of
     # 3 * 7, so universe 27 and 72 sets, like the r = 2 instance.
     codes = " ".join(map(str, range(24)))

@@ -81,8 +81,9 @@ def test_the_command_line_reads_integers_by_the_same_rule():
 
 
 def test_the_reduction_and_the_witness_share_one_shape_check():
-    # n, r and the padding width are checked in one place, check_shape, so
-    # a witness is refused exactly when the reduction would refuse its layout.
+    # n, r and the padding width are checked in one place, check_counts,
+    # which check_shape calls, so a witness is refused exactly when the
+    # reduction would refuse its layout.
     def defs(body, kind):
         return {node.name: node for node in body if isinstance(node, kind)}
 
@@ -98,6 +99,7 @@ def test_the_reduction_and_the_witness_share_one_shape_check():
     assert not names(reduce) & {"MAX_DULL_WIDTH", "check_universe_size"}
     assert "check_shape" in calls(reduce)
     assert "check_shape" in calls(post_init)
+    assert not names(defs(body, ast.FunctionDef)["check_shape"]) & {"MAX_DULL_WIDTH", "MAX_UNIVERSE"}
 
 
 def test_one_function_derives_the_grid_layout(monkeypatch):

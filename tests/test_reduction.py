@@ -433,8 +433,8 @@ def disjoint_clauses(m):
     return cnf.CnfFormula(num_vars=max(1, 3 * m), clauses=clauses)
 
 
-def clause_groups(m, r):
-    """The clause indices of each group, read from the witness domains."""
+def groups_from_witness(m, r):
+    """The clause indices of each group, read from the witness domains of disjoint_clauses(m)."""
     _, wit = reduction.reduce_to_packing(disjoint_clauses(m), r, dull_width=0)
     assert wit.r == r
     groups = []
@@ -448,9 +448,9 @@ def clause_groups(m, r):
 
 
 def test_partition_examples():
-    assert clause_groups(2, 2) == ((0,), (1,))
-    assert clause_groups(5, 2) == ((0, 2, 4), (1, 3))
-    assert clause_groups(2, 3) == ((0,), (1,), ())
+    assert groups_from_witness(2, 2) == ((0,), (1,))
+    assert groups_from_witness(5, 2) == ((0, 2, 4), (1, 3))
+    assert groups_from_witness(2, 3) == ((0,), (1,), ())
 
 
 def test_partition_properties_exhaustive():
@@ -459,9 +459,11 @@ def test_partition_properties_exhaustive():
         for r in range(1, 7):
             if m > 3 * r:
                 continue
-            groups = clause_groups(m, r)
+            groups = groups_from_witness(m, r)
             for g, group in enumerate(groups):
-                assert group == tuple(range(g, m, r))  # round robin
+                # Each disjoint clause adds three new variables to any group,
+                # so the lowest index wins every turn: the split is round robin.
+                assert group == tuple(range(g, m, r))
             seen = [k for group in groups for k in group]
             assert sorted(seen) == list(range(m))
             assert len(seen) == len(set(seen))
@@ -469,15 +471,108 @@ def test_partition_properties_exhaustive():
                 assert abs(len(group) - m / r) <= 1
 
 
+def reference_clause_groups(clauses, r):
+    """The turn-taking split by its definition, O(m^2 r): turn t is group t mod r's,
+    and it takes the unassigned clause adding the fewest new variables to its
+    domain, the lowest index among ties. Shares no code with clause_groups."""
+    variables = [{abs(lit) for lit in clause} for clause in clauses]
+    free = list(range(len(clauses)))
+    domains = [set() for _ in range(r)]
+    groups = [[] for _ in range(r)]
+    for t in range(len(clauses)):
+        g = t % r
+        best = min(free, key=lambda c: (len(variables[c] - domains[g]), c))
+        free.remove(best)
+        groups[g].append(best)
+        domains[g] |= variables[best]
+    return tuple(tuple(sorted(group)) for group in groups)
+
+
+def check_split(formula, r):
+    groups = reduction.clause_groups(formula, r)
+    assert groups == reference_clause_groups(formula.clauses, r)
+    assert reduction.clause_groups(formula, r) == groups  # deterministic
+    m = formula.num_clauses
+    assert sorted(c for group in groups for c in group) == list(range(m))  # a partition
+    assert [len(group) for group in groups] == [len(range(g, m, r)) for g in range(r)]  # round-robin sizes
+    assert all(group == tuple(sorted(group)) for group in groups)
+    return groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(clauses=st.lists(st.lists(literals, min_size=1, max_size=3), max_size=24), r=st.integers(1, 30))
+def test_clause_groups_follow_the_reference_rule(clauses, r):
+    # Repeated clauses and literals, tautologies and shared variables, with r
+    # from 1 to past m, where some groups stay empty.
+    check_split(cnf.CnfFormula(num_vars=6, clauses=tuple(map(tuple, clauses))), r)
+
+
+def test_clause_groups_on_the_sample_formulas_and_edge_counts():
+    for f, _, wit in sample_instances(40, seed=5):
+        check_split(f, wit.r)
+        check_split(f, 1)
+        assert check_split(f, f.num_clauses + 3)[f.num_clauses:] == ((),) * 3
+    f = bench.make_formula(28, 56, 7, True)
+    check_split(f, 5)  # the planted n=28 row at the paper's r
+
+
+def test_clause_groups_refuse_a_grid_above_the_bound_as_grid_layout_counts_it(monkeypatch):
+    # The split stops as soon as the grid of its domains passes MAX_UNIVERSE,
+    # which happens exactly when the finished split's grid would.
+    rng = random.Random(17)
+    refused = 0
+    for _ in range(200):
+        n = rng.randint(3, 10)
+        f = bench.make_formula(n, rng.randint(0, 30), rng.randrange(1 << 30), False)
+        r = rng.randint(1, 6)
+        groups = reference_clause_groups(f.clauses, r)
+        _, grid = reduction.grid_layout({abs(lit) for c in group for lit in f.clauses[c]} for group in groups)
+        bound = rng.randint(0, 40)
+        monkeypatch.setattr(reduction, "MAX_UNIVERSE", bound)
+        if grid > bound:
+            refused += 1
+            with pytest.raises(ValueError, match=f"^the grid exceeds MAX_UNIVERSE = {bound}: [0-9]+ IDs once"):
+                reduction.clause_groups(f, r)
+        else:
+            assert reduction.clause_groups(f, r) == groups
+    assert 50 < refused < 150
+
+
+def test_counts_are_checked_before_the_split(monkeypatch):
+    def no_split(*args, **kwargs):
+        raise AssertionError("the clauses were split before r was checked")
+
+    monkeypatch.setattr(reduction, "clause_groups", no_split)
+    for r, message in [
+        (0, "need n >= 1 and r >= 1, got n = 3, r = 0"),
+        (MAX_UNIVERSE + 1, f"need n <= MAX_UNIVERSE and r <= MAX_UNIVERSE = {MAX_UNIVERSE}, got n = 3, r = {MAX_UNIVERSE + 1}"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reduction.reduce_to_packing(PHI_TWO_WIDE, r, dull_width=0)
+    with pytest.raises(ValueError, match=r"^dull_width 17 is not in \[0, 16\]"):
+        reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=17)
+    with pytest.raises(AssertionError, match="split before r was checked"):
+        reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=0)
+
+
 def test_reduce_refuses_universe_above_bound(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("a group was enumerated before the grid was checked")
 
     monkeypatch.setattr(reduction, "enumerate_group_assignments", no_enumeration)
-    # 1200 variables, each in all 8 groups: the grid alone has 1200 * 8 * 7 = 67,200 IDs.
+    # 1200 variables, each in all 8 groups: the grid alone would have
+    # 1200 * 8 * 7 = 67,200 IDs. The split stops once it passes MAX_UNIVERSE:
+    # x1..x1170 hold 1170 * 56 = 65,520 IDs, and clause 3122, the third copy
+    # of (x1171 x1172 x1173), adds 4 per variable.
     f = cnf.CnfFormula(num_vars=1200, clauses=tuple(t for k in range(400) for t in [(3 * k + 1, 3 * k + 2, 3 * k + 3)] * 8))
-    with pytest.raises(ValueError, match="universe_size 67200 exceeds MAX_UNIVERSE"):
+    message = "the grid exceeds MAX_UNIVERSE = 65536: 65538 IDs once 3123 of 3200 clauses are grouped"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         reduction.reduce_to_packing(f, 8, dull_width=0)
+    # A grid under the split's bound plus a dull block over it is check_shape's
+    # to refuse: two copies of (x1171 x1172 x1173) make 65,520 + 6 IDs.
+    f = cnf.CnfFormula(num_vars=1200, clauses=f.clauses[:3122])
+    with pytest.raises(ValueError, match="^universe_size 65537 exceeds MAX_UNIVERSE = 65536$"):
+        reduction.reduce_to_packing(f, 8, dull_width=11)
     # A variable count above the bound is refused however small the grid.
     f = cnf.CnfFormula(num_vars=MAX_UNIVERSE + 1, clauses=((1, 2, 3),))
     with pytest.raises(ValueError, match=f"got n = {MAX_UNIVERSE + 1}, r = 1"):
@@ -783,19 +878,24 @@ def test_witness_round_trip_objects():
 def test_witness_round_trip_with_padding_and_empty_groups():
     inst, wit = reduction.reduce_to_packing(PHI_CONTRADICTION, 2, dull_width=3)
     assert reduction.witness_from_text(reduction.witness_to_text(wit)) == wit
-    # round-robin puts clauses 0 and 2, i.e. (x1) and (not x1), in group 0
+    # Group 0 takes (x1), group 1 the lowest of the two clauses that add one
+    # variable, (x2), and group 0 then (not x1), which adds none.
     f = cnf.CnfFormula(num_vars=2, clauses=((1,), (2,), (-1,)))
+    assert reduction.clause_groups(f, 2) == ((0, 2), (1,))
     _, wit2 = reduction.reduce_to_packing(f, 2, dull_width=0)
     assert any(not codes for codes in wit2.codes)
     assert reduction.witness_from_text(reduction.witness_to_text(wit2)) == wit2
 
 
 def test_witness_text_literal_examples():
-    # At r = 4, (x1) goes to group 0 and (not x1) to group 1; groups 2 and 3
-    # have no clauses and hold the single empty assignment, code 0.
+    # At r = 4, (x1) goes to group 0 and (not x1) to group 1, since group 0
+    # has had its one turn; groups 2 and 3 have no clauses and hold the single
+    # empty assignment, code 0.
+    assert reduction.clause_groups(PHI_CONTRADICTION, 4) == ((0,), (1,), (), ())
     _, wit = reduction.reduce_to_packing(PHI_CONTRADICTION, 4, dull_width=2)
     assert reduction.witness_to_text(wit) == "w 1 4 2\ng 1 1 1\ng 1 1 0\ng 0 0\ng 0 0\n"
-    # Group 0 holds (x1) and (not x1): it has no codes but keeps its domain.
+    # Group 0 holds (x1) and (not x1) (see the test above): it has no codes
+    # but keeps its domain.
     f = cnf.CnfFormula(num_vars=2, clauses=((1,), (2,), (-1,)))
     _, wit2 = reduction.reduce_to_packing(f, 2, dull_width=0)
     assert reduction.witness_to_text(wit2) == "w 2 2 0\ng 1 1\ng 1 2 1\n"
@@ -921,8 +1021,12 @@ def test_witness_parser_accepts_noncanonical_domain_spelling():
 
 
 def test_group_offsets_cached_and_entry_matches_linear_scan():
-    # Clause k goes to group k mod 5; groups 1, 2 and 4 are contradictory and have no sets.
-    clauses = ((1, 2), (3,), (4,), (1, 5), (2,), (-1, 2), (-3,), (-4,), (5, 2), (-2,))
+    # In the first round group g takes the g-th unit clause. In the second,
+    # groups 1, 2 and 4 take its negation, which adds no variable, so they are
+    # contradictory and have no sets; groups 0 and 3 take (x1 x2) and
+    # (not x1, x2), which add one.
+    clauses = ((1,), (3,), (4,), (2,), (5,), (1, 2), (-3,), (-4,), (-1, 2), (-5,))
+    assert reduction.clause_groups(cnf.CnfFormula(num_vars=5, clauses=clauses), 5) == tuple(zip(range(5), range(5, 10)))
     _, wit = reduction.reduce_to_packing(cnf.CnfFormula(num_vars=5, clauses=clauses), 5, dull_width=0)
     assert [bool(codes) for codes in wit.codes] == [True, False, False, True, False]
     assert wit.group_offsets is wit.group_offsets

@@ -46,17 +46,18 @@ def run_python(code: str) -> str:
 
 
 def test_dense_planted_formula_refused_under_default_cap(tmp_path):
-    # Uncapped, this family has about 17M sets.
+    # Uncapped, this family has 1,136,482 sets: 1,070,946 core sets in its
+    # four groups and 2^16 padding sets (the default width at n = 40, r = 4).
     out = run_python(
         "try:\n"
-        "    reduction.reduce_to_packing(bench.make_formula(30, 60, 0, True), 5)\n"
+        "    reduction.reduce_to_packing(bench.make_formula(40, 80, 0, True), 4)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
     assert f"MAX_SETS = {1 << 20}" in out
     path = tmp_path / "dense.cnf"
-    path.write_text(cnf.to_dimacs(bench.make_formula(30, 60, 0, True)))
-    done = run_child(["-m", "cspack", "reduce", str(path), "--r", "5", "--output", str(tmp_path / "dense.sp")])
+    path.write_text(cnf.to_dimacs(bench.make_formula(40, 80, 0, True)))
+    done = run_child(["-m", "cspack", "reduce", str(path), "--r", "4", "--output", str(tmp_path / "dense.sp")])
     assert done.returncode == 1
     assert "MAX_SETS" in done.stderr
     assert not (tmp_path / "dense.sp").exists()
