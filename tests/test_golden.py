@@ -12,8 +12,8 @@ instance digest, so the witness file carries everything the instance is.
 Each case also pins the instance with its grid replaced by the paper's
 uniform r*r grid (test_reduction.uniform_instance), which the grid cut to
 the pairs of groups that share a variable changed in nothing but the grid
-IDs. A case is named by its seed, so a deliberate digest change keeps the
-test names.
+IDs. A case keeps the name it was first collected under, so a deliberate
+digest change keeps the test names.
 """
 
 from __future__ import annotations
@@ -89,13 +89,43 @@ DENSE_RANDOM = [
 ]
 
 
-@pytest.mark.parametrize("seed, paper_sha, witness_sha, instance_sha", SPARSE_PLANTED, ids=[f"seed{case[0]}" for case in SPARSE_PLANTED])
+# Case names: the ID each case was first collected under, its seed and the
+# paper-grid, witness and instance digests of the round-robin clause split.
+# The digests above change on purpose with the split; the names do not.
+SPARSE_PLANTED_IDS = [
+    "0-f46d563c1063e3f6e19b80cf66bf8e58927e16f50393f86b867b7bdacfe5c1b2-b5a9034b7c3de3dfa608ec35a253022bc94804dc8d49cc5c91cacffd6687e964-b45b1dc8d4c73c32695a75ff46685c5238c950d7f810028fa469939d15f9e681",
+    "1-1518f0b26b810c9badb161eb3f22f3ab4576687aadbd3f5be078d50f6287a394-7144336a2449e1fea388fe315d0b85f2baa372496a40f8c3ec1f54d056465a9b-0474d6ec288b105b5ee9a99e086cd0830308ed722816c2d7784524117dd52b67",
+    "2-6c9039becf85e2593a9fc3b9297f16746f1cd670d1cf2491728c47c6945ac8e5-cedea5577d81326a7d2127b076e41f942d18b75961f0aea88939b745c7a0c316-082ac0e450ec891166b04d8a2c8d76dbefaa0dd0aa6e4d780cee4c7b7ccb8297",
+    "3-0dadea5b1b2100ca8d59d3e70df3a6a9e29ae557b00d905b21a44c2e52abfc6e-917bd713ba9f62d1135b6dc20a9d844d523523494651a96b3d5a316645ca433a-2b9bd132162378d496e6814b022fc3895a6b112c2f36ad1ec378b88264926dd8",
+    "4-516e60c28272c02104d5261412a20a3ff760bc541fd0721ab0338da090730888-0dfa3168a6783aafb8be0ae65f2b1f4d851da3f8227d45779fbad693e3bd6759-791d004a128e87c6067717a3f10bbc8e45e601e901ce6e45c457a1fcf2e6517c",
+    "5-f133a24098f5e1fadb0167dcb42316c5bec56c62a15f0f92ddd66a08975095ed-551eb0565c2e3d854e7fa031fe01f459d3e4c525cc00bc5f411c4d044512f174-69d71fabd4f7f1bc777b78140de23812ca4baca171205ac63e61e905b7da368e",
+    "6-bc6f1f92080577b8d902873d8218760f2028d2561475340f9e94db55088f6dec-5071cbc42719ebc544d7096ab392420794166f6e3056fee8db610b4dbd4014f5-bfe8669641cbe17b933519e8ab33f91ed610cee0ea9b15607b343b6a86a10522",
+    "7-9bbe455e6abe559a2db5623cb3f8b5bf83ea6b077f994985c50c99fc68705ddc-1aeabb00a1f467893c33db425d8d2f49cf8a9a081f5a7272dcc02c921eaeeb08-71a24d66e299b2538c603bc4a475277ca268027ac3650948fd68a85564b318cc",
+    "8-163a09e2ce3a28c9ca91a1051d06a22070ef0136177bdf26a5dccb97390331f8-d398a386d45b817fc54dd1778da4b45d84e8feca6b3aecc29427c5a455cdf084-bb3271d4ed58396f93bc3720bd448fb5ac66db4d3523bb7b0b4712148ac0f08b",
+    "9-6ccc4c2288dbe7d53c65910c51338081b4b10cdafbde5c587743a57a4108905b-963c45a28ad689bf2f53f7c335d0a9aa3b468570bb04a1406cbab2a5fe5f96de-bd47c55c7af7cb8692ff93b9958e588c743dc279e3e089031f6ecccab70e5101",
+]
+
+DENSE_RANDOM_IDS = [
+    "0-3ed4d0414a0fa9f78c7aa34bd7ac284f42d9a338f568a686e2f0d275c2d19003-3a9fc7d65933c3625dba376bbf17eed36805c890735d380d0f81209d1ad13d50-80bdcd829136e3ded6f0764032905c9fae8c0b2e1f535cc11f15b18078180f35",
+    "1-801b45b06ec44fd72999cde0021316356613f1f9ddc8674234a8dc1064b1eee2-6ad3a45a548153c5023276e5cabb60003550ea7363d1428c60673886e2c8405f-e8149d406522d53a1f34c250d20292eea3b4cef533db75179ca5cbb6e779361c",
+    "2-9a7b35ff558c0dc6fd91f09485da44c4e65bd27ebcb0b974b2714fed696e1ccd-28ea4e1f127fbda24415e4a196acef45e93286ea38013da9d79a699e5e2a35e9-fee44eb2c4ceed756c3a8a05b03124154d219c36492e31d980e811c8a6d53617",
+    "3-36f623686b91ee0f960943a0e2e6557cd5d7a8f5baa412af041ce9d0cc0d91ae-daea92134f5691417b8d955d538abfe07b0cf8f160eb1bdadc4eae5fef0f1247-ab779205ee5f96bd88e5fb0f232342beef5c881bbbab42ab7c284227c06920ef",
+    "4-ba3bcd9ca18de53ca24a690a26a9f875aafce012f5ac7ceca2a6233188cd520d-3008f271bf34e08b2286a9e4a2118747c0683825a9e3277f598e0a5142128ad3-b0d768ca1db655fd8fb765db49ff70f7f446c0ae8664d6927f367aed13f079b8",
+    "5-769b0e9d59ad1689de4e0d8461ee44d237c92891aaccdf0216bbdfe3ca42b5fa-9d73965c03d1ab1c5de519f7817246544e6161e473d6b84fe3e57e5a04129c8f-42fdf99689a103ad074e39f689d244a562ba65d0822cb57131e3026b081ee603",
+    "6-2e2beab573c6f1a2023c8a30450238311cb6ce753543433a45eaea637fcbf13b-e32ea5ee7060aad16addbb73cfa1d22d67cc842fd7b345287b2cc62cfce35fbb-ca05995dbc7f55dae0a8755172c8105ac6207fbf3237fd18ad3676c4ce7c21e2",
+    "7-9ca9c39cf5c82c06d2d7c3515eae89da0fcd642ccaccc354021a9586d2ad2d09-22251e62929f0b585ea648fd9792406251de7b6869425c3c8191de1dd8b9f317-787e969ce0d6649b774718cac9ca17f100d4683c4734f9fd1e64c4b9b46f4b4f",
+    "8-849d3a7becf35401f4ca2828242dd9218e162c06e87a8da60edffa92710961a8-627f778bb161bae70478d19654132b9f08ca4d0d32e1bbbda123942e299aaa33-4e0d9680b1bbc6ee95c4d1d4bf99196cbdb18b29a79cab1d76a330494728a09f",
+    "9-af981e362193a625e9bc7bf9e1985e13c31b2e8c02a3e3fbabf39373192ae783-a668fb828ed10180994926a9f9403ab1402c29f6699ca808d24d30bcb909ed5d-3cda442c1ff5f7c4d2a31db0f75047538252a7224ca268f7a4cc1887eae53093",
+]
+
+
+@pytest.mark.parametrize("seed, paper_sha, witness_sha, instance_sha", SPARSE_PLANTED, ids=SPARSE_PLANTED_IDS)
 def test_sparse_planted_bytes(seed, paper_sha, witness_sha, instance_sha):
     expected = (instance_sha, witness_sha, instance_sha, paper_sha)
     assert digests(bench.make_formula(12, 24, seed, True), 4, dull_width=0) == expected
 
 
-@pytest.mark.parametrize("seed, paper_sha, witness_sha, instance_sha", DENSE_RANDOM, ids=[f"seed{case[0]}" for case in DENSE_RANDOM])
+@pytest.mark.parametrize("seed, paper_sha, witness_sha, instance_sha", DENSE_RANDOM, ids=DENSE_RANDOM_IDS)
 def test_dense_random_bytes(seed, paper_sha, witness_sha, instance_sha):
     expected = (instance_sha, witness_sha, instance_sha, paper_sha)
     assert digests(bench.make_formula(16, 69, seed, False), 2, dull_width=0) == expected
