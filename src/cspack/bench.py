@@ -1,11 +1,12 @@
 """Round-trip checks and benchmark sweeps over generated formulas.
 
 A sweep reduces random formulas at a range of sizes, solves the packing
-instances, judges each verdict with the exhaustive SAT oracle, and emits one
-CSV row per instance. A verdict the oracle contradicts is a correctness bug,
-like a packing that fails to verify or lift: run_roundtrip_row raises
-RuntimeError for each, and the sweep stops there. A "budget" verdict is not
-judged; every other written verdict agrees with the oracle's. Timing columns are
+instances, judges each verdict with the SAT oracle, and emits one CSV row per
+instance. A verdict the oracle contradicts is a correctness bug, like a
+packing that fails to verify or lift: run_roundtrip_row raises RuntimeError
+for each, and the sweep stops there, as it does on the oracle's ValueError
+past cnf.ORACLE_WORK_CAP. A "budget" verdict is not judged; every other
+written verdict agrees with the oracle's. Timing columns are
 wall-clock and excluded from the determinism guarantee; every other column is
 reproducible from (config, seed).
 """
@@ -41,10 +42,8 @@ class SweepConfig:
     r_rule is a fixed positive integer or the string "log2" for
     r = ceil(log2(n)). padding is an explicit dull width (0, the default,
     turns padding off) or "default". density fixes m = max(1, int(density *
-    n)); the largest row must pass make_formula's bounds. Formulas get seeds
-    config.seed, config.seed + 1, ... in row order. A config with an n above
-    cnf.ORACLE_CAP is refused with cnf.check_oracle_reach's ValueError, since
-    the oracle could not judge its rows.
+    n)); every n, and the largest row's m, must pass make_formula's bounds.
+    Formulas get seeds config.seed, config.seed + 1, ... in row order.
     """
 
     n_values: tuple[int, ...]
@@ -60,10 +59,11 @@ class SweepConfig:
         if not isinstance(self.n_values, (list, tuple)):
             raise ValueError(f"n_values must be a list of integers, got {self.n_values!r}")
         object.__setattr__(self, "n_values", tuple(self.n_values))
+        if not self.n_values:
+            raise ValueError("n_values must be nonempty")
         for n in self.n_values:
             _require_int("every n in n_values", n)
-        if not self.n_values or any(n < 3 for n in self.n_values):
-            raise ValueError("n_values must be nonempty with every n >= 3")
+            _check_num_vars(n)  # also keeps density * n below from overflowing
         for name in ("instances", "seed", "budget"):
             _require_int(name, getattr(self, name))
         if self.instances < 1:
@@ -83,7 +83,6 @@ class SweepConfig:
         if isinstance(density, bool) or not isinstance(density, (int, float)) or not 0 < density < math.inf:
             raise ValueError(f"density must be a positive finite number, got {density!r}")
         n = max(self.n_values)
-        cnf.check_oracle_reach(n)
         if not density * n < MAX_CLAUSES + 1:  # so that run_sweep's largest m, int(density * n), passes
             raise ValueError(f"density {density!r} times n = {n} is above MAX_CLAUSES = {MAX_CLAUSES}")
         if not isinstance(self.planted, bool):
@@ -133,11 +132,7 @@ def make_formula(n: int, m: int, seed: int, planted: bool) -> CnfFormula:
     that assignment satisfies it. Raises ValueError, before any draw, unless
     3 <= n <= MAX_UNIVERSE and 0 <= m <= MAX_CLAUSES.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3 to draw 3 distinct variables per clause, got {n}")
-    if n > MAX_UNIVERSE:
-        # check_shape refuses such an n at every r.
-        raise ValueError(f"n = {n} exceeds MAX_UNIVERSE = {MAX_UNIVERSE}, so no r can reduce it")
+    _check_num_vars(n)
     if not 0 <= m <= MAX_CLAUSES:
         raise ValueError(f"clause count must be in [0, MAX_CLAUSES = {MAX_CLAUSES}], got {m}")
     rng = random.Random(seed)
@@ -156,19 +151,25 @@ def make_formula(n: int, m: int, seed: int, planted: bool) -> CnfFormula:
     return CnfFormula(num_vars=n, clauses=tuple(clauses))
 
 
+def _check_num_vars(n: int) -> None:
+    if n < 3:
+        raise ValueError(f"need n >= 3 to draw 3 distinct variables per clause, got {n}")
+    if n > MAX_UNIVERSE:
+        # check_shape refuses such an n at every r.
+        raise ValueError(f"n = {n} exceeds MAX_UNIVERSE = {MAX_UNIVERSE}, so no r can reduce it")
+
+
 def run_roundtrip_row(formula: CnfFormula, r: int, *, dull_width: int | None, budget: int) -> SweepRow:
     """Reduce, solve and lift one formula, then judge its verdict with the oracle.
 
-    A formula above cnf.ORACLE_CAP is refused with cnf.check_oracle_reach's
-    ValueError before any reduction. A found packing is verified and lifted,
-    and the lifted assignment is evaluated. Then the oracle runs last, and its
-    model, if any, is lowered to a packing and verified. A failed check, or a
-    "yes" or "no" verdict that the oracle contradicts, raises RuntimeError,
-    since it means the toolkit itself is broken. A "budget" verdict is not
+    A found packing is verified and lifted, and the lifted assignment is
+    evaluated. Then the oracle runs last, and its model, if any, is lowered to
+    a packing and verified. A failed check, or a "yes" or "no" verdict that
+    the oracle contradicts, raises RuntimeError, since it means the toolkit
+    itself is broken. An oracle search past cnf.ORACLE_WORK_CAP raises its
+    ValueError, so no row is returned unjudged. A "budget" verdict is not
     judged; a returned row with any other verdict agrees with the oracle.
     """
-    cnf.check_oracle_reach(formula.num_vars)
-
     t0 = time.perf_counter()
     instance, witness = reduce_to_packing(formula, r, dull_width=dull_width)
     reduce_time = time.perf_counter() - t0

@@ -27,8 +27,8 @@ def test_r_rule_log2():
 def test_config_validation():
     with pytest.raises(ValueError):
         bench.SweepConfig(n_values=())
-    with pytest.raises(ValueError):
-        bench.SweepConfig(n_values=(2,))
+    with pytest.raises(ValueError, match="need n >= 3 to draw 3 distinct variables per clause, got 2"):
+        bench.SweepConfig(n_values=(6, 2))
     with pytest.raises(ValueError):
         bench.SweepConfig(n_values=(6,), r_rule="cubed")
     with pytest.raises(ValueError):
@@ -41,8 +41,7 @@ def test_config_validation():
     for budget in (0, -5):
         with pytest.raises(ValueError, match="budget must be positive"):
             bench.SweepConfig(n_values=(6,), budget=budget)
-    with pytest.raises(ValueError, match="formula has 29 variables, oracle cap is 28"):
-        bench.SweepConfig(n_values=(6, 29))
+    assert bench.SweepConfig(n_values=(6, 29)).n_values == (6, 29)
 
 
 def test_load_config(tmp_path):
@@ -83,14 +82,12 @@ def test_sweep_planted_rows_are_sat():
     assert all(row.verdict == "yes" for row in rows)
 
 
-def test_sweep_refuses_n_above_oracle_cap_before_any_row(monkeypatch):
-    # Every row is judged: a config whose largest n the oracle cannot scan is
-    # refused when it is built, before any formula is drawn.
-    monkeypatch.setattr(bench.cnf, "ORACLE_CAP", 6)
-    monkeypatch.setattr(bench, "make_formula", None)  # any row would raise TypeError
-    with pytest.raises(ValueError, match="formula has 8 variables, oracle cap is 6"):
+def test_sweep_stops_when_the_oracle_outruns_its_work_cap(monkeypatch):
+    # Every row is judged: the first row whose oracle search passes the cap
+    # raises the oracle's ValueError, and the sweep returns no rows.
+    monkeypatch.setattr(bench.cnf, "ORACLE_WORK_CAP", 0)
+    with pytest.raises(ValueError, match="^oracle search visited more than ORACLE_WORK_CAP = 0 clauses$"):
         bench.run_sweep(bench.SweepConfig(n_values=(6, 8), r_rule=2, instances=2, seed=1, density=1.0))
-    bench.SweepConfig(n_values=(6,))
 
 
 def test_csv_deterministic_outside_timing():
@@ -144,12 +141,16 @@ def test_make_formula_refuses_oversize_inputs_before_drawing(monkeypatch):
         for m in (-1, bench.MAX_CLAUSES + 1):
             with pytest.raises(ValueError, match=f"MAX_CLAUSES = {bench.MAX_CLAUSES}], got {m}"):
                 bench.make_formula(20, m, 0, planted)
-    with pytest.raises(ValueError, match=f"formula has {cnf.ORACLE_CAP + 1} variables, oracle cap is {cnf.ORACLE_CAP}"):
-        bench.SweepConfig(n_values=(3, cnf.ORACLE_CAP + 1), density=0.5)
+    # A sweep refuses an n that make_formula refuses, with its message, before
+    # density * n is formed: 3.0 * 10**400 would overflow a float.
+    for n in (packing.MAX_UNIVERSE + 1, 10**400):
+        with pytest.raises(ValueError, match=f"^n = {n} exceeds MAX_UNIVERSE = {packing.MAX_UNIVERSE}, so no r"):
+            bench.SweepConfig(n_values=(3, n))
     with pytest.raises(ValueError, match="above MAX_CLAUSES"):
         bench.SweepConfig(n_values=(4, 3), density=(bench.MAX_CLAUSES + 1) / 4)
     # The largest row at the bounds is accepted: int(density * n) = MAX_CLAUSES.
-    bench.SweepConfig(n_values=(4, cnf.ORACLE_CAP), density=(bench.MAX_CLAUSES + 0.5) / cnf.ORACLE_CAP)
+    n = packing.MAX_UNIVERSE
+    bench.SweepConfig(n_values=(4, n), density=(bench.MAX_CLAUSES + 0.5) / n)
 
 
 def reference_gen_random_3cnf(n, m, seed, planted=None):
@@ -201,5 +202,5 @@ def test_sweep_aborts_on_disagreement(monkeypatch):
 def test_roundtrip_row_budget_is_inconclusive():
     formula = bench.make_formula(8, 16, 3, False)
     row = bench.run_roundtrip_row(formula, 2, dull_width=0, budget=1)
-    # The row is written unjudged: the oracle still scans it, and its verdict says budget.
+    # The row is written unjudged: the oracle still judges the formula, and its verdict says budget.
     assert (row.verdict, row.oracle_verdict) == ("budget", "sat")

@@ -333,18 +333,21 @@ def test_roundtrip_budget_inconclusive(tmp_path, capsys):
 
 
 def test_roundtrip_strict_oracle_cap(tmp_path, capsys, monkeypatch):
-    # The cap is checked before the formula is reduced, not after the solve.
-    def no_reduction(*args, **kwargs):
-        raise AssertionError("reduce_to_packing called for a formula over the oracle cap")
-
-    monkeypatch.setattr(bench, "reduce_to_packing", no_reduction)
-    monkeypatch.setattr(reduction, "reduce_to_packing", no_reduction)
-    monkeypatch.setattr(bench.cnf, "ORACLE_CAP", 4)
+    # An oracle search past its work cap leaves the verdict unjudged: exit 1
+    # with one "cspack:" line, no verdict printed and no CSV written.
+    monkeypatch.setattr(bench.cnf, "ORACLE_WORK_CAP", 4)
     cnf_path = write(tmp_path / "f.cnf", to_dimacs(bench.make_formula(8, 8, 3, False)))
     assert cli.main(["roundtrip", cnf_path, "--r", "2", "--pad", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "cspack: formula has 8 variables, oracle cap is 4\n"
+    assert captured.err == "cspack: oracle search visited more than ORACLE_WORK_CAP = 4 clauses\n"
+    config = write(tmp_path / "sweep.json", json.dumps({"n_values": [8], "density": 1.0, "seed": 3}))
+    out = tmp_path / "rows.csv"
+    assert cli.main(["bench", config, "--output", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cspack: oracle search visited more than ORACLE_WORK_CAP = 4 clauses\n"
 
 
 def test_a_contradicted_verdict_fails_like_every_check(tmp_path, capsys, monkeypatch):
@@ -367,7 +370,7 @@ def test_a_contradicted_verdict_fails_like_every_check(tmp_path, capsys, monkeyp
 
 
 def test_a_formula_the_reduction_refuses_never_reaches_the_oracle(tmp_path, capsys, monkeypatch):
-    # The oracle runs last, so a refused reduction costs no 2^n scan.
+    # The oracle runs last, so a refused reduction costs no oracle search.
     def no_oracle(formula):
         raise AssertionError("the oracle ran on a formula the reduction refuses")
 
@@ -507,6 +510,17 @@ def test_bench_budget_rows_exit_3(tmp_path, capsys):
     assert [row.split(",")[-2:] for row in rows] == [["budget", "sat"]] * 2
 
 
+def test_bench_judges_a_row_above_n_28(tmp_path):
+    # n = 29 at the paper's r = ceil(log2 29) = 5: the reduction decides the
+    # planted row and the oracle judges it.
+    config = write(tmp_path / "sweep.json", json.dumps(
+        {"n_values": [29], "r_rule": "log2", "seed": 7, "density": 2.0, "planted": True}))
+    out = tmp_path / "rows.csv"
+    assert cli.main(["bench", config, "--output", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert row.startswith("29,58,5,") and row.endswith(",yes,sat")
+
+
 def test_bench_bad_config(tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"n_values": []}))
@@ -530,10 +544,10 @@ def test_bench_bad_config(tmp_path, capsys):
     [1, 2],
     {"n_values": [6], "oracle_cap": -3},  # a removed key is an unknown key
     {"n_values": [6], "density": 1e308},  # m = int(6e308) is not a finite count
-    {"n_values": [10**400]},  # above the oracle cap; 3.0 * n would overflow a float
+    {"n_values": [10**400]},  # above MAX_UNIVERSE; 3.0 * n would overflow a float
     {"n_values": [6], "padding": "none"},  # 0 is the one spelling of "no padding"
     {"n_values": [3], "density": 1e7},  # m = 3e7 is above MAX_CLAUSES
-    {"n_values": [29]},  # above the oracle cap, so no row could be judged
+    {"n_values": [6, 65537]},  # above MAX_UNIVERSE, so make_formula could draw no row
     {"r_rule": 2},  # no n_values
 ])
 def test_bench_config_type_errors(tmp_path, capsys, config):

@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cspack import bench, cnf
@@ -262,9 +262,15 @@ def test_oracle_empty_formula_all_false():
 
 
 def test_oracle_cap(monkeypatch):
-    monkeypatch.setattr(cnf, "ORACLE_CAP", 4)
-    f = cnf.CnfFormula(num_vars=5, clauses=((1,),))
-    with pytest.raises(ValueError, match="formula has 5 variables, oracle cap is 4"):
+    # x4 and x5 admit no values, and x1..x3 are free, so each of the 8
+    # prefixes of x1..x3 visits the 4 clauses of the core: 2 with x4 false
+    # and 2 with x4 true. The work is counted in clause visits, not in n.
+    f = cnf.CnfFormula(num_vars=5, clauses=((4, 5), (4, -5), (-4, 5), (-4, -5)))
+    assert cnf.brute_force_sat(f) is None
+    monkeypatch.setattr(cnf, "ORACLE_WORK_CAP", 32)
+    assert cnf.brute_force_sat(f) is None
+    monkeypatch.setattr(cnf, "ORACLE_WORK_CAP", 31)
+    with pytest.raises(ValueError, match="^oracle search visited more than ORACLE_WORK_CAP = 31 clauses$"):
         cnf.brute_force_sat(f)
 
 
@@ -281,30 +287,27 @@ def test_oracle_agrees_with_enumeration(formula):
         assert result is None
 
 
-@given(formula_strategy(max_vars=12, clauses_per_var=5))
-@settings(max_examples=200, deadline=None)
+def near_threshold_strategy():
+    """make_formula formulas with 3 <= n <= 16 and m within 3 of 4.26n, the
+    hardest density for random 3-SAT, each with up to three extra unit or
+    binary clauses."""
+    def build(n):
+        lit = st.builds(lambda v, sign: v if sign else -v, st.integers(1, n), st.booleans())
+        extra = st.lists(st.lists(lit, min_size=1, max_size=2).map(tuple), max_size=3)
+        drawn = st.builds(bench.make_formula, st.just(n), st.integers(-3, 3).map(lambda d: round(4.26 * n) + d),
+                          st.integers(0, 2**32), st.just(False))
+        return st.builds(lambda f, more: cnf.CnfFormula(n, f.clauses + tuple(more)), drawn, extra)
+
+    return st.integers(min_value=3, max_value=16).flatmap(build)
+
+
+# x1, the most significant code bit, must be true, and x22 false: the least
+# model lies past the first half of the 2^22 codes.
+@example(cnf.CnfFormula(num_vars=22, clauses=((1,), (-22,), (2, 3))))
+@given(st.one_of(formula_strategy(max_vars=12, clauses_per_var=5), near_threshold_strategy()))
+@settings(max_examples=300, deadline=None)
 def test_oracle_agrees_with_reference(formula):
     assert cnf.brute_force_sat(formula) == reference_sat(formula)
-
-
-@given(formula_strategy(max_vars=12, clauses_per_var=5))
-@settings(max_examples=100, deadline=None)
-def test_oracle_agrees_with_reference_in_2_bit_chunks(formula):
-    # Variables above the low two code bits become per-chunk constants, and
-    # the scan crosses up to 2^10 chunk boundaries.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cnf, "_CHUNK_BITS", 2)
-        assert cnf.brute_force_sat(formula) == reference_sat(formula)
-
-
-def test_oracle_finds_a_model_past_the_first_chunk():
-    # x1 (a chunk bit at n = 22) must be true, x22 (the lowest code bit) false.
-    f = cnf.CnfFormula(num_vars=22, clauses=((1,), (-22,), (2, 3)))
-    expected = {v: v in (1, 3) for v in range(1, 23)}
-    assert cnf.brute_force_sat(f) == expected
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cnf, "_CHUNK_BITS", 2)
-        assert cnf.brute_force_sat(f) == expected
 
 
 # -- random generation (bench.make_formula) ---------------------------------

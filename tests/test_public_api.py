@@ -199,10 +199,23 @@ def options_of_each_command() -> dict[str, list[str]]:
     return options
 
 
+def names_and_attributes(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
 def test_the_oracle_has_one_reach():
-    # cnf.ORACLE_CAP alone bounds the oracle: no function takes a cap of its
-    # own, a sweep writes no unjudged "skip" row, and roundtrip has no option
-    # that moves the cap.
+    # cnf.ORACLE_WORK_CAP alone bounds the oracle, in one comparison inside
+    # brute_force_sat: no other oracle bound exists, no function takes a cap
+    # of its own, a sweep writes no unjudged "skip" row, and roundtrip has no
+    # option that moves the cap.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name for tree in trees.values() for name in names_and_attributes(tree) if "ORACLE" in name} == {"ORACLE_WORK_CAP"}
+    compares = [node for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Compare) and "ORACLE_WORK_CAP" in names_and_attributes(node)]
+    comparing = {f"{module}.{fn.name}" for module, tree in trees.items() for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and any(node in compares for node in ast.walk(fn))}
+    assert len(compares) == 1 and comparing == {"cnf.brute_force_sat"}
     capped = [
         f"{path.name}:{node.name}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -230,27 +243,17 @@ def test_each_output_has_one_owner():
 
 
 def test_a_round_trip_fails_one_way_and_runs_the_oracle_last():
-    # cnf.check_oracle_reach alone compares against ORACLE_CAP. A verdict the
-    # oracle contradicts raises RuntimeError like every failed check, with no
-    # exception type or "disagree" row of its own, and no DISAGREE text in the
-    # CLI. run_roundtrip_row checks the reach before it reduces and runs the
-    # oracle after the solve.
-    def names(node):
-        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
-            n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-
+    # A verdict the oracle contradicts raises RuntimeError like every failed
+    # check, with no exception type or "disagree" row of its own, and no
+    # DISAGREE text in the CLI. run_roundtrip_row runs the oracle after the
+    # solve.
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    compares = [node for tree in trees.values() for node in ast.walk(tree)
-                if isinstance(node, ast.Compare) and "ORACLE_CAP" in names(node)]
-    comparing = {f"{module}.{fn.name}" for module, tree in trees.items() for fn in ast.walk(tree)
-                 if isinstance(fn, ast.FunctionDef) and any(node in compares for node in ast.walk(fn))}
-    assert len(compares) == 1 and comparing == {"cnf.check_oracle_reach"}
 
     def constants(tree):
         return {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
 
     exceptions = [node.name for node in ast.walk(trees["bench"]) if isinstance(node, ast.ClassDef)
-                  and any(name.endswith(("Exception", "Error")) for base in node.bases for name in names(base))]
+                  and any(name.endswith(("Exception", "Error")) for base in node.bases for name in names_and_attributes(base))]
     assert exceptions == []
     assert "disagree" not in constants(trees["bench"])
     assert "DISAGREE" not in constants(trees["cli"])
@@ -262,9 +265,8 @@ def test_a_round_trip_fails_one_way_and_runs_the_oracle_last():
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
             calls.setdefault(name, []).append(node.lineno)
-    names_in_order = ("check_oracle_reach", "reduce_to_packing", "solve_exact", "brute_force_sat")
-    (reach,), (reduce_,), (solve,), (oracle,) = (calls[name] for name in names_in_order)
-    assert reach < reduce_ and solve < oracle
+    (solve,), (oracle,) = calls["solve_exact"], calls["brute_force_sat"]
+    assert solve < oracle
 
 
 def test_every_source_file_parses_as_python_3_10():

@@ -1,12 +1,12 @@
 """Inputs the reduction must refuse or finish quickly, instances the solver
-must decide within its default budget, and formulas the SAT oracle must scan
-in full at its cap, each run in a child process.
+must decide within its default budget, and formulas the SAT oracle must
+decide or refuse under its default work cap, each run in a child process.
 
 A regression to scanning all 2^|domain| codes of a group, or to an oracle
-that tests one assignment at a time, would make these cases run for minutes
-to hours or exhaust memory. The child has a wall-clock timeout and an
-address-space limit, so such a regression fails the test in seconds instead
-of stalling or killing the suite.
+that tests one assignment at a time or searches without a bound on its work,
+would make these cases run for minutes to hours or exhaust memory. The child
+has a wall-clock timeout and an address-space limit, so such a regression
+fails the test in seconds instead of stalling or killing the suite.
 """
 
 from __future__ import annotations
@@ -252,7 +252,35 @@ def test_solver_decides_rows_within_default_budget(n, m, seed, planted, r, dull_
 def test_oracle_scans_unsat_formulas_at_the_default_cap(formula):
     out = run_python(
         f"f = {formula}\n"
-        "assert f.num_vars == cnf.ORACLE_CAP\n"
         "print(cnf.brute_force_sat(f))\n"
     )
     assert out.split() == ["None"]
+
+
+# x27 and x28 admit no values, but no clause on them is a unit, so each of
+# the 8,646,064 assignments of x1..x26 that the chain (xv or xv+1 or xv+2)
+# allows is extended to x27 before it fails. Uncapped, the search returns
+# None after 34 s, past the child's timeout; under the default cap it stops
+# in about 1.2 s (2-core Xeon). At r = 1 the reduction finds no sets at
+# once, so the round trip reaches the oracle.
+CORE_AND_CHAIN = cnf.CnfFormula(
+    28, tuple((v, v + 1, v + 2) for v in range(1, 25)) + ((27, 28), (27, -28), (-27, 28), (-27, -28))
+)
+
+
+def test_oracle_search_past_the_default_cap_is_refused(tmp_path):
+    message = f"oracle search visited more than ORACLE_WORK_CAP = {cnf.ORACLE_WORK_CAP} clauses"
+    out = run_python(
+        f"f = cnf.parse_dimacs({cnf.to_dimacs(CORE_AND_CHAIN)!r})\n"
+        "try:\n"
+        "    cnf.brute_force_sat(f)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out == message + "\n"
+    path = tmp_path / "core.cnf"
+    path.write_text(cnf.to_dimacs(CORE_AND_CHAIN))
+    done = run_cli(["roundtrip", str(path), "--r", "1", "--pad", "0"])
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == f"cspack: {message}\n"
+    assert done.stdout == ""
