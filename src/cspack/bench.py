@@ -155,7 +155,7 @@ def _check_num_vars(n: int) -> None:
     if n < 3:
         raise ValueError(f"need n >= 3 to draw 3 distinct variables per clause, got {n}")
     if n > MAX_UNIVERSE:
-        # check_shape refuses such an n at every r.
+        # check_counts refuses such an n at every r.
         raise ValueError(f"n = {n} exceeds MAX_UNIVERSE = {MAX_UNIVERSE}, so no r can reduce it")
 
 

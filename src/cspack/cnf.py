@@ -150,19 +150,15 @@ def evaluate(formula: CnfFormula, assignment: Assignment) -> bool:
     )
 
 
-def assignment_from_code(num_vars: int, code: int) -> Assignment:
-    """Decode a total assignment from its binary encoding (variable 1 is the most significant bit)."""
-    return {v: bool((code >> (num_vars - v)) & 1) for v in range(1, num_vars + 1)}
-
-
 def brute_force_sat(formula: CnfFormula) -> Assignment | None:
     """Complete satisfiability oracle: the least model, or None when unsatisfiable.
 
-    The least model is the satisfying total assignment with the smallest code
-    (assignment_from_code: variable 1 is the most significant bit). A
-    depth-first search decides x1, x2, ... in that order, False before True,
-    and after each decision sets every literal that a clause with all its
-    other literals false forces (unit propagation). Propagation rules out
+    The least model is the satisfying total assignment with the smallest
+    code, the n-bit number whose bit n - v is x_v's value (variable 1 is the
+    most significant bit). A depth-first search decides x1, x2, ... in that
+    order, False before True, and after each decision sets every literal
+    that a clause with all its other literals false forces (unit
+    propagation). Propagation rules out
     only assignments that are not models, and prefixes are tried in code
     order, so the first total assignment the search reaches is the least
     model: once every clause holds, each later decision is False.

@@ -292,14 +292,15 @@ class WitnessMap:
     codes over it (first domain variable = most significant bit), both
     strictly increasing, as witness_to_text writes them. Construction checks
     each group's domain, then its codes, for that order and then for ends in
-    [1, n] and [0, 2^len(domain)); then n, r, d and the grid (check_shape)
-    and the universe, so witness_from_text checks only syntax.
+    [1, n] and [0, 2^len(domain)); then n, r and d (check_counts), and then
+    derives the grid (grid_layout) and checks the universe, grid, tags and
+    dull block together, so witness_from_text checks only syntax.
 
     Core set indices are laid out group by group, in assignment-encoding
     order within each group; padding sets (if any) come after all core sets.
     The element layout, which build_instance follows, comes from the fields:
     IDs [0, grid_size) are the per-variable grids (grid_blocks, the layout
-    the constructor's check_shape call returns), then come r tag blocks in
+    the constructor's grid_layout call returns), then come r tag blocks in
     group order, each the minimal intersecting-family universe for its
     group's set count (build_iss), then dull_width padding-only IDs.
     """
@@ -323,7 +324,8 @@ class WitnessMap:
                 raise ValueError(f"group {g}: codes must be strictly increasing")
             if codes and not (0 <= codes[0] and codes[-1] < 1 << len(domain)):
                 raise ValueError(f"group {g}: assignment code out of range for domain size {len(domain)}")
-        blocks, size = check_shape(self.num_vars, self.r, self.dull_width, self.domains)
+        check_counts(self.num_vars, self.r, self.dull_width)
+        blocks, size = grid_layout(self.domains)
         object.__setattr__(self, "grid_blocks", blocks)
         object.__setattr__(self, "grid_size", size)
         check_universe_size(self.universe_size)
@@ -455,7 +457,8 @@ def check_counts(n: int, r: int, d: int) -> None:
     The rules: n >= 1, r >= 1, n and r at most MAX_UNIVERSE (lifting a
     packing writes all n values, and each group has a tag ID), 0 <= d <=
     MAX_DULL_WIDTH (2^d padding sets are built), and d = 0 at r = 1 (a
-    padding set alone would be a packing).
+    padding set alone would be a packing). reduce_to_packing checks them
+    before the split and WitnessMap before it derives its layout.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n = {n}, r = {r}")
@@ -467,21 +470,6 @@ def check_counts(n: int, r: int, d: int) -> None:
         raise ValueError("padding requires r >= 2: with r = 1 any padding set alone is a packing")
 
 
-def check_shape(
-    n: int, r: int, d: int, domains: Iterable[Iterable[int]]
-) -> tuple[dict[int, tuple[int, tuple[int, ...]]], int]:
-    """The grid_layout of the domains, once n variables, r groups with them and d dull IDs pass the reduction's rules.
-
-    Raises ValueError unless check_counts(n, r, d) passes and grid size + d
-    <= MAX_UNIVERSE. The domains are read last, so a generator of r domains
-    is only drawn once r is in range; each must hold a variable at most once.
-    """
-    check_counts(n, r, d)
-    blocks, size = grid_layout(domains)
-    check_universe_size(size + d)
-    return blocks, size
-
-
 def default_dull_width(n: int, r: int) -> int:
     """Default padding width ceil(n * log2(r) / r), capped at MAX_DULL_WIDTH; 0 when r < 2."""
     if r < 2:
@@ -489,7 +477,7 @@ def default_dull_width(n: int, r: int) -> int:
     return min(MAX_DULL_WIDTH, math.ceil(n * math.log2(r) / r))
 
 
-def clause_groups(formula: CnfFormula, r: int) -> tuple[tuple[int, ...], ...]:
+def clause_groups(formula: CnfFormula, r: int, dull_width: int) -> tuple[tuple[int, ...], ...]:
     """The clause indices of each of r >= 1 groups, each ascending: the turn-taking split.
 
     The groups take turns in order 0, 1, ..., r - 1, repeatedly, and group g
@@ -511,10 +499,14 @@ def clause_groups(formula: CnfFormula, r: int) -> tuple[tuple[int, ...], ...]:
     variables.
 
     Raises ValueError as soon as the grid of the domains so far, the size
-    grid_layout gives them, exceeds MAX_UNIVERSE. The grid only grows, so
-    check_shape would refuse the finished split; and a variable that joins
-    a group it is not the first to hold adds at least 2 to it, so at most
-    n + MAX_UNIVERSE / 2 + 1 variables join a domain before that.
+    grid_layout gives them, plus the dull_width dull IDs exceeds
+    MAX_UNIVERSE: before any clause is grouped if the dull block alone does.
+    The grid only grows, so the split refuses exactly when the finished
+    split's grid plus dull block would exceed the bound; and a variable that
+    joins a group it is not the first to hold adds at least 2 to it, so at
+    most n + MAX_UNIVERSE / 2 + 1 variables join a domain before that. This
+    is the one bound on the grid that reduce_to_packing checks before any
+    group is enumerated.
     """
     # Imported on the first split, so that importing cspack does not load it.
     from heapq import heappop, heappush, heapreplace
@@ -568,6 +560,16 @@ def clause_groups(formula: CnfFormula, r: int) -> tuple[tuple[int, ...], ...]:
     touching: list[list[tuple[int, int, int]]] = [[] for _ in range(active)]
     holders = [0] * (formula.num_vars + 1)  # the groups so far whose domain holds each variable
     grid = 0
+    room = MAX_UNIVERSE - dull_width  # the grid IDs the dull block leaves under the bound
+
+    def overflow(grouped: int) -> ValueError:
+        return ValueError(
+            f"the grid plus {dull_width} dull IDs exceeds MAX_UNIVERSE = {MAX_UNIVERSE}:"
+            f" {grid + dull_width} IDs once {grouped} of {m} clauses are grouped"
+        )
+
+    if room < 0:
+        raise overflow(0)
     for t in range(m):
         g = t % r
         low = keyed[g]
@@ -586,10 +588,8 @@ def clause_groups(formula: CnfFormula, r: int) -> tuple[tuple[int, ...], ...]:
         for v in new:
             grid += 2 * holders[v]  # |G_v| (|G_v| - 1) grows by 2 |G_v|
             holders[v] += 1
-            if grid > MAX_UNIVERSE:
-                raise ValueError(
-                    f"the grid exceeds MAX_UNIVERSE = {MAX_UNIVERSE}: {grid} IDs once {t + 1} of {m} clauses are grouped"
-                )
+            if grid > room:
+                raise overflow(t + 1)
             for c in occurs[v]:
                 if not taken[c]:
                     x, y, z = variables[c]
@@ -609,16 +609,18 @@ def reduce_to_packing(
     """Build the set packing instance and its witness map for the formula.
 
     dull_width None picks the default padding width; 0 disables padding.
-    check_counts refuses n, r and the width with ValueError before the
-    clauses are split (clause_groups), and check_shape, which WitnessMap
-    calls too, refuses the grid plus dull block before any group is
-    enumerated; the grid width comes from the variables of each group's
-    clauses, which are its domain.
+    check_counts, which WitnessMap calls too, refuses n, r and the width
+    with ValueError before the clauses are split, and the split
+    (clause_groups) refuses the grid plus dull block as soon as it passes
+    MAX_UNIVERSE, before any group is enumerated; the grid width comes from
+    the variables of each group's clauses, which are its domain. The
+    witness derives the layout once the groups are enumerated.
 
     A family of more than MAX_SETS sets is refused with ValueError: the 2^d
-    padding sets are counted first, and each group's enumeration gets the
-    remaining allowance and stops as soon as it is exceeded, before any mask
-    is built. The allowance also bounds each group's search work (see
+    padding sets are counted first (at most 2^MAX_DULL_WIDTH, well under
+    MAX_SETS), and each group's enumeration gets the remaining allowance and
+    stops as soon as it is exceeded, before any mask is built. The
+    allowance also bounds each group's search work (see
     enumerate_group_assignments), so a group whose search would outrun it is
     refused too, even if few of its assignments survive. Once every group is
     enumerated, a family whose set count times universe size exceeds
@@ -628,12 +630,8 @@ def reduce_to_packing(
     n = formula.num_vars
     d = default_dull_width(n, r) if dull_width is None else dull_width
     check_counts(n, r, d)
-    groups = [tuple(map(formula.clauses.__getitem__, group)) for group in clause_groups(formula, r)]
-    check_shape(n, r, d, ({abs(lit) for clause in group for lit in clause} for group in groups))
-
+    groups = [tuple(map(formula.clauses.__getitem__, group)) for group in clause_groups(formula, r, d)]
     allowance = MAX_SETS - ((1 << d) if d > 0 else 0)
-    if allowance < 0:
-        raise ValueError(f"the {1 << d} padding sets alone exceed MAX_SETS = {MAX_SETS}")
     domains, codes = [], []
     for g, group_clauses in enumerate(groups):
         try:

@@ -125,7 +125,16 @@ def test_universe_above_bound_exits_1(tmp_path, capsys):
     cnf_path = write(tmp_path / "wide.cnf", f"p cnf 1200 3200\n{clauses}")
     out = tmp_path / "wide.sp"
     assert cli.main(["reduce", cnf_path, "--r", "8", "--pad", "0", "--output", str(out)]) == 1
-    assert "cspack: the grid exceeds MAX_UNIVERSE = 65536: 65538 IDs once 3123 of 3200 clauses are grouped\n" in capsys.readouterr().err
+    message = "the grid plus 0 dull IDs exceeds MAX_UNIVERSE = 65536: 65538 IDs once 3123 of 3200 clauses are grouped"
+    assert f"cspack: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+    # Two copies of each triple up to (x1171 x1172 x1173): a grid of 65,526
+    # IDs, which leaves room for 10 dull IDs, not 11. The split refuses 11.
+    clauses = "".join(f"{3 * k + 1} {3 * k + 2} {3 * k + 3} 0\n" * (8 if k < 390 else 2) for k in range(391))
+    cnf_path = write(tmp_path / "wide.cnf", f"p cnf 1200 3122\n{clauses}")
+    assert cli.main(["reduce", cnf_path, "--r", "8", "--pad", "11", "--output", str(out)]) == 1
+    message = "the grid plus 11 dull IDs exceeds MAX_UNIVERSE = 65536: 65537 IDs once 3122 of 3122 clauses are grouped"
+    assert f"cspack: {message}\n" in capsys.readouterr().err
     assert not out.exists()
     # More variables than the bound, with a grid of none.
     cnf_path = write(tmp_path / "many.cnf", "p cnf 1000000000 1\n1 2 3 0\n")

@@ -40,6 +40,11 @@ def satisfies(clauses, alpha) -> bool:
     return all(any(alpha[abs(l)] == (l > 0) for l in c) for c in clauses)
 
 
+def assignment_from_code(num_vars: int, code: int) -> dict[int, bool]:
+    """Decode a total assignment from its binary encoding (variable 1 is the most significant bit)."""
+    return {v: bool((code >> (num_vars - v)) & 1) for v in range(1, num_vars + 1)}
+
+
 def reference_sat(formula):
     """The scalar oracle: test every clause on one assignment at a time, in encoding order."""
     n = formula.num_vars
@@ -60,7 +65,7 @@ def reference_sat(formula):
             if not (code & pos) and (code & neg) == neg:
                 break
         else:
-            return cnf.assignment_from_code(n, code)
+            return assignment_from_code(n, code)
     return None
 
 

@@ -82,8 +82,9 @@ def test_the_command_line_reads_integers_by_the_same_rule():
 
 def test_the_reduction_and_the_witness_share_one_shape_check():
     # n, r and the padding width are checked in one place, check_counts,
-    # which check_shape calls, so a witness is refused exactly when the
-    # reduction would refuse its layout.
+    # which both the reduction and the witness call. The reduction bounds the
+    # grid plus dull block only through the split, which is handed d; the
+    # witness bounds its whole universe.
     def defs(body, kind):
         return {node.name: node for node in body if isinstance(node, kind)}
 
@@ -96,17 +97,24 @@ def test_the_reduction_and_the_witness_share_one_shape_check():
     body = ast.parse((PACKAGE / "reduction.py").read_text()).body
     reduce = defs(body, ast.FunctionDef)["reduce_to_packing"]
     post_init = defs(defs(body, ast.ClassDef)["WitnessMap"].body, ast.FunctionDef)["__post_init__"]
-    assert not names(reduce) & {"MAX_DULL_WIDTH", "check_universe_size"}
-    assert "check_shape" in calls(reduce)
-    assert "check_shape" in calls(post_init)
-    assert not names(defs(body, ast.FunctionDef)["check_shape"]) & {"MAX_DULL_WIDTH", "MAX_UNIVERSE"}
+    functions = defs(body, ast.FunctionDef)
+    assert "check_shape" not in functions
+    assert not names(reduce) & {"MAX_DULL_WIDTH", "MAX_UNIVERSE", "check_universe_size", "grid_layout"}
+    assert "check_counts" in calls(reduce)
+    assert "check_counts" in calls(post_init)
+    assert {"grid_layout", "check_universe_size"} <= calls(post_init)
+    split = next(n for n in ast.walk(reduce) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "clause_groups")
+    assert [ast.unparse(arg) for arg in split.args] == ["formula", "r", "d"]
+    assert "MAX_UNIVERSE" in names(functions["clause_groups"])
+    assert "MAX_DULL_WIDTH" not in names(functions["clause_groups"])
 
 
 def test_one_function_derives_the_grid_layout(monkeypatch):
     # G_x, the groups whose domain holds x, sizes the grid. grid_layout alone
-    # derives it, check_shape alone calls it, and a witness keeps the layout
-    # its check_shape call returns, so the reduction's bound and the masks
-    # read one layout.
+    # derives it, the witness's constructor alone calls it and keeps the
+    # layout it returns, so the masks and the witness's universe bound read
+    # one layout. The reduction derives none: the split counts its grid as
+    # it goes.
     from cspack import reduction
 
     tree = ast.parse((PACKAGE / "reduction.py").read_text())
@@ -135,8 +143,7 @@ def test_one_function_derives_the_grid_layout(monkeypatch):
     assert "Counter" not in {alias.name for node in imports for alias in node.names} | names(tree)
     assert "grid_width" not in functions
     assert [name for name, fn in functions.items() if files_groups(fn)] == ["grid_layout"]
-    # The reduction and the witness reach it through check_shape (see above).
-    assert [name for name, fn in functions.items() if "grid_layout" in names(fn)] == ["check_shape"]
+    assert [name for name, fn in functions.items() if "grid_layout" in names(fn)] == ["WitnessMap.__post_init__"]
 
     layouts = []
     derive = reduction.grid_layout
@@ -148,11 +155,11 @@ def test_one_function_derives_the_grid_layout(monkeypatch):
     monkeypatch.setattr(reduction, "grid_layout", counted)
     formula = cspack.parse_dimacs("p cnf 3 2\n1 2 0\n-1 3 0\n")
     instance, witness = reduction.reduce_to_packing(formula, 2, dull_width=0)
-    assert len(layouts) == 2  # the check before enumeration, then the witness's own
-    assert witness.grid_blocks is layouts[1][0] and witness.grid_size == layouts[1][1]
+    assert len(layouts) == 1  # the witness's own
+    assert witness.grid_blocks is layouts[0][0] and witness.grid_size == layouts[0][1]
     parsed = reduction.witness_from_text(reduction.witness_to_text(witness))
     assert reduction.build_instance(parsed) == instance and parsed.grid_mask(1, 0, True)
-    assert len(layouts) == 3
+    assert len(layouts) == 2
 
 
 def test_one_function_takes_the_masks_apart_into_byte_columns():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cspack import bench, cnf, packing, reduction
 from cspack.packing import MAX_UNIVERSE, solve_exact, verify_packing
+from cspack.reduction import MAX_DULL_WIDTH, MAX_SETS
 
 PHI_CONTRADICTION = cnf.CnfFormula(num_vars=1, clauses=((1,), (-1,)))
 PHI_TWO_WIDE = cnf.CnfFormula(num_vars=3, clauses=((1, 2, 3), (-1, -2, -3)))
@@ -489,9 +490,9 @@ def reference_clause_groups(clauses, r):
 
 
 def check_split(formula, r):
-    groups = reduction.clause_groups(formula, r)
+    groups = reduction.clause_groups(formula, r, 0)
     assert groups == reference_clause_groups(formula.clauses, r)
-    assert reduction.clause_groups(formula, r) == groups  # deterministic
+    assert reduction.clause_groups(formula, r, 0) == groups  # deterministic
     m = formula.num_clauses
     assert sorted(c for group in groups for c in group) == list(range(m))  # a partition
     assert [len(group) for group in groups] == [len(range(g, m, r)) for g in range(r)]  # round-robin sizes
@@ -517,8 +518,10 @@ def test_clause_groups_on_the_sample_formulas_and_edge_counts():
 
 
 def test_clause_groups_refuse_a_grid_above_the_bound_as_grid_layout_counts_it(monkeypatch):
-    # The split stops as soon as the grid of its domains passes MAX_UNIVERSE,
-    # which happens exactly when the finished split's grid would.
+    # The split stops as soon as the grid of its domains plus the d dull IDs
+    # passes MAX_UNIVERSE, which happens exactly when the finished split's
+    # grid plus d would; a dull block alone above the bound is refused before
+    # any clause is grouped.
     rng = random.Random(17)
     refused = 0
     for _ in range(200):
@@ -528,13 +531,17 @@ def test_clause_groups_refuse_a_grid_above_the_bound_as_grid_layout_counts_it(mo
         groups = reference_clause_groups(f.clauses, r)
         _, grid = reduction.grid_layout({abs(lit) for c in group for lit in f.clauses[c]} for group in groups)
         bound = rng.randint(0, 40)
+        d = rng.randint(0, MAX_DULL_WIDTH)
         monkeypatch.setattr(reduction, "MAX_UNIVERSE", bound)
-        if grid > bound:
+        if grid + d > bound:
             refused += 1
-            with pytest.raises(ValueError, match=f"^the grid exceeds MAX_UNIVERSE = {bound}: [0-9]+ IDs once"):
-                reduction.clause_groups(f, r)
+            message = f"^the grid plus {d} dull IDs exceeds MAX_UNIVERSE = {bound}: ([0-9]+) IDs once ([0-9]+) of"
+            with pytest.raises(ValueError, match=message) as exc:
+                reduction.clause_groups(f, r, d)
+            ids, grouped = map(int, re.match(message, str(exc.value)).groups())
+            assert ids > bound and (grouped == 0) == (d > bound)
         else:
-            assert reduction.clause_groups(f, r) == groups
+            assert reduction.clause_groups(f, r, d) == groups
     assert 50 < refused < 150
 
 
@@ -565,13 +572,17 @@ def test_reduce_refuses_universe_above_bound(monkeypatch):
     # x1..x1170 hold 1170 * 56 = 65,520 IDs, and clause 3122, the third copy
     # of (x1171 x1172 x1173), adds 4 per variable.
     f = cnf.CnfFormula(num_vars=1200, clauses=tuple(t for k in range(400) for t in [(3 * k + 1, 3 * k + 2, 3 * k + 3)] * 8))
-    message = "the grid exceeds MAX_UNIVERSE = 65536: 65538 IDs once 3123 of 3200 clauses are grouped"
+    message = "the grid plus 0 dull IDs exceeds MAX_UNIVERSE = 65536: 65538 IDs once 3123 of 3200 clauses are grouped"
     with pytest.raises(ValueError, match=f"^{message}$"):
         reduction.reduce_to_packing(f, 8, dull_width=0)
-    # A grid under the split's bound plus a dull block over it is check_shape's
-    # to refuse: two copies of (x1171 x1172 x1173) make 65,520 + 6 IDs.
+    # The split counts the dull block too: two copies of (x1171 x1172 x1173)
+    # make a grid of 65,520 + 6 IDs, which leaves room for 10 dull IDs, not 11.
     f = cnf.CnfFormula(num_vars=1200, clauses=f.clauses[:3122])
-    with pytest.raises(ValueError, match="^universe_size 65537 exceeds MAX_UNIVERSE = 65536$"):
+    assert len(reduction.clause_groups(f, 8, 10)) == 8
+    message = "the grid plus 11 dull IDs exceeds MAX_UNIVERSE = 65536: 65537 IDs once 3122 of 3122 clauses are grouped"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reduction.clause_groups(f, 8, 11)
+    with pytest.raises(ValueError, match=f"^{message}$"):
         reduction.reduce_to_packing(f, 8, dull_width=11)
     # A variable count above the bound is refused however small the grid.
     f = cnf.CnfFormula(num_vars=MAX_UNIVERSE + 1, clauses=((1, 2, 3),))
@@ -590,9 +601,8 @@ def test_reduce_max_sets_boundary(monkeypatch):
     monkeypatch.setattr(reduction, "MAX_SETS", total - 1)
     with pytest.raises(ValueError, match=f"MAX_SETS = {total - 1}: group 1: more than 6 satisfying"):
         reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
-    monkeypatch.setattr(reduction, "MAX_SETS", 3)
-    with pytest.raises(ValueError, match="padding sets alone"):
-        reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
+    # check_counts caps d, so the padding sets alone never reach the bound.
+    assert 1 << MAX_DULL_WIDTH < MAX_SETS
 
 
 def test_reduce_family_bits_boundary(monkeypatch):
@@ -881,7 +891,7 @@ def test_witness_round_trip_with_padding_and_empty_groups():
     # Group 0 takes (x1), group 1 the lowest of the two clauses that add one
     # variable, (x2), and group 0 then (not x1), which adds none.
     f = cnf.CnfFormula(num_vars=2, clauses=((1,), (2,), (-1,)))
-    assert reduction.clause_groups(f, 2) == ((0, 2), (1,))
+    assert reduction.clause_groups(f, 2, 0) == ((0, 2), (1,))
     _, wit2 = reduction.reduce_to_packing(f, 2, dull_width=0)
     assert any(not codes for codes in wit2.codes)
     assert reduction.witness_from_text(reduction.witness_to_text(wit2)) == wit2
@@ -891,7 +901,7 @@ def test_witness_text_literal_examples():
     # At r = 4, (x1) goes to group 0 and (not x1) to group 1, since group 0
     # has had its one turn; groups 2 and 3 have no clauses and hold the single
     # empty assignment, code 0.
-    assert reduction.clause_groups(PHI_CONTRADICTION, 4) == ((0,), (1,), (), ())
+    assert reduction.clause_groups(PHI_CONTRADICTION, 4, 0) == ((0,), (1,), (), ())
     _, wit = reduction.reduce_to_packing(PHI_CONTRADICTION, 4, dull_width=2)
     assert reduction.witness_to_text(wit) == "w 1 4 2\ng 1 1 1\ng 1 1 0\ng 0 0\ng 0 0\n"
     # Group 0 holds (x1) and (not x1) (see the test above): it has no codes
@@ -940,7 +950,7 @@ def test_witness_format_errors():
         ("w 3 1 0\ng -1 1 2\n", r"domain size -1 is not in \[0, 2\]"),
         ("w 3 1 0\ng 3 1 2\n", r"domain size 3 is not in \[0, 2\]"),
         ("w 3 1 0\ng 99999999999999999999 1 2\n", r"domain size 99999999999999999999 is not in \[0, 2\]"),
-        # Headers the reduction refuses (check_shape): padding at r = 1, whose
+        # Headers the reduction refuses (check_counts): padding at r = 1, whose
         # padding sets would each be a packing alone, and 2^17 padding sets.
         ("w 3 1 2\ng 0\n", "padding requires r >= 2"),
         ("w 1 2 17\ng 0\ng 0\n", r"dull_width 17 is not in \[0, 16\]"),
@@ -1026,7 +1036,7 @@ def test_group_offsets_cached_and_entry_matches_linear_scan():
     # contradictory and have no sets; groups 0 and 3 take (x1 x2) and
     # (not x1, x2), which add one.
     clauses = ((1,), (3,), (4,), (2,), (5,), (1, 2), (-3,), (-4,), (-1, 2), (-5,))
-    assert reduction.clause_groups(cnf.CnfFormula(num_vars=5, clauses=clauses), 5) == tuple(zip(range(5), range(5, 10)))
+    assert reduction.clause_groups(cnf.CnfFormula(num_vars=5, clauses=clauses), 5, 0) == tuple(zip(range(5), range(5, 10)))
     _, wit = reduction.reduce_to_packing(cnf.CnfFormula(num_vars=5, clauses=clauses), 5, dull_width=0)
     assert [bool(codes) for codes in wit.codes] == [True, False, False, True, False]
     assert wit.group_offsets is wit.group_offsets
