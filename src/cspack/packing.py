@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress, islice, repeat
-from operator import or_
+from operator import ge, or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
 
 from .cnf import read_int
@@ -47,8 +47,7 @@ _WRITE_BYTES = 1 << 12
 # Mask bytes per slice of sets that _byte_columns transposes at a time.
 _TRANSPOSE_BYTES = 1 << 16
 
-# parse_instance builds from the header a table of the bits of the canonically
-# spelled IDs below this bound (about 1 MiB); _id_bit reads any other token.
+# parse_instance sums canonical IDs below this from a table (about 1 MiB); _set_line_mask reads other lines.
 _CACHED_IDS = 1 << 12
 
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
@@ -135,10 +134,11 @@ def parse_instance(text: str | Iterable[str]) -> SetPackingInstance:
     Its lines are read as one stream, split a block at a time after a "\n",
     so they and their numbers are those of text.splitlines(). The header's
     universe size is checked against MAX_UNIVERSE, and its set count times
-    universe size against MAX_FAMILY_BITS, before any set line is read; each
-    of the next set_count lines becomes a mask as it is read. The lines left
-    are then counted, so an error in one of those lines is reported before a
-    count mismatch.
+    universe size against MAX_FAMILY_BITS, before any set line is read. Each
+    of the next set_count lines becomes a mask as it is read, by _set_line_mask
+    unless the _CACHED_IDS table covers it; beyond the masks and one block (or
+    one longer line), only that line's IDs are held, as small ints. The lines
+    left are then counted: a fault in one of those lines precedes a count mismatch.
     """
     if isinstance(text, str):
         pieces: Iterable[str] = (text[i : i + _READ_CHARS] for i in range(0, len(text), _READ_CHARS))
@@ -166,23 +166,13 @@ def parse_instance(text: str | Iterable[str]) -> SetPackingInstance:
         parts = line.split()
         if not parts or parts[0] != "s":
             raise InstanceFormatError(f"line {lineno}: expected a set line starting with 's'")
-        tokens = parts[2:]
-        k = len(tokens)
-        try:
-            # Only a count spelled other than str(k), such as "02", needs reading.
-            declared = k if parts[1] == str(k) else read_int(parts[1])
-        except (ValueError, IndexError):
-            raise InstanceFormatError(f"line {lineno}: malformed set line") from None
-        if declared != k:
-            raise InstanceFormatError(f"line {lineno}: declared {declared} IDs but found {k}")
-        try:
-            bits = list(map(bit_of.__getitem__, tokens))
+        k = len(parts) - 2
+        try:  # a repeated ID carries and loses a bit, so k set bits in order are k distinct IDs
+            bits = list(map(bit_of.__getitem__, parts[2:]))
         except KeyError:
-            bits = [bit_of.get(token) or _id_bit(token, lineno, universe_size) for token in tokens]
-        # Distinct bits sum to their OR; a repeated ID carries and loses a bit.
-        mask = sum(bits)
-        if mask.bit_count() != k or bits != sorted(bits):
-            raise InstanceFormatError(f"line {lineno}: element IDs must be strictly increasing")
+            bits = []  # a token outside the table: no k set bits, so _set_line_mask reads the line
+        if k < 0 or parts[1] != str(k) or (mask := sum(bits)).bit_count() != k or bits != sorted(bits):
+            mask = _set_line_mask(parts, lineno, universe_size)
         masks.append(mask)
     found = len(masks) + sum(1 for _ in lines)
     if found != set_count:
@@ -212,15 +202,22 @@ def _line_blocks(pieces: Iterable[str]) -> Iterator[list[str]]:
         yield carry.splitlines()
 
 
-def _id_bit(token: str, lineno: int, universe_size: int) -> int:
-    """The bit of one ID token of a set line, after checking it."""
+def _set_line_mask(parts: list[str], lineno: int, universe_size: int) -> int:
+    """The mask of a split set line, checked for syntax, then count, each ID's range, strict increase."""
     try:
-        e = read_int(token)
+        declared, *ids = map(read_int, parts[1:])
     except ValueError:
         raise InstanceFormatError(f"line {lineno}: malformed set line") from None
-    if not 0 <= e < universe_size:
-        raise InstanceFormatError(f"line {lineno}: element ID {e} out of range [0, {universe_size})")
-    return 1 << e
+    if declared != len(ids):
+        raise InstanceFormatError(f"line {lineno}: declared {declared} IDs but found {len(ids)}")
+    bitmap = bytearray((universe_size + 7) // 8)  # the mask's bytes, so no big int per ID
+    for e in ids:
+        if not 0 <= e < universe_size:
+            raise InstanceFormatError(f"line {lineno}: element ID {e} out of range [0, {universe_size})")
+        bitmap[e >> 3] |= 1 << (e & 7)
+    if any(map(ge, ids, ids[1:])):
+        raise InstanceFormatError(f"line {lineno}: element IDs must be strictly increasing")
+    return int.from_bytes(bitmap, "little")
 
 
 def serialize_instance(instance: SetPackingInstance) -> str:
@@ -309,12 +306,14 @@ def _occurrence_masks(masks: Sequence[int], universe_size: int) -> list[int]:
 def _byte_columns(masks: Sequence[int], width: int) -> list[bytearray]:
     """Column j: byte j of every mask, little-endian, in set order.
 
-    Grown _TRANSPOSE_BYTES of rows at a time: beyond the columns, one slice.
+    Grown _TRANSPOSE_BYTES of rows at a time into one bytearray: beyond the columns, one slice.
     """
     step = max(1, _TRANSPOSE_BYTES // max(width, 1))
     columns = [bytearray() for _ in range(width)]
     for base in range(0, len(masks), step):
-        rows = b"".join([m.to_bytes(width, "little") for m in masks[base : base + step]])
+        rows = bytearray()
+        for m in masks[base : base + step]:
+            rows += m.to_bytes(width, "little")
         for j, column in enumerate(columns):
             column += rows[j::width]
     return columns

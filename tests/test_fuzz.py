@@ -131,8 +131,11 @@ def _parse_outcome(text):
 def test_parse_instance_outcome_and_round_trip_survive_minimum_blocks(text):
     # One character per read block and one set line per written block put a
     # block edge everywhere; the instance, or the error and its line number,
-    # stays the same.
+    # stays the same. So does an empty ID table, which sends every set line
+    # to the one reader that checks its fields.
     outcome = _parse_outcome(text)
+    with mock.patch.object(packing, "_CACHED_IDS", 0):
+        assert _parse_outcome(text) == outcome
     with mock.patch.multiple(packing, _READ_CHARS=1, _WRITE_BYTES=1):
         assert _parse_outcome(text) == outcome
         if isinstance(outcome, str):

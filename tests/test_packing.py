@@ -183,6 +183,17 @@ def test_parse_errors():
         packing.parse_instance("p sp 4 1 1\ns 1 x\n")
     with pytest.raises(packing.InstanceFormatError, match="duplicate"):
         packing.parse_instance("p sp 4 2 1\ns 1 2\ns 1 2\n")
+    # A line with two faults reports the first in this order: every field's
+    # syntax, then the count, then each ID's range, then strict increase.
+    for line, message in (
+        ("s 3 1 x", "malformed set line"),
+        ("s 2 99 x", "malformed set line"),
+        ("s 3 1 2", "declared 3 IDs but found 2"),
+        ("s 2 99 3", r"element ID 99 out of range \[0, 10\)"),
+        ("s 3 2 1 99", r"element ID 99 out of range \[0, 10\)"),
+    ):
+        with pytest.raises(packing.InstanceFormatError, match=f"^line 2: {message}$"):
+            packing.parse_instance(f"p sp 10 1 1\n{line}\n")
 
 
 def test_parse_checks_the_set_count_once_the_set_lines_end():
@@ -354,7 +365,9 @@ def _random_family(count=6000, universe=160):
 # the constructor's duplicate check); serialize 3.45x the text before, 2.00x
 # after (the blocks and their join); the transpose beyond its result 16x the
 # rows before, 4.0x after, 3.7x with the columns from _byte_columns (most of
-# it one slice's rows, half of this family). instance_blocks up to its first
+# it one slice's rows, half of this family), and 0.43x with each slice's rows
+# grown in one bytearray instead of joined from per-set bytes objects (the
+# bound was 8x the rows before that). instance_blocks up to its first
 # set-line block peaked at 8.1x the rows when it joined every set's row
 # before slicing out its byte columns, and at 4.9x (the columns and their
 # tables) with the columns from _byte_columns.
@@ -366,6 +379,18 @@ def test_parse_holds_a_block_of_lines_not_the_whole_text():
     assert packing.serialize_instance(parsed) == text
     beyond_masks = peak - _size_of_ints(parsed.masks)
     assert beyond_masks < 1.5 * len(text)
+
+
+def test_parse_holds_one_full_width_line_as_small_ints():
+    # A set of every ID of the largest universe, plus {0}: 382 KB of text.
+    # Holding one big int per ID of that line peaked at 295 MB, and reading
+    # it with one decimal match of the joined line at 20 MB (most of it the
+    # match's backtracking stack); its IDs as small ints peak near 9 MB.
+    full = (1 << packing.MAX_UNIVERSE) - 1
+    text = reference_serialize(packing.MAX_UNIVERSE, (tuple(range(packing.MAX_UNIVERSE)), (0,)), 1)
+    parsed, peak = _traced_peak(packing.parse_instance, text)
+    assert parsed.masks == (full, 1)
+    assert peak < 16 << 20
 
 
 def test_serialize_peaks_at_the_blocks_and_their_join():
@@ -394,7 +419,7 @@ def test_transpose_works_a_slice_of_rows_at_a_time():
     occ, peak = _traced_peak(packing._occurrence_masks, inst.masks, inst.universe_size)
     assert occ == [sum(1 << i for i, m in enumerate(inst.masks) if m >> e & 1) for e in range(160)]
     beyond_result = peak - _size_of_ints(occ)
-    assert beyond_result < 8 * rows
+    assert beyond_result < rows
 
 
 def test_blocks_give_the_whole_text_on_the_n20_row(tmp_path):

@@ -176,6 +176,22 @@ def test_one_function_takes_the_masks_apart_into_byte_columns():
     assert sorted(fn.name for fn in functions if calls(fn, "_byte_columns")) == ["_occurrence_masks", "instance_blocks"]
 
 
+def test_one_function_owns_the_set_line_field_rules():
+    # Field syntax, the count, each ID's range and strict increase are each
+    # raised by _set_line_mask alone; parse_instance's ID table only sums
+    # the lines it covers and hands every other line to that reader.
+    tree = ast.parse((PACKAGE / "packing.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert "_id_bit" not in {fn.name for fn in functions}
+    messages = ("malformed set line", " IDs but found ", "element ID {e} out of range", "must be strictly increasing")
+
+    def raised(fn):
+        return " ".join(ast.unparse(n.exc) for n in ast.walk(fn) if isinstance(n, ast.Raise) and n.exc is not None)
+
+    for message in messages:
+        assert [fn.name for fn in functions if message in raised(fn)] == ["_set_line_mask"], message
+
+
 def test_each_text_reader_reads_one_stream_of_lines():
     # parse_instance and parse_dimacs each make one pass, a single for
     # statement over their lines, and the CLI reads instance files in the
