@@ -11,7 +11,6 @@ reduction. Random formulas come from bench.make_formula.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import chain
 
@@ -21,12 +20,6 @@ Assignment = dict[int, bool]
 # of search (Python 3.11, 2-core Xeon). Unplanted formulas at m = 4.26n took
 # at most 11k visits at n = 40 and 302k at n = 64 (make_formula seeds 0-9).
 ORACLE_WORK_CAP = 1 << 21
-
-# ASCII digits with an optional minus sign (see read_int), and a line of
-# them separated by single spaces (see read_ints).
-_DECIMAL = re.compile(r"-?[0-9]+")
-_DECIMALS = re.compile(rf"{_DECIMAL.pattern}(?: {_DECIMAL.pattern})*")
-
 
 class DimacsError(ValueError):
     """Raised when DIMACS text does not follow the expected format."""
@@ -104,26 +97,12 @@ def parse_dimacs(text: str) -> CnfFormula:
 def read_int(token: str) -> int:
     """int(token), refusing the spellings int() accepts beyond ASCII -?[0-9]+ ('+1', '1_0', '٣').
 
-    Reads every field of the DIMACS and instance grammars, through read_ints
-    every field of the witness grammar, all of which are decimal, and every
-    integer argument of the command line.
+    Reads every field of the DIMACS, instance and witness grammars, all of
+    which are decimal, and every integer argument of the command line.
     """
-    if not _DECIMAL.fullmatch(token):
-        raise ValueError(f"not an ASCII decimal integer: {token!r}")
-    return int(token)
-
-
-def read_ints(tokens: list[str]) -> list[int]:
-    """read_int over every token, checked by one fullmatch of the tokens joined by spaces.
-
-    Accepts exactly the lists that read_int accepts token by token (a token
-    with whitespace in it fails the match or int()), and for a refused list
-    of whitespace-free tokens, as str.split() gives them, raises read_int's
-    message for the first bad one. Reads every line of the witness grammar.
-    """
-    if _DECIMALS.fullmatch(" ".join(tokens)):
-        return list(map(int, tokens))
-    return list(map(read_int, tokens))
+    if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
+        return int(token)
+    raise ValueError(f"not an ASCII decimal integer: {token!r}")
 
 
 def to_dimacs(formula: CnfFormula) -> str:

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .cnf import Assignment, CnfFormula, read_ints
+from .cnf import Assignment, CnfFormula, read_int
 from .iss import build_iss, minimal_iss_universe
 from .packing import MAX_UNIVERSE, SetPackingInstance, check_family_size, check_universe_size
 
@@ -488,15 +488,15 @@ def clause_groups(formula: CnfFormula, r: int, dull_width: int) -> tuple[tuple[i
     round-robin.
 
     A clause's key for a group is the number of its distinct variables the
-    group's domain lacks. In a turn no unassigned clause has a key below the
-    lowest one present, so the pick is the lowest index among: for key 0 or
-    1, the group's heaps of the clauses whose key fell there as a variable
-    joined its domain; for key 2, a merge of the occurrence lists of its
-    domain; and for a key equal to a clause's width, the unassigned head of
-    the clauses of that width in index order, which all groups share (a head
-    the group touches would be in a lower heap or in its merge). The work is
-    about the sum, over the groups, of the occurrences of their domain
-    variables.
+    group's domain lacks. Each group has one heap per key: as a variable
+    joins its domain, every unassigned clause of that variable goes onto the
+    heap of its new key. A turn takes, for the lowest key with a candidate,
+    the lowest index among that key's heap and the unassigned head of the
+    clauses of that width in index order, which all groups share. Stale
+    entries need no check: a clause whose key has fallen, like a head the
+    group touches, has a live entry in a lower heap, and lower heaps are
+    drained first. The work is about the sum, over the groups, of the
+    occurrences of their domain variables.
 
     Raises ValueError as soon as the grid of the domains so far, the size
     grid_layout gives them, plus the dull_width dull IDs exceeds
@@ -509,7 +509,7 @@ def clause_groups(formula: CnfFormula, r: int, dull_width: int) -> tuple[tuple[i
     group is enumerated.
     """
     # Imported on the first split, so that importing cspack does not load it.
-    from heapq import heappop, heappush, heapreplace
+    from heapq import heappop, heappush
 
     m = formula.num_clauses
     # The distinct variables of each clause, then 0, which every domain holds,
@@ -540,24 +540,10 @@ def clause_groups(formula: CnfFormula, r: int, dull_width: int) -> tuple[tuple[i
             heappop(heap)
         return heap[0] if heap else m
 
-    def merged(heap: list[tuple[int, int, int]]) -> int:  # entries (clause, position in occurs[v], v)
-        while heap and taken[heap[0][0]]:
-            _, p, v = heap[0]
-            occ = occurs[v]
-            p += 1
-            while p < len(occ) and taken[occ[p]]:
-                p += 1
-            if p < len(occ):
-                heapreplace(heap, (occ[p], p, v))
-            else:
-                heappop(heap)
-        return heap[0][0] if heap else m
-
     active = min(r, m)
     members: list[list[int]] = [[] for _ in range(active)]
     domains = [{0} for _ in range(active)]
-    keyed: list[tuple[list[int], list[int]]] = [([], []) for _ in range(active)]
-    touching: list[list[tuple[int, int, int]]] = [[] for _ in range(active)]
+    keyed: list[tuple[list[int], ...]] = [([], [], [], []) for _ in range(active)]  # key 3 stays empty
     holders = [0] * (formula.num_vars + 1)  # the groups so far whose domain holds each variable
     grid = 0
     room = MAX_UNIVERSE - dull_width  # the grid IDs the dull block leaves under the bound
@@ -572,14 +558,11 @@ def clause_groups(formula: CnfFormula, r: int, dull_width: int) -> tuple[tuple[i
         raise overflow(0)
     for t in range(m):
         g = t % r
-        low = keyed[g]
-        best = top(low[0])
-        if best == m:
-            best = min(top(low[1]), head(1))
-            if best == m:
-                best = min(merged(touching[g]), head(2))
-                if best == m:
-                    best = head(3)
+        heaps = keyed[g]
+        for key in range(4):
+            best = min(top(heaps[key]), head(key))
+            if best < m:
+                break
         taken[best] = 1
         members[g].append(best)
         domain = domains[g]
@@ -593,10 +576,7 @@ def clause_groups(formula: CnfFormula, r: int, dull_width: int) -> tuple[tuple[i
             for c in occurs[v]:
                 if not taken[c]:
                     x, y, z = variables[c]
-                    key = (x not in domain) + (y not in domain) + (z not in domain)
-                    if key < 2:
-                        heappush(low[key], c)
-            heappush(touching[g], (occurs[v][0], 0, v))
+                    heappush(heaps[(x not in domain) + (y not in domain) + (z not in domain)], c)
     return tuple(tuple(sorted(group)) for group in members) + ((),) * (r - active)
 
 
@@ -747,9 +727,8 @@ def witness_from_text(text: str) -> WitnessMap:
 
     Checks the syntax only (the header, exactly r group lines, every field a
     read_int integer, 0 <= k <= the fields after it) and leaves ranges, order
-    and layout to WitnessMap; read_ints checks each line's fields in one
-    match. Raises only WitnessFormatError, also for a layout whose universe
-    exceeds MAX_UNIVERSE.
+    and layout to WitnessMap. Raises only WitnessFormatError, also for a
+    layout whose universe exceeds MAX_UNIVERSE.
     """
     lines = [line.split() for line in text.splitlines() if line.strip()]
     if not lines:
@@ -758,7 +737,7 @@ def witness_from_text(text: str) -> WitnessMap:
     try:
         if len(head) != 4 or head[0] != "w":
             raise ValueError
-        n, r, d = read_ints(head[1:])
+        n, r, d = map(read_int, head[1:])
     except ValueError:
         raise WitnessFormatError(f"malformed header line: {' '.join(head)!r}") from None
     if len(groups) != r:
@@ -769,7 +748,7 @@ def witness_from_text(text: str) -> WitnessMap:
         try:
             if len(line) < 2 or line[0] != "g":
                 raise ValueError
-            k, *fields = read_ints(line[1:])
+            k, *fields = map(read_int, line[1:])
         except ValueError:
             raise WitnessFormatError(f"malformed group line: {' '.join(line)!r}") from None
         if not 0 <= k <= len(fields):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -135,29 +136,23 @@ def test_parse_rejects_non_dimacs_literal(token):
         cnf.parse_dimacs(f"p cnf 10 1\n{token} 1 0\n")
 
 
-def _read_each(tokens):
-    """read_int token by token: the value list, or the message of its ValueError."""
-    try:
-        return list(map(cnf.read_int, tokens))
-    except ValueError as exc:
-        return str(exc)
+# The integer rule as a pattern: the reference for read_int's character checks.
+DECIMAL = re.compile(r"-?[0-9]+")
 
 
-@given(st.lists(st.sampled_from(["0", "7", "-1", "007", "--1", "+4", "1_0", "\u0663", "", " ", "1 2", " 3", "4\n"])))
+@given(st.lists(st.sampled_from([
+    "0", "7", "-1", "007", "--1", "+4", "1_0", "\u0663", "", " ", "1 2", " 3", "4\n",
+    "-", "-0", "1-2", "\u00b2", "\uff13",
+]), min_size=1, max_size=4).map("".join))
 @settings(max_examples=300)
-def test_read_ints_reads_a_line_as_read_int_reads_each_token(tokens):
-    # One match over the joined tokens accepts exactly the lists read_int
-    # accepts token by token; for whitespace-free tokens, as str.split()
-    # gives them, it also refuses with read_int's message for the first bad one.
-    expected = _read_each(tokens)
-    try:
-        got = cnf.read_ints(tokens)
-    except ValueError as exc:
-        assert isinstance(expected, str)
-        if not any(c.isspace() for t in tokens for c in t):
-            assert str(exc) == expected
+def test_read_int_accepts_what_the_decimal_pattern_matches(token):
+    # read_int accepts exactly the tokens -?[0-9]+ matches in full, with the
+    # value int() gives them, and refuses every other one with its message.
+    if DECIMAL.fullmatch(token):
+        assert cnf.read_int(token) == int(token)
     else:
-        assert got == expected
+        with pytest.raises(ValueError, match="^not an ASCII decimal integer: "):
+            cnf.read_int(token)
 
 
 @pytest.mark.parametrize("token", NON_DIMACS_INTEGERS)

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import cspack
+from cspack import cnf
 
 PACKAGE = Path(cspack.__file__).parent
 REPO = Path(__file__).resolve().parent.parent
@@ -42,13 +43,15 @@ def test_the_sat_oracle_stays_independent_of_the_reduction():
     # reuses the other's code: the reduction takes no more than the formula
     # types and the integer reader from cnf, and cnf nothing from the package.
     from_cnf = [names for name, names in package_imports("reduction") if name in ("cspack", "cspack.cnf")]
-    assert from_cnf == [["Assignment", "CnfFormula", "read_ints"]]
+    assert from_cnf == [["Assignment", "CnfFormula", "read_int"]]
     assert package_imports("cnf") == []
 
 
 def test_cnf_alone_spells_the_integer_rule():
-    # read_int and read_ints hold the one rule for what text spells an
-    # integer; the witness parser calls read_ints and compiles no pattern.
+    # read_int holds the one rule for what text spells an integer; the
+    # witness parser calls it field by field and compiles no pattern, and cnf
+    # keeps no line form of the rule beside it.
+    assert not hasattr(cnf, "read_ints")
     tree = ast.parse((PACKAGE / "reduction.py").read_text())
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert "re" not in {alias.name for node in imports for alias in node.names}

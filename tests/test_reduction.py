@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -515,6 +516,10 @@ def test_clause_groups_on_the_sample_formulas_and_edge_counts():
         assert check_split(f, f.num_clauses + 3)[f.num_clauses:] == ((),) * 3
     f = bench.make_formula(28, 56, 7, True)
     check_split(f, 5)  # the planted n=28 row at the paper's r
+    # Rows at the paper's r whose groups share many variables, so that many
+    # turns take a clause adding two new variables.
+    for n, m, planted, r in [(40, 80, True, 6), (32, 136, False, 5), (40, 170, False, 6)]:
+        check_split(bench.make_formula(n, m, 7, planted), r)
 
 
 def test_clause_groups_refuse_a_grid_above_the_bound_as_grid_layout_counts_it(monkeypatch):
@@ -920,6 +925,21 @@ def test_witness_text_literal_examples():
             reduction.witness_from_text(old)
 
 
+def test_witness_parser_reads_a_line_of_every_code_in_small_memory():
+    # One group over 16 variables with all 65,536 codes: 0.38 MB of text.
+    # One decimal match of the line's joined fields peaks at 18 MB, 47 times
+    # the text; read field by field, the parse peaks near 7.5 MB.
+    text = f"w 16 1 0\ng 16 {' '.join(map(str, range(1, 17)))} {' '.join(map(str, range(1 << 16)))}\n"
+    tracemalloc.start()
+    try:
+        wit = reduction.witness_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wit.domains == (tuple(range(1, 17)),) and wit.codes == (tuple(range(1 << 16)),)
+    assert peak < 10 << 20
+
+
 def test_witness_format_errors():
     good = "w 3 2 0\ng 2 1 2 0 3\ng 0 0\n"
     wit = reduction.witness_from_text(good)
@@ -932,8 +952,8 @@ def test_witness_format_errors():
         ("w 3 2 0\ng 2 1 2 0 3\n\ng\n", "malformed group line"),
         ("w 3 2 0\ng 2 1 2 0 3\nh 0 0\n", "malformed group line"),
         ("w 3 2 0\ng 2 1 2 0 x\ng 0 0\n", "malformed group line"),
-        # One match checks a whole group line: a bad field after the first,
-        # deep in a long line, is still refused as read_int refuses it.
+        # A bad field after the first, deep in a long line, is refused as
+        # read_int refuses it.
         *[
             (f"w 3 2 0\ng 2 1 2 {' '.join(['0'] * 40)} {bad} 3\ng 0 0\n", "malformed group line")
             for bad in ("+4", "1_0", "\u0663", "--1")
