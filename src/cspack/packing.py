@@ -129,22 +129,18 @@ class SetPackingInstance:
 def parse_instance(text: str | Iterable[str]) -> SetPackingInstance:
     """Parse the instance format; see serialize_instance for the grammar.
 
-    text is the whole text (read _READ_CHARS characters at a time) or an
-    iterable of consecutive pieces of it, such as blocks read from a file.
-    Its lines are read as one stream, split a block at a time after a "\n",
-    so they and their numbers are those of text.splitlines(). The header's
-    universe size is checked against MAX_UNIVERSE, and its set count times
-    universe size against MAX_FAMILY_BITS, before any set line is read. Each
-    of the next set_count lines becomes a mask as it is read, by _set_line_mask
-    unless the _CACHED_IDS table covers it; beyond the masks and one block (or
-    one longer line), only that line's IDs are held, as small ints. The lines
-    left are then counted: a fault in one of those lines precedes a count mismatch.
+    text is the whole text or an iterable of consecutive pieces of it, such
+    as blocks read from a file. Its lines are read as one stream
+    (text_lines), so they and their numbers are those of text.splitlines().
+    The header's universe size is checked against MAX_UNIVERSE, and its set
+    count times universe size against MAX_FAMILY_BITS, before any set line
+    is read. Each of the next set_count lines becomes a mask as it is read,
+    by _set_line_mask unless the _CACHED_IDS table covers it; beyond the
+    masks and one block (or one longer line), only that line's IDs are held,
+    as small ints. The lines left are then counted: a fault in one of those
+    lines precedes a count mismatch.
     """
-    if isinstance(text, str):
-        pieces: Iterable[str] = (text[i : i + _READ_CHARS] for i in range(0, len(text), _READ_CHARS))
-    else:
-        pieces = text
-    lines = chain.from_iterable(_line_blocks(pieces))
+    lines = text_lines(text)
     header = next(lines, None)
     if header is None:
         raise InstanceFormatError("empty instance text")
@@ -181,6 +177,18 @@ def parse_instance(text: str | Iterable[str]) -> SetPackingInstance:
         return SetPackingInstance(universe_size=universe_size, masks=tuple(masks), r=r)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
+
+
+def text_lines(text: str | Iterable[str]) -> Iterator[str]:
+    """The lines of text, or of the joined pieces of an iterable of text, one at a time.
+
+    A whole text is read _READ_CHARS characters at a time. The lines are
+    split a block of pieces at a time (_line_blocks), so they are those of
+    the joined text's splitlines(), and beyond them only one block (or one
+    longer line) is held.
+    """
+    pieces = (text[i : i + _READ_CHARS] for i in range(0, len(text), _READ_CHARS)) if isinstance(text, str) else text
+    return chain.from_iterable(_line_blocks(pieces))
 
 
 def _line_blocks(pieces: Iterable[str]) -> Iterator[list[str]]:

@@ -2,14 +2,17 @@
 
 The construction, in element-ID terms:
 
-* The clauses are split into r groups of round-robin sizes, each group in
-  its turn taking the clause that adds the fewest new variables to its
-  domain (clause_groups), so domains, and the families with them, stay
-  small. Which clauses share a group does not change the answer: the
-  argument below holds for any split, and the witness, the lift and the
-  lowering read only domains and codes. For each group, every satisfying
-  partial assignment over the group's variables becomes one set in the
-  family.
+* The clauses are split into r groups in two ways (clause_groups): by
+  turns, in round-robin sizes, and by estimate, each turn going to the
+  group whose family estimate 2^k (7/8)^c over its k variables and c
+  clauses is smallest. Either way a group in its turn takes the clause that
+  adds the fewest new variables to its domain, so domains, and the
+  families with them, stay small. For each group, every satisfying partial
+  assignment over the group's variables becomes one set in the family, and
+  the smaller of the two splits' families is kept, turn-taking's on a tie
+  (reduce_to_packing). Which clauses share a group does not change the
+  answer: the argument below holds for any split, and the witness, the
+  lift and the lowering read only domains and codes.
 * Per variable x there is a grid block over G_x, the groups whose domain
   holds x (grid_layout): one ID per ordered pair (i, j) of distinct groups
   of G_x, row-major, |G_x| * (|G_x| - 1) IDs. A set for group g encodes "x
@@ -50,7 +53,7 @@ from itertools import accumulate
 
 from .cnf import Assignment, CnfFormula, read_int
 from .iss import build_iss, minimal_iss_universe
-from .packing import MAX_UNIVERSE, SetPackingInstance, check_family_size, check_universe_size
+from .packing import MAX_UNIVERSE, SetPackingInstance, check_family_size, check_universe_size, text_lines
 
 # Widest dull block reduce_to_packing builds: 2^d padding sets are materialized.
 MAX_DULL_WIDTH = 16
@@ -71,6 +74,10 @@ TABLE_BITS = 16
 # Table bits read out per search visit. On a 2-core Xeon, reading out a
 # 2^16-bit table cost about as much as popping 400 prefixes; it counts 512.
 TABLE_BITS_PER_VISIT = 128
+
+# log2(8/7): a random 3-clause keeps 7/8 of the assignments (see clause_groups).
+# Spelled out so that no platform's log2 rounds the estimate split's key.
+LOG2_8_7 = 0.19264507794239583
 
 # Domain variables per lookup table when grid masks are combined per code
 # (see code_masks); a table holds 2^width entries.
@@ -477,15 +484,20 @@ def default_dull_width(n: int, r: int) -> int:
     return min(MAX_DULL_WIDTH, math.ceil(n * math.log2(r) / r))
 
 
-def clause_groups(formula: CnfFormula, r: int, dull_width: int) -> tuple[tuple[int, ...], ...]:
-    """The clause indices of each of r >= 1 groups, each ascending: the turn-taking split.
+def clause_groups(formula: CnfFormula, r: int, dull_width: int, *, by_estimate: bool = False) -> tuple[tuple[int, ...], ...]:
+    """The clause indices of each of r >= 1 groups, each ascending: the turn-taking or the estimate split.
 
-    The groups take turns in order 0, 1, ..., r - 1, repeatedly, and group g
-    stops at its round-robin size len(range(g, m, r)), so turn t is group
-    t mod r's and sizes differ by at most one. In its turn a group takes the
+    In the turn-taking split the groups take turns in order 0, 1, ..., r - 1,
+    repeatedly, and group g stops at its round-robin size len(range(g, m,
+    r)), so turn t is group t mod r's and sizes differ by at most one. In
+    the estimate split (by_estimate) each turn goes to the group whose
+    family estimate 2^k (7/8)^c, for its k domain variables and c clauses,
+    is smallest, the lowest group among ties, with no cap on its size: a
+    heap holds each group under k - c log2(8/7), and a group goes back on
+    it after its turn. Either way, in its turn a group takes the
     unassigned clause that adds the fewest new variables to its domain, the
-    lowest index among ties. On variable-disjoint clauses this is
-    round-robin.
+    lowest index among ties. On variable-disjoint clauses the turn-taking
+    split is round-robin.
 
     A clause's key for a group is the number of its distinct variables the
     group's domain lacks. Each group has one heap per key: as a variable
@@ -556,8 +568,9 @@ def clause_groups(formula: CnfFormula, r: int, dull_width: int) -> tuple[tuple[i
 
     if room < 0:
         raise overflow(0)
+    turns = [(0.0, g) for g in range(active)]  # the estimate split's (log2 of the estimate, group), a heap
     for t in range(m):
-        g = t % r
+        g = heappop(turns)[1] if by_estimate else t % r
         heaps = keyed[g]
         for key in range(4):
             best = min(top(heaps[key]), head(key))
@@ -577,6 +590,8 @@ def clause_groups(formula: CnfFormula, r: int, dull_width: int) -> tuple[tuple[i
                 if not taken[c]:
                     x, y, z = variables[c]
                     heappush(heaps[(x not in domain) + (y not in domain) + (z not in domain)], c)
+        if by_estimate:
+            heappush(turns, (len(domain) - 1 - len(members[g]) * LOG2_8_7, g))  # the domain holds 0 too
     return tuple(tuple(sorted(group)) for group in members) + ((),) * (r - active)
 
 
@@ -590,39 +605,72 @@ def reduce_to_packing(
 
     dull_width None picks the default padding width; 0 disables padding.
     check_counts, which WitnessMap calls too, refuses n, r and the width
-    with ValueError before the clauses are split, and the split
+    with ValueError before the clauses are split, and the turn-taking split
     (clause_groups) refuses the grid plus dull block as soon as it passes
     MAX_UNIVERSE, before any group is enumerated; the grid width comes from
     the variables of each group's clauses, which are its domain. The
     witness derives the layout once the groups are enumerated.
 
-    A family of more than MAX_SETS sets is refused with ValueError: the 2^d
-    padding sets are counted first (at most 2^MAX_DULL_WIDTH, well under
-    MAX_SETS), and each group's enumeration gets the remaining allowance and
-    stops as soon as it is exceeded, before any mask is built. The
-    allowance also bounds each group's search work (see
-    enumerate_group_assignments), so a group whose search would outrun it is
-    refused too, even if few of its assignments survive. Once every group is
-    enumerated, a family whose set count times universe size exceeds
-    MAX_FAMILY_BITS is refused with ValueError, still before any mask is built
-    (build_instance, which builds the masks from the witness map alone).
+    The turn-taking split's family is enumerated first (split_witness),
+    under the allowance MAX_SETS less the 2^d padding sets (at most
+    2^MAX_DULL_WIDTH, well under MAX_SETS). Then the estimate split's
+    family, unless its groups are the same, is enumerated under one set
+    fewer than the turn-taking family's, or under the whole allowance if
+    that family was refused, and kept if it fits. So the kept family is
+    the smaller of the two, turn-taking's on a tie, and never larger than
+    turn-taking's. A refusal of the estimate split, its grid's included,
+    only leaves turn-taking's family in place. A family is refused with
+    ValueError, before any mask is built, when neither split's family fits
+    (more than MAX_SETS sets, a group's search work beyond its allowance, a
+    universe above MAX_UNIVERSE or a set count times universe size above
+    MAX_FAMILY_BITS), and the turn-taking split's refusal is the one raised.
     """
     n = formula.num_vars
     d = default_dull_width(n, r) if dull_width is None else dull_width
     check_counts(n, r, d)
-    groups = [tuple(map(formula.clauses.__getitem__, group)) for group in clause_groups(formula, r, d)]
+    turn_taking = clause_groups(formula, r, d)
     allowance = MAX_SETS - ((1 << d) if d > 0 else 0)
-    domains, codes = [], []
-    for g, group_clauses in enumerate(groups):
+    try:
+        witness = split_witness(formula, turn_taking, d, allowance)
+    except ValueError as exc:
+        witness, refusal = None, exc
+    else:
+        allowance = witness.core_count - 1  # only a smaller family replaces it
+    if allowance >= 0:
         try:
-            group = enumerate_group_assignments(group_clauses, limit=allowance)
+            by_estimate = clause_groups(formula, r, d, by_estimate=True)
+            if by_estimate != turn_taking:
+                witness = split_witness(formula, by_estimate, d, allowance)
+        except ValueError:
+            pass
+    if witness is None:
+        raise refusal
+    return build_instance(witness), witness
+
+
+def split_witness(formula: CnfFormula, groups: tuple[tuple[int, ...], ...], d: int, allowance: int) -> WitnessMap:
+    """The witness map of a split's clause groups and d dull IDs, checked before any mask is built.
+
+    Each group's enumeration gets what the groups before it leave of the
+    allowance and stops as soon as it is exceeded. The allowance also bounds
+    each group's search work (see enumerate_group_assignments), so a group
+    whose search would outrun it is refused too, even if few of its
+    assignments survive. Raises ValueError for either, naming the group,
+    and, as WitnessMap and check_family_size do, for a universe above
+    MAX_UNIVERSE or a family above MAX_FAMILY_BITS.
+    """
+    domains, codes = [], []
+    for g, group in enumerate(groups):
+        try:
+            found = enumerate_group_assignments(tuple(map(formula.clauses.__getitem__, group)), limit=allowance)
         except ValueError as exc:
             raise ValueError(f"family refused under MAX_SETS = {MAX_SETS}: group {g}: {exc}") from None
-        domains.append(group.domain)
-        codes.append(group.codes)
-        allowance -= group.count
-    witness = WitnessMap(num_vars=n, dull_width=d, domains=tuple(domains), codes=tuple(codes))
-    return build_instance(witness), witness
+        domains.append(found.domain)
+        codes.append(found.codes)
+        allowance -= found.count
+    witness = WitnessMap(num_vars=formula.num_vars, dull_width=d, domains=tuple(domains), codes=tuple(codes))
+    check_family_size(witness.set_count, witness.universe_size)
+    return witness
 
 
 def build_instance(witness: WitnessMap) -> SetPackingInstance:
@@ -727,34 +775,46 @@ def witness_from_text(text: str) -> WitnessMap:
 
     Checks the syntax only (the header, exactly r group lines, every field a
     read_int integer, 0 <= k <= the fields after it) and leaves ranges, order
-    and layout to WitnessMap. Raises only WitnessFormatError, also for a
-    layout whose universe exceeds MAX_UNIVERSE.
+    and layout to WitnessMap. Blank lines are skipped. The lines are read
+    one at a time (text_lines), so beyond the fields read so far only one
+    line's tokens are held. A line count other than r is reported before a
+    fault in a group line, and lines past the r-th are only counted. Raises
+    only WitnessFormatError, also for a layout whose universe exceeds
+    MAX_UNIVERSE.
     """
-    lines = [line.split() for line in text.splitlines() if line.strip()]
-    if not lines:
+    rows = filter(None, map(str.split, text_lines(text)))
+    head = next(rows, None)
+    if head is None:
         raise WitnessFormatError("empty witness text")
-    head, *groups = lines
     try:
         if len(head) != 4 or head[0] != "w":
             raise ValueError
         n, r, d = map(read_int, head[1:])
     except ValueError:
         raise WitnessFormatError(f"malformed header line: {' '.join(head)!r}") from None
-    if len(groups) != r:
-        raise WitnessFormatError(f"{len(groups)} group lines for r = {r}")
     domains = []
     codes = []
-    for g, line in enumerate(groups):
+    fault = None  # the first group line's fault, raised once the lines are counted
+    found = 0
+    for found, line in enumerate(rows, 1):
+        if fault or found > r:
+            continue
         try:
             if len(line) < 2 or line[0] != "g":
                 raise ValueError
             k, *fields = map(read_int, line[1:])
         except ValueError:
-            raise WitnessFormatError(f"malformed group line: {' '.join(line)!r}") from None
+            fault = f"malformed group line: {' '.join(line)!r}"
+            continue
         if not 0 <= k <= len(fields):
-            raise WitnessFormatError(f"group {g}: domain size {k} is not in [0, {len(fields)}]")
+            fault = f"group {found - 1}: domain size {k} is not in [0, {len(fields)}]"
+            continue
         domains.append(tuple(fields[:k]))
         codes.append(tuple(fields[k:]))
+    if found != r:
+        raise WitnessFormatError(f"{found} group lines for r = {r}")
+    if fault:
+        raise WitnessFormatError(fault)
     try:
         return WitnessMap(num_vars=n, dull_width=d, domains=tuple(domains), codes=tuple(codes))
     except ValueError as exc:

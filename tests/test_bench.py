@@ -109,10 +109,10 @@ def test_csv_text_pinned_outside_timing():
         lines[i] = ",".join(cols)
     assert lines == [
         "n,m,r,universe_size,set_count,log2_set_count,reduce_time,solve_time,solver_nodes,verdict,oracle_verdict",
-        "5,20,2,23,24,4.584963,,,23,no,unsat",
-        "5,20,2,23,24,4.584963,,,23,no,unsat",
-        "5,20,2,24,27,4.754888,,,2,yes,sat",
-        "7,28,2,30,44,5.459432,,,3,yes,sat",
+        "5,20,2,18,20,4.321928,,,19,no,unsat",
+        "5,20,2,18,20,4.321928,,,19,no,unsat",
+        "5,20,2,20,22,4.459432,,,2,yes,sat",
+        "7,28,2,22,36,5.169925,,,7,yes,sat",
         "7,28,2,24,31,4.954196,,,2,yes,sat",
         "7,28,2,27,38,5.247928,,,4,yes,sat",
     ]

@@ -145,13 +145,60 @@ def test_parse_instance_outcome_and_round_trip_survive_minimum_blocks(text):
         assert packing.serialize_instance(packing.parse_instance(canonical)) == canonical
 
 
+def _witness_outcome(text):
+    """The witness witness_from_text reads from text, or the message of its error."""
+    try:
+        return reduction.witness_from_text(text)
+    except reduction.WitnessFormatError as exc:
+        return str(exc)
+
+
+def reference_witness_outcome(text):
+    """_witness_outcome of a parser that splits the whole text into token lists
+    before it reads a field, counting the group lines first."""
+    lines = [line.split() for line in text.splitlines() if line.strip()]
+    if not lines:
+        return "empty witness text"
+    head, *groups = lines
+    try:
+        if len(head) != 4 or head[0] != "w":
+            raise ValueError
+        n, r, d = map(cnf.read_int, head[1:])
+    except ValueError:
+        return f"malformed header line: {' '.join(head)!r}"
+    if len(groups) != r:
+        return f"{len(groups)} group lines for r = {r}"
+    domains, codes = [], []
+    for g, line in enumerate(groups):
+        try:
+            if len(line) < 2 or line[0] != "g":
+                raise ValueError
+            k, *fields = map(cnf.read_int, line[1:])
+        except ValueError:
+            return f"malformed group line: {' '.join(line)!r}"
+        if not 0 <= k <= len(fields):
+            return f"group {g}: domain size {k} is not in [0, {len(fields)}]"
+        domains.append(tuple(fields[:k]))
+        codes.append(tuple(fields[k:]))
+    try:
+        return reduction.WitnessMap(num_vars=n, dull_width=d, domains=tuple(domains), codes=tuple(codes))
+    except ValueError as exc:
+        return str(exc)
+
+
 @given(inputs(WITNESS_TEXTS))
 @settings(max_examples=400, deadline=None)
 def test_witness_from_text_raises_only_its_error_and_round_trips(text):
-    try:
-        witness = reduction.witness_from_text(text)
-    except reduction.WitnessFormatError:
+    # Read a line at a time, with a block edge after every character too,
+    # the parser gives the witness or the message that reading the whole text
+    # at once gives.
+    outcome = _witness_outcome(text)
+    assert outcome == reference_witness_outcome(text)
+    with mock.patch.object(packing, "_READ_CHARS", 1):
+        assert _witness_outcome(text) == outcome
+    if isinstance(outcome, str):
         return
+    witness = outcome
     canonical = reduction.witness_to_text(witness)
     assert reduction.witness_from_text(canonical) == witness
     assert reduction.witness_to_text(reduction.witness_from_text(canonical)) == canonical

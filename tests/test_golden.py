@@ -3,9 +3,9 @@
 The sha256 of serialize_instance and witness_to_text is pinned for ten
 seeded formulas of each benchmark workload shape (planted n=12, m=24 at
 r=4; random n=16, m=69 at r=2; no padding) and for the padded n=20, r=5
-Baseline row. A change to enumeration order, set order, the element layout
-or either grammar changes a digest; a deliberate format change updates them
-and says so in CHANGES.md. Each case also builds the instance from the
+Baseline row. A change to the clause split, enumeration order, set order,
+the element layout or either grammar changes a digest; a deliberate change
+updates them and says so in CHANGES.md. Each case also builds the instance from the
 parsed witness text alone (build_instance) and checks it against the pinned
 instance digest, so the witness file carries everything the instance is.
 
@@ -45,47 +45,47 @@ def digests(formula, r, dull_width=None):
 SPARSE_PLANTED = [
     (0, "a58dd0fb83237c69ed5bef19470926bf4879cd59e51a8e82280e6b827b69a347", "3c294077ddc9797956341f96f43d58e35e1cff40680809f642299c451cd9e4a4",
      "aab2aede46f5f9725f6ab02ece510aa33d2ab695c47f253a986f9dce4a2563fa"),
-    (1, "b6fef22c5a97855e7be83a77332478579149177decd90e1dcd4b2b442307a8ca", "1bbb8dc40a8780b4b8a4339affa26cc0e1bda7872674bf870a0d3257edf71a2f",
-     "f708e6cddc60970bc0b67246cb4219002383bbef6abfa82ad23a50be5adfe4b9"),
-    (2, "c8c0b73a48fb0ab1aac6ea181f3a21aba03d0e2bea4c4c4196b2a26f36a7a681", "1051a187cd2376b20409d0d7ed458dbd3a6cec8ee7311f42dd925e9aa5b54d99",
-     "82e218989002c4e576127dec0da31dacbe87364e6583b08ab0ee46453471affa"),
+    (1, "feaf5d720211541ae1cec5a3bf1e6ffe6c7012dde46d1ceeceaf06f251f54d8c", "36b2cbfa4d8412b1aa49041c22d8e69e14b3054cdf4db7d32a4f96080c68c01b",
+     "4dccb756ecb2a7631f2a1a2509faa9578c9056eae6d384ed6dc3a6d8d647e136"),
+    (2, "00c7614fb86efd20568a5023f69695362e4b2ad18cfd2f060a9ec4b35ce084a6", "1785a1f3534bf2274bc8e545ec3f472c93a235d143684e9cf8d2eb0e94b47743",
+     "d7ada4da6490cc6974daa7477978249710cc110cfab9e9e50238b4a9ce4d7d6c"),
     (3, "9e7228ad4a7441d07aaf62fda6093176ca94b207fdd2b1340bc56ec7e460afcd", "f7200012a7a54f4ee5756a41ddc040e4c7a5276aca880f49fa246ec0fa3c0635",
      "667d5324f55dcd83889213460b84a3705ff30a0e9855eebc1c1644e35fc474eb"),
-    (4, "653de08f8f4f0dd2fef618ae99d41a0aa81efb326577911b75430dc7f76e8c7b", "9a38a0c2eccae34ca6fd3ce6b851faf6509ac9aa9b9fccbaf8ac9d01636aa9bb",
-     "493a48e13ead9beace500216c6d069f394360204eedee1aa5973268da3fa916e"),
+    (4, "57ba6c4923b7c783c7c91217154e7fc54f76821ff26f1550fccb6557b79774b4", "cfa977d5f826402dc555032e45a0b6f580cf17266813c71dc54719270180049a",
+     "ef8079fb23c4ac576938588055470ad7ad09c67a690c1b14de73c6d1a8fa0cb6"),
     (5, "86e395280fde25329b0c030466823ed9c9df107139497932514c2dcbbaa20521", "09cd5db62163b1d5e6b049a0cd3a3fae351c825d46da291bdd92484346f8197c",
      "40effb0866493fd6ff6176e5be9db63f70dea18bfe959228b5ace540a77142de"),
     (6, "e2c7e171f1f8b7dd6075ec010853a9178625ece72096cf81c75665f71f607d48", "fb79db3298f058e95936fbb1f0beba42385dc5ce0b2f609aaaced2d1a02f84e3",
      "efde5d68fe998ad287b55d5b766767aefd8e27edc9a1fbd436ffd81dd5246d8d"),
-    (7, "0b76680bfc15a3c2279dfdcf0610a4731f4ae3ba590eaa8ca59c7a8e88b050e9", "3366f230a64b315bf73381225bf7ed8c39ff148d629208678c6e7a1afdd2de16",
-     "cf752086af408275630683978a56c7f7e9afeb9c2823229b2783e4b82fd6649f"),
-    (8, "e4b7ae4e977fc64c235fd69f441c969d0dead5b3923f789126c8d8e639481471", "9c6d25b9494c17d0b4c6b0e7b9b3f10ae0eed994fda97eed29df43c72556a674",
-     "8ee29ec106c27bf883eb6ff91d4d686c84cdd9771f43a64319da545ff2f0d6c7"),
-    (9, "7d28d880f4be98e6ae8019574ffbb2ac84de9ba73da952fa7f8543ed700b18db", "62e296b645969c656984fc3cf0d321dc296b080a5b1b1019408d6f7e4d924471",
-     "9faf63342a04b82bab98518a110ea218f848c05f9c2f8124ceec8f30c964b834"),
+    (7, "647a0ba238d4e475c023dcc97b549666cc9ec2b29d64405c69098da24417e680", "f03eb83d0d6d5de9a51e1904de59eb1eaa2d487dd51dd308dfea4d08bded44fa",
+     "5f8e88585e79e8ec3768eeb0fe4ff52b410adb07561af9d9f759fb63c1fdaeea"),
+    (8, "4d79339f6ac6920828b94966bf0c2cb995f235698752443d4385d82a2bee00b9", "7fbdf18e7ce924b830c11ecf58ce51db96b20f6fe5dc05e6b6c0a5510a0f2b5d",
+     "3d7ce8c44f5ae26adac7a9e54ac18500c01d1127559ab108a94bcd0b55e59754"),
+    (9, "a216ebcc05b13cd447a76400cb72514cc0a18cb88f99b38c01175ea29a3c7893", "496765aa087497571b7a3ad5df652c71931acba07441ef20ef7c3c40dacdd0fd",
+     "7788a2e3d99adf2abe1af76af738100fd79b8c2340bcbbdfcf3a5e9923c58ba9"),
 ]
 
 DENSE_RANDOM = [
-    (0, "d7d92b968c278f5afd53e5d48cdbbae043023a907e6ce0b471aa0ac6b968a234", "71ce484b980217d37aff458c1543778d869b3452a2d264a8347a5ebc312f0f64",
-     "d8c3369d17a33d749473ffa89e60ca5e6ed3c761921342edca499cd25600052a"),
-    (1, "4018225aa213fb31ac01dd54ba3c9f2b08f34d187a54f7d1ffebc52abe8c64aa", "f946669fd19aefd9a8f054084ce0565c4c4c7d111ddf77bb52edc2d2d4ab5b0a",
-     "f1b391a83b6569f9b0abb73f4b2a7ffae3e363fca72dff7295111d585e68f355"),
-    (2, "a92ef680ea621b4884dcd6d5b3707317adbd93a036d511a3a378133bfb52c625", "9682a68eedb6a163f4b44ee19a18dad61658b56ff799faeeca6ff2fc98e520c3",
-     "94ada0a64ac05871244953492d09e4e1297b5941f77c954b464c2785a1a6dc39"),
-    (3, "e06d609ef7daaa46569eb4add02f0937fbc70d712975dbb3f5a58c695466f58e", "7d080297a0fd0051281262f26024bac01ea13ea0d5fc8cb421dd09fd930e7d19",
-     "49847be96bf2deeaa79b55e747d66be10ed738d5a6d013c3de43a1214f9f4961"),
-    (4, "d870869b1a5a9d36390da983122f6b18964b17b406a06f55655ac3a3a43bf4dc", "33e95b9f049bf32741761e6920ad5a2bc3b7f720b782ff22b300317a1bac4cf9",
-     "fed6ad21b85dd5103134855e43f9a9c3ce4284583a589838b13a9371b7005939"),
+    (0, "4199553cf10e913bd2bbd0990ce02887ebbebe3960117741fbb8cb1629aec460", "274b84efd2bae1eb3603d8c06985e4efcc5831a7161d8a72c3fbf305a8b3dcc3",
+     "1e169d5f9db7b39090ff48e95c2fb134bccd59a0237dd38ca8fc7f62b945576d"),
+    (1, "b3946ae20012add66ce6f2db7c04800d666c2a8d274c8f232a0176c74b64a9c8", "a136cc11ee11dc5f8bfc92a1dab12bd68b38048029f8ef1c526080d707a7f287",
+     "b4e95c4991a37ae5bcc8b68cdd3e51763b3ec4794af97e7da7d482fc55679eee"),
+    (2, "fbe6f5de6fe04a6ebb6d6d58c63e3288ac3869343d7dc0b005af6dd35ee1b2db", "a6fde5d1a23eb97c974615e8b55fe49fe8f4e0b178e6f92156532bbb147dff75",
+     "0287cf6ab1c66842ecdb81753fdf1a453d6e2c3644e7c6ecb0d5cdd165b0edfc"),
+    (3, "81e116a371f44a23ffb73c8351405207bd73b8f4ffbdb08262764041519fd324", "dd2bf51f7e69cfd793acf3c1485f19b4cccd766be72a2bbb7b40fd8d02cf4979",
+     "3ad392e4f621ad4e9c09de422f8f06c4e6334363cffe8ba98889736cb14e2e9a"),
+    (4, "b36d31324430512d299ea6ec10c69686f82d47de6863a7826ed2ded1cf9dd3e1", "ee3cb852df20c3a63a96d84824bdf7fba9770ba8e8c1e7afb79c440e43d4b760",
+     "70b5bd3749334a369ad1eeaf3a0458140fb4606076493268dbda952626b21c9f"),
     (5, "115cd88c72c276ba0d0c573afd9fdcae9081c349840234eda55c90628a4f9cf5", "ed2f644d3f45f8da06c0b10981d586a7c38476dc0a05f0afdb15f037ec96dcc5",
      "ed8f2a1e2c03cb95400536f5b03959d7e2deac293788add0a666e7e4af2e8205"),
-    (6, "13e4c045c95a9712cebad8effdbb55d36a0ee58f574bfd2d29730ae4af965cba", "6754c6be9ab53720576cad965d14216b5c58e6b30659a4c60cca92a66f7d3632",
-     "36d4ce73754aba0e1f433d95b9e44282f2f38f2607d82f4663403a096ed28447"),
-    (7, "f391275390b583dcc37e1ef13fd66f091f25a690dc021fbabd73efc852898bcf", "6787365846360c3b633c3e3df84638ae536cd2dbe19bcccba2572c1abdd38313",
-     "d6685603affd36f31bd82d490f133542e9c673ddd9b7360ccf229a2edd609413"),
-    (8, "a4cf4ec4a065a336b58fcd23f02bebebed4f16ceba28a5ad7c179b82e4f0d256", "dab61544bc474332b37c68aabbc00f755ef31b7713d755814522fe5c1ead2cba",
-     "88c2efd431d0ceb9e4126ac06d5acc01c2b6c45f8f210ce2e0d69e41bb0c13e9"),
-    (9, "7c6b414b837fa58c34d973b6e5be604ae747fb12bb14f02cc1d67b1a7710f6c5", "f34b56a45cf85119e10c1cfd581db20d05498c078c0ee1db6f23a05151d18e87",
-     "f4ac3456d0a7c23d2fd6b399a13ab5e19c4d1f7b67c3f5b606e49ff9fd62d4a9"),
+    (6, "6be878977265910088cac96428347b001ee95d6c0d02469965ca8a642966c1dc", "c7558910f678af19689c33822b0de9c9738b1786dff1fca0658ee4fc00abc5c0",
+     "34c06f9ee2650ced26932d52996aa3fccd0252caf06c7b4214381c42eeaa2e4c"),
+    (7, "54e479a08ea7888ab4815a8dcae91de77fb192602dd8a4a2439343b046877b4e", "dae80f81f382c6c6a6d43b902a1c84ca5d9f007df6676275ecba011c7a6497df",
+     "dbfc17db2f0e42d1e4cb16feb0c9ff2a883e0c4307621b8034bb0a43f1f08e83"),
+    (8, "1de3d6d1d7142a8f83da8d357d04eed12fba70e754d8269ecb284a8ec04e82d0", "6948109e1ce4d9e73a3d5bca9fa8e788fb56ac0bb4d17e1230c78f88f261fc57",
+     "dede890e942be197533339cebb6ea7f48022df81b98ae3d7993e4bf6901e0021"),
+    (9, "21cc6cce68698fd41c0784325e5004a419fdd4b8279dcd58174d64ca97369a56", "9af2a6e47d9a73c92fcc6a36c5fed31f91795c9bee1212fe5693f6ce64597eae",
+     "b0fc485f86aed3b654094e88ad8dbd3ddedfe336db5b059006c4cc7c46942552"),
 ]
 
 
@@ -132,10 +132,10 @@ def test_dense_random_bytes(seed, paper_sha, witness_sha, instance_sha):
 
 
 def test_padded_baseline_row_bytes():
-    # Default padding width d = 10: 3,895 sets, 1,024 of them padding.
+    # Default padding width d = 10: 2,603 sets, 1,024 of them padding.
     assert digests(bench.make_formula(20, 40, 7, True), 5) == (
-        "33ea102d3bf9ea9d74c6f8b094ca7a2a1d4995dc4a3b7832ed84793effbb59a4",
-        "64b72b8edf6daa085cb3e50c935a40be055512bc7793b6db0151ad8421045aee",
-        "33ea102d3bf9ea9d74c6f8b094ca7a2a1d4995dc4a3b7832ed84793effbb59a4",
-        "886d8c904fafd10bb2f738972e732641658a936c40c0a2dba08c188218c19b9b",
+        "f16e4b04b0c0107d52525578cdaa068229ad04c18b1c88fcbc9d9e65224c0007",
+        "a0160707e3acb7f879df2c44459b9a5d0a514845897b641f78374f998998a72c",
+        "f16e4b04b0c0107d52525578cdaa068229ad04c18b1c88fcbc9d9e65224c0007",
+        "2d2a6c1ac58dd74d7a4826dfda96611666b4c32a1236be1968c29d30e8e1aab1",
     )

@@ -86,7 +86,7 @@ def test_the_command_line_reads_integers_by_the_same_rule():
 def test_the_reduction_and_the_witness_share_one_shape_check():
     # n, r and the padding width are checked in one place, check_counts,
     # which both the reduction and the witness call. The reduction bounds the
-    # grid plus dull block only through the split, which is handed d; the
+    # grid plus dull block only through the splits, which are handed d; the
     # witness bounds its whole universe.
     def defs(body, kind):
         return {node.name: node for node in body if isinstance(node, kind)}
@@ -106,8 +106,11 @@ def test_the_reduction_and_the_witness_share_one_shape_check():
     assert "check_counts" in calls(reduce)
     assert "check_counts" in calls(post_init)
     assert {"grid_layout", "check_universe_size"} <= calls(post_init)
-    split = next(n for n in ast.walk(reduce) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "clause_groups")
-    assert [ast.unparse(arg) for arg in split.args] == ["formula", "r", "d"]
+    # Both splits, turn-taking and then by estimate, are handed the same n, r and d.
+    splits = [n for n in ast.walk(reduce) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "clause_groups"]
+    assert [[ast.unparse(arg) for arg in split.args] for split in splits] == [["formula", "r", "d"]] * 2
+    assert sorted(ast.unparse(split)[len("clause_groups"):] for split in splits) == [
+        "(formula, r, d)", "(formula, r, d, by_estimate=True)"]
     assert "MAX_UNIVERSE" in names(functions["clause_groups"])
     assert "MAX_DULL_WIDTH" not in names(functions["clause_groups"])
 

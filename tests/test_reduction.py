@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -16,6 +17,9 @@ from cspack.reduction import MAX_DULL_WIDTH, MAX_SETS
 
 PHI_CONTRADICTION = cnf.CnfFormula(num_vars=1, clauses=((1,), (-1,)))
 PHI_TWO_WIDE = cnf.CnfFormula(num_vars=3, clauses=((1, 2, 3), (-1, -2, -3)))
+# At r = 2 the turn-taking family has 47 sets and the estimate split's 41
+# (test_estimate_split_gives_the_turn_to_the_smallest_estimate).
+PHI_ESTIMATE_SMALLER = cnf.CnfFormula(num_vars=9, clauses=((1, 2, 3), (4, 5, 6), (1, 2, -3), (-1, 2, 3), (7, 8, 9), (4, 5, -6)))
 
 
 # -- group assignment enumeration --------------------------------------------
@@ -473,16 +477,24 @@ def test_partition_properties_exhaustive():
                 assert abs(len(group) - m / r) <= 1
 
 
-def reference_clause_groups(clauses, r):
-    """The turn-taking split by its definition, O(m^2 r): turn t is group t mod r's,
-    and it takes the unassigned clause adding the fewest new variables to its
-    domain, the lowest index among ties. Shares no code with clause_groups."""
+def reference_clause_groups(clauses, r, by_estimate=False):
+    """The split by its definition, O(m^2 r). Turn t is group t mod r's, or,
+    by_estimate, the group whose 2^k (7/8)^c over its k domain variables and c
+    clauses is least, compared exactly, the lowest group among ties. In its
+    turn a group takes the unassigned clause adding the fewest new variables
+    to its domain, the lowest index among ties. Shares no code with
+    clause_groups."""
     variables = [{abs(lit) for lit in clause} for clause in clauses]
     free = list(range(len(clauses)))
     domains = [set() for _ in range(r)]
     groups = [[] for _ in range(r)]
+
+    def estimate(g):
+        c = len(groups[g])
+        return Fraction(2 ** len(domains[g]) * 7**c, 8**c), g
+
     for t in range(len(clauses)):
-        g = t % r
+        g = min(range(r), key=estimate) if by_estimate else t % r
         best = min(free, key=lambda c: (len(variables[c] - domains[g]), c))
         free.remove(best)
         groups[g].append(best)
@@ -491,14 +503,17 @@ def reference_clause_groups(clauses, r):
 
 
 def check_split(formula, r):
-    groups = reduction.clause_groups(formula, r, 0)
-    assert groups == reference_clause_groups(formula.clauses, r)
-    assert reduction.clause_groups(formula, r, 0) == groups  # deterministic
+    """Both splits against the reference; the turn-taking one's groups are returned."""
     m = formula.num_clauses
-    assert sorted(c for group in groups for c in group) == list(range(m))  # a partition
-    assert [len(group) for group in groups] == [len(range(g, m, r)) for g in range(r)]  # round-robin sizes
-    assert all(group == tuple(sorted(group)) for group in groups)
-    return groups
+    for by_estimate in (False, True):
+        groups = reduction.clause_groups(formula, r, 0, by_estimate=by_estimate)
+        assert groups == reference_clause_groups(formula.clauses, r, by_estimate)
+        assert reduction.clause_groups(formula, r, 0, by_estimate=by_estimate) == groups  # deterministic
+        assert sorted(c for group in groups for c in group) == list(range(m))  # a partition
+        assert all(group == tuple(sorted(group)) for group in groups)
+    turn_taking = reduction.clause_groups(formula, r, 0)
+    assert [len(group) for group in turn_taking] == [len(range(g, m, r)) for g in range(r)]  # round-robin sizes
+    return turn_taking
 
 
 @settings(max_examples=300, deadline=None)
@@ -507,6 +522,22 @@ def test_clause_groups_follow_the_reference_rule(clauses, r):
     # Repeated clauses and literals, tautologies and shared variables, with r
     # from 1 to past m, where some groups stay empty.
     check_split(cnf.CnfFormula(num_vars=6, clauses=tuple(map(tuple, clauses))), r)
+
+
+def test_estimate_split_gives_the_turn_to_the_smallest_estimate():
+    # Each clause is (a b c) over three variables. Turn-taking: group 0 takes
+    # 0, 2 and 3, which add no variable after the first; group 1 takes 1, 5
+    # and 4. The estimate split: (x1 x2 x3) and (x4 x5 x6) go to groups 0 and
+    # 1, each at 2^3 (7/8) = 7. Group 0 wins the tie and takes (x1 x2 -x3),
+    # 6.125, keeps the turn for (-x1 x2 x3), 5.36, and then for (x7 x8 x9),
+    # the lower of the two clauses adding three variables, 37.5. Group 1
+    # takes (x4 x5 -x6). The families: 5 + 6 * 7 = 47 sets against 5 * 7 + 6 = 41.
+    f = PHI_ESTIMATE_SMALLER
+    assert reduction.clause_groups(f, 2, 0) == ((0, 2, 3), (1, 4, 5))
+    assert reduction.clause_groups(f, 2, 0, by_estimate=True) == ((0, 2, 3, 4), (1, 5))
+    check_split(f, 2)
+    _, wit = reduction.reduce_to_packing(f, 2, dull_width=0)
+    assert [len(codes) for codes in wit.codes] == [35, 6]
 
 
 def test_clause_groups_on_the_sample_formulas_and_edge_counts():
@@ -523,17 +554,18 @@ def test_clause_groups_on_the_sample_formulas_and_edge_counts():
 
 
 def test_clause_groups_refuse_a_grid_above_the_bound_as_grid_layout_counts_it(monkeypatch):
-    # The split stops as soon as the grid of its domains plus the d dull IDs
+    # Either split stops as soon as the grid of its domains plus the d dull IDs
     # passes MAX_UNIVERSE, which happens exactly when the finished split's
     # grid plus d would; a dull block alone above the bound is refused before
     # any clause is grouped.
     rng = random.Random(17)
     refused = 0
-    for _ in range(200):
+    for i in range(400):
+        by_estimate = i % 2 == 1
         n = rng.randint(3, 10)
         f = bench.make_formula(n, rng.randint(0, 30), rng.randrange(1 << 30), False)
         r = rng.randint(1, 6)
-        groups = reference_clause_groups(f.clauses, r)
+        groups = reference_clause_groups(f.clauses, r, by_estimate)
         _, grid = reduction.grid_layout({abs(lit) for c in group for lit in f.clauses[c]} for group in groups)
         bound = rng.randint(0, 40)
         d = rng.randint(0, MAX_DULL_WIDTH)
@@ -542,12 +574,12 @@ def test_clause_groups_refuse_a_grid_above_the_bound_as_grid_layout_counts_it(mo
             refused += 1
             message = f"^the grid plus {d} dull IDs exceeds MAX_UNIVERSE = {bound}: ([0-9]+) IDs once ([0-9]+) of"
             with pytest.raises(ValueError, match=message) as exc:
-                reduction.clause_groups(f, r, d)
+                reduction.clause_groups(f, r, d, by_estimate=by_estimate)
             ids, grouped = map(int, re.match(message, str(exc.value)).groups())
             assert ids > bound and (grouped == 0) == (d > bound)
         else:
-            assert reduction.clause_groups(f, r, d) == groups
-    assert 50 < refused < 150
+            assert reduction.clause_groups(f, r, d, by_estimate=by_estimate) == groups
+    assert 100 < refused < 300
 
 
 def test_counts_are_checked_before_the_split(monkeypatch):
@@ -608,6 +640,111 @@ def test_reduce_max_sets_boundary(monkeypatch):
         reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
     # check_counts caps d, so the padding sets alone never reach the bound.
     assert 1 << MAX_DULL_WIDTH < MAX_SETS
+
+
+def split_family(formula, groups):
+    """(domains, codes) of the groups of a split, each enumerated under MAX_SETS alone."""
+    found = [enumerate_all(tuple(formula.clauses[c] for c in group)) for group in groups]
+    return tuple(g.domain for g in found), tuple(g.codes for g in found)
+
+
+def kept_family(formula, r):
+    """The family the reduction should keep, from the reference splits: the
+    estimate split's if it has fewer sets, else the turn-taking split's."""
+    turn_taking = split_family(formula, reference_clause_groups(formula.clauses, r))
+    estimate = split_family(formula, reference_clause_groups(formula.clauses, r, True))
+    smaller = sum(map(len, estimate[1])) < sum(map(len, turn_taking[1]))
+    return estimate if smaller else turn_taking, turn_taking
+
+
+@settings(max_examples=300, deadline=None)
+@given(clauses=st.lists(st.lists(literals, min_size=1, max_size=3), max_size=24), r=st.integers(1, 8), d=st.integers(0, 2))
+def test_reduce_keeps_the_smaller_family_of_the_two_splits(clauses, r, d):
+    f = cnf.CnfFormula(num_vars=6, clauses=tuple(map(tuple, clauses)))
+    d = d if r > 1 else 0
+    expected, turn_taking = kept_family(f, r)
+    inst, wit = reduction.reduce_to_packing(f, r, dull_width=d)
+    assert (wit.domains, wit.codes) == expected
+    assert wit.core_count <= sum(map(len, turn_taking[1]))
+    assert inst.set_count == wit.core_count + wit.pad_count
+
+
+def test_reduce_keeps_the_smaller_family_on_the_baseline_rows():
+    # The estimate split halves the dense rows and the planted n=28 row; a tie,
+    # below, keeps turn-taking.
+    for n, m, seed, planted, r, sets in [
+        (28, 56, 7, True, 5, 21_298),  # 29,408 sets split by turns
+        (20, 95, 2, False, 5, 4_357),  # 6,329
+        (18, 78, 1, False, 5, 2_369),  # the turn-taking family
+    ]:
+        f = bench.make_formula(n, m, seed, planted)
+        expected, turn_taking = kept_family(f, r)
+        inst, wit = reduction.reduce_to_packing(f, r, dull_width=0)
+        assert (wit.domains, wit.codes) == expected
+        assert inst.set_count == sets <= sum(map(len, turn_taking[1]))
+    # Both splits of this formula have 10 sets, in different groups.
+    f = cnf.CnfFormula(num_vars=3, clauses=((-1, -3, -2), (1, -2, 3), (-1, -3, 2), (-2, -1, 3), (-3, 2, 1), (2, 3, 1)))
+    turn_taking = split_family(f, reduction.clause_groups(f, 2, 0))
+    estimate = split_family(f, reduction.clause_groups(f, 2, 0, by_estimate=True))
+    assert turn_taking != estimate and sum(map(len, turn_taking[1])) == sum(map(len, estimate[1])) == 10
+    _, wit = reduction.reduce_to_packing(f, 2, dull_width=0)
+    assert (wit.domains, wit.codes) == turn_taking
+
+
+def test_reduce_falls_back_to_the_estimate_split_when_turn_taking_is_refused(monkeypatch):
+    # Turn-taking needs 47 sets and the estimate split 41: under MAX_SETS = 41
+    # the first is refused and the second is kept; under 40 both are, and the
+    # turn-taking split's refusal is raised.
+    full, wit = reduction.reduce_to_packing(PHI_ESTIMATE_SMALLER, 2, dull_width=0)
+    monkeypatch.setattr(reduction, "MAX_SETS", 41)
+    assert reduction.reduce_to_packing(PHI_ESTIMATE_SMALLER, 2, dull_width=0) == (full, wit)
+    with pytest.raises(ValueError, match="^family refused under MAX_SETS = 41: group 1: more than 36 satisfying"):
+        reduction.split_witness(PHI_ESTIMATE_SMALLER, reduction.clause_groups(PHI_ESTIMATE_SMALLER, 2, 0), 0, 41)
+    monkeypatch.setattr(reduction, "MAX_SETS", 40)
+    with pytest.raises(ValueError, match="^family refused under MAX_SETS = 40: group 1: more than 35 satisfying"):
+        reduction.reduce_to_packing(PHI_ESTIMATE_SMALLER, 2, dull_width=0)
+
+
+def test_reduce_reaches_the_planted_n48_row_through_the_estimate_split():
+    # At the paper's r = 6, the turn-taking split's family passes MAX_SETS;
+    # the estimate split's has 568,486 sets.
+    f = bench.make_formula(48, 96, 7, True)
+    with pytest.raises(ValueError, match=f"^family refused under MAX_SETS = {MAX_SETS}: group 3: more than"):
+        reduction.split_witness(f, reduction.clause_groups(f, 6, 0), 0, MAX_SETS)
+    inst, wit = reduction.reduce_to_packing(f, 6, dull_width=0)
+    assert inst.set_count == 568_486
+    assert wit.domains == tuple(split_family(f, reduction.clause_groups(f, 6, 0, by_estimate=True))[0])
+
+
+def test_reduce_keeps_turn_taking_when_only_the_estimate_grid_overflows(monkeypatch):
+    # The estimate split has fewer sets (59 against 73) but a wider grid (18
+    # IDs against 16): with room for 16 grid IDs, turn-taking is kept.
+    f = cnf.CnfFormula(num_vars=8, clauses=((-8, 1, -4), (3, -1, -7), (4, 7, 8), (-2, 4, 6), (-8, 3, 6), (1, -7, 3), (-1, 7, 8)))
+    turn_taking = split_family(f, reduction.clause_groups(f, 3, 0))
+    estimate = split_family(f, reduction.clause_groups(f, 3, 0, by_estimate=True))
+    assert reduction.reduce_to_packing(f, 3, dull_width=0)[1].codes == estimate[1]
+    monkeypatch.setattr(reduction, "MAX_UNIVERSE", 16)
+    with pytest.raises(ValueError, match="^the grid plus 0 dull IDs exceeds MAX_UNIVERSE = 16"):
+        reduction.clause_groups(f, 3, 0, by_estimate=True)
+    _, wit = reduction.reduce_to_packing(f, 3, dull_width=0)
+    assert (wit.domains, wit.codes) == turn_taking and wit.grid_size == 16
+
+
+def test_reduce_skips_the_estimate_split_once_turn_taking_overflows_its_grid(monkeypatch):
+    splits = []
+
+    def spy(formula, r, d, *, by_estimate=False):
+        splits.append(by_estimate)
+        return split(formula, r, d, by_estimate=by_estimate)
+
+    # The formula of test_reduce_refuses_universe_above_bound, whose
+    # turn-taking grid passes MAX_UNIVERSE.
+    split = reduction.clause_groups
+    monkeypatch.setattr(reduction, "clause_groups", spy)
+    f = cnf.CnfFormula(num_vars=1200, clauses=tuple(t for k in range(400) for t in [(3 * k + 1, 3 * k + 2, 3 * k + 3)] * 8))
+    with pytest.raises(ValueError, match=f"^the grid plus 0 dull IDs exceeds MAX_UNIVERSE = {MAX_UNIVERSE}"):
+        reduction.reduce_to_packing(f, 8, dull_width=0)
+    assert splits == [False]
 
 
 def test_reduce_family_bits_boundary(monkeypatch):
@@ -938,6 +1075,23 @@ def test_witness_parser_reads_a_line_of_every_code_in_small_memory():
         tracemalloc.stop()
     assert wit.domains == (tuple(range(1, 17)),) and wit.codes == (tuple(range(1 << 16)),)
     assert peak < 10 << 20
+
+
+def test_witness_parser_holds_one_line_of_tokens_at_a_time():
+    # The planted n=40, r=6 row's witness: 1.62 MB of text over six lines of
+    # up to 90,928 codes. Split into token lists all at once, the parse peaked
+    # at 25.2 MB; a line at a time, it peaks near 16 MB, most of it the codes.
+    _, wit = reduction.reduce_to_packing(bench.make_formula(40, 80, 7, True), 6, dull_width=0)
+    text = reduction.witness_to_text(wit)
+    del _
+    tracemalloc.start()
+    try:
+        parsed = reduction.witness_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == wit
+    assert len(text) > 1_600_000 and peak < 20 << 20
 
 
 def test_witness_format_errors():
