@@ -7,12 +7,13 @@ The construction, in element-ID terms:
   group whose family estimate 2^k (7/8)^c over its k variables and c
   clauses is smallest. Either way a group in its turn takes the clause that
   adds the fewest new variables to its domain, so domains, and the
-  families with them, stay small. For each group, every satisfying partial
-  assignment over the group's variables becomes one set in the family, and
-  the smaller of the two splits' families is kept, turn-taking's on a tie
-  (reduce_to_packing). Which clauses share a group does not change the
-  answer: the argument below holds for any split, and the witness, the
-  lift and the lowering read only domains and codes.
+  families with them, stay small. The split whose groups' estimates sum
+  to less is kept, turn-taking on a tie, and only its groups are
+  enumerated (reduce_to_packing): every satisfying partial assignment over
+  a group's variables becomes one set in the family. Which clauses share a
+  group does not change the answer: the argument below holds for any
+  split, and the witness, the lift and the lowering read only domains and
+  codes.
 * Per variable x there is a grid block over G_x, the groups whose domain
   holds x (grid_layout): one ID per ordered pair (i, j) of distinct groups
   of G_x, row-major, |G_x| * (|G_x| - 1) IDs. A set for group g encodes "x
@@ -611,54 +612,28 @@ def reduce_to_packing(
     the variables of each group's clauses, which are its domain. The
     witness derives the layout once the groups are enumerated.
 
-    The turn-taking split's family is enumerated first (split_witness),
-    under the allowance MAX_SETS less the 2^d padding sets (at most
-    2^MAX_DULL_WIDTH, well under MAX_SETS). Then the estimate split's
-    family, unless its groups are the same, is enumerated under one set
-    fewer than the turn-taking family's, or under the whole allowance if
-    that family was refused, and kept if it fits. So the kept family is
-    the smaller of the two, turn-taking's on a tie, and never larger than
-    turn-taking's. A refusal of the estimate split, its grid's included,
-    only leaves turn-taking's family in place. A family is refused with
-    ValueError, before any mask is built, when neither split's family fits
-    (more than MAX_SETS sets, a group's search work beyond its allowance, a
-    universe above MAX_UNIVERSE or a set count times universe size above
-    MAX_FAMILY_BITS), and the turn-taking split's refusal is the one raised.
+    The estimate split replaces turn-taking only if it fits its grid and
+    its estimate (split_estimate) is strictly smaller. Only the kept split
+    is enumerated, each group under what the groups before it leave of
+    MAX_SETS less the 2^d padding sets (at most 2^MAX_DULL_WIDTH, well under
+    MAX_SETS). The allowance also bounds each group's search work (see
+    enumerate_group_assignments). A family is refused with ValueError,
+    naming the group, before any mask is built: more than MAX_SETS sets, a
+    group's search work beyond its allowance, a universe above
+    MAX_UNIVERSE or a set count times universe size above MAX_FAMILY_BITS.
     """
     n = formula.num_vars
     d = default_dull_width(n, r) if dull_width is None else dull_width
     check_counts(n, r, d)
-    turn_taking = clause_groups(formula, r, d)
-    allowance = MAX_SETS - ((1 << d) if d > 0 else 0)
+    groups = clause_groups(formula, r, d)
     try:
-        witness = split_witness(formula, turn_taking, d, allowance)
-    except ValueError as exc:
-        witness, refusal = None, exc
-    else:
-        allowance = witness.core_count - 1  # only a smaller family replaces it
-    if allowance >= 0:
-        try:
-            by_estimate = clause_groups(formula, r, d, by_estimate=True)
-            if by_estimate != turn_taking:
-                witness = split_witness(formula, by_estimate, d, allowance)
-        except ValueError:
-            pass
-    if witness is None:
-        raise refusal
-    return build_instance(witness), witness
-
-
-def split_witness(formula: CnfFormula, groups: tuple[tuple[int, ...], ...], d: int, allowance: int) -> WitnessMap:
-    """The witness map of a split's clause groups and d dull IDs, checked before any mask is built.
-
-    Each group's enumeration gets what the groups before it leave of the
-    allowance and stops as soon as it is exceeded. The allowance also bounds
-    each group's search work (see enumerate_group_assignments), so a group
-    whose search would outrun it is refused too, even if few of its
-    assignments survive. Raises ValueError for either, naming the group,
-    and, as WitnessMap and check_family_size do, for a universe above
-    MAX_UNIVERSE or a family above MAX_FAMILY_BITS.
-    """
+        by_estimate = clause_groups(formula, r, d, by_estimate=True)
+    except ValueError:  # its grid is past the bound: turn-taking is kept
+        by_estimate = groups
+    scale = max(map(len, groups + by_estimate), default=0)
+    if split_estimate(formula, by_estimate, scale) < split_estimate(formula, groups, scale):
+        groups = by_estimate
+    allowance = MAX_SETS - ((1 << d) if d > 0 else 0)
     domains, codes = [], []
     for g, group in enumerate(groups):
         try:
@@ -668,9 +643,23 @@ def split_witness(formula: CnfFormula, groups: tuple[tuple[int, ...], ...], d: i
         domains.append(found.domain)
         codes.append(found.codes)
         allowance -= found.count
-    witness = WitnessMap(num_vars=formula.num_vars, dull_width=d, domains=tuple(domains), codes=tuple(codes))
-    check_family_size(witness.set_count, witness.universe_size)
-    return witness
+    witness = WitnessMap(num_vars=n, dull_width=d, domains=tuple(domains), codes=tuple(codes))
+    return build_instance(witness), witness
+
+
+def split_estimate(formula: CnfFormula, groups: tuple[tuple[int, ...], ...], scale: int) -> int:
+    """The family estimate of a split, sum over its groups of 2^k (7/8)^c, times 8^scale.
+
+    k is a group's domain size and c its clause count, and scale is at least
+    every c, so the estimate is the exact integer sum of 2^(k + 3(scale - c))
+    7^c: two splits compared at one scale are ordered the same on every
+    platform.
+    """
+    total = 0
+    for group in groups:
+        k = len({abs(lit) for c in group for lit in formula.clauses[c]})
+        total += 7 ** len(group) << (k + 3 * (scale - len(group)))
+    return total
 
 
 def build_instance(witness: WitnessMap) -> SetPackingInstance:

@@ -114,7 +114,7 @@ def test_csv_text_pinned_outside_timing():
         "5,20,2,20,22,4.459432,,,2,yes,sat",
         "7,28,2,22,36,5.169925,,,7,yes,sat",
         "7,28,2,24,31,4.954196,,,2,yes,sat",
-        "7,28,2,27,38,5.247928,,,4,yes,sat",
+        "7,28,2,26,41,5.357552,,,10,yes,sat",
     ]
 
 

@@ -412,11 +412,11 @@ def test_reduce_and_audit_print_the_quick_start_breakdown(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["reduce", cnf_path, "--r", "2", "--output", out]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == [
-        "universe 34 = grid 14 + iss 16 (widths 8 8) + dull 4",
-        "sets 116 = core 100 (per group: 48 52) + padding 16",
+        "universe 32 = grid 12 + iss 16 (widths 9 7) + dull 4",
+        "sets 126 = core 110 (per group: 92 18) + padding 16",
     ]
     assert cli.main(["audit", out, "--witness", out + ".wit"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "breakdown: grid 14 iss 16 dull 4"
+    assert capsys.readouterr().out.splitlines()[-1] == "breakdown: grid 12 iss 16 dull 4"
 
 
 def test_audit_refuses_witness_of_another_r(tmp_path, capsys):

@@ -47,8 +47,8 @@ SPARSE_PLANTED = [
      "aab2aede46f5f9725f6ab02ece510aa33d2ab695c47f253a986f9dce4a2563fa"),
     (1, "feaf5d720211541ae1cec5a3bf1e6ffe6c7012dde46d1ceeceaf06f251f54d8c", "36b2cbfa4d8412b1aa49041c22d8e69e14b3054cdf4db7d32a4f96080c68c01b",
      "4dccb756ecb2a7631f2a1a2509faa9578c9056eae6d384ed6dc3a6d8d647e136"),
-    (2, "00c7614fb86efd20568a5023f69695362e4b2ad18cfd2f060a9ec4b35ce084a6", "1785a1f3534bf2274bc8e545ec3f472c93a235d143684e9cf8d2eb0e94b47743",
-     "d7ada4da6490cc6974daa7477978249710cc110cfab9e9e50238b4a9ce4d7d6c"),
+    (2, "c8c0b73a48fb0ab1aac6ea181f3a21aba03d0e2bea4c4c4196b2a26f36a7a681", "1051a187cd2376b20409d0d7ed458dbd3a6cec8ee7311f42dd925e9aa5b54d99",
+     "82e218989002c4e576127dec0da31dacbe87364e6583b08ab0ee46453471affa"),
     (3, "9e7228ad4a7441d07aaf62fda6093176ca94b207fdd2b1340bc56ec7e460afcd", "f7200012a7a54f4ee5756a41ddc040e4c7a5276aca880f49fa246ec0fa3c0635",
      "667d5324f55dcd83889213460b84a3705ff30a0e9855eebc1c1644e35fc474eb"),
     (4, "57ba6c4923b7c783c7c91217154e7fc54f76821ff26f1550fccb6557b79774b4", "cfa977d5f826402dc555032e45a0b6f580cf17266813c71dc54719270180049a",

@@ -638,6 +638,14 @@ def test_reduce_max_sets_boundary(monkeypatch):
     monkeypatch.setattr(reduction, "MAX_SETS", total - 1)
     with pytest.raises(ValueError, match=f"MAX_SETS = {total - 1}: group 1: more than 6 satisfying"):
         reduction.reduce_to_packing(PHI_TWO_WIDE, 2, dull_width=2)
+    # The kept split is the only one enumerated: the estimate split's 35 + 6
+    # sets fit under 41 and are refused under 40 in its own group 1, though
+    # turn-taking's 47 would not fit either way.
+    monkeypatch.setattr(reduction, "MAX_SETS", 41)
+    assert [len(codes) for codes in reduction.reduce_to_packing(PHI_ESTIMATE_SMALLER, 2, dull_width=0)[1].codes] == [35, 6]
+    monkeypatch.setattr(reduction, "MAX_SETS", 40)
+    with pytest.raises(ValueError, match="^family refused under MAX_SETS = 40: group 1: more than 5 satisfying"):
+        reduction.reduce_to_packing(PHI_ESTIMATE_SMALLER, 2, dull_width=0)
     # check_counts caps d, so the padding sets alone never reach the bound.
     assert 1 << MAX_DULL_WIDTH < MAX_SETS
 
@@ -648,72 +656,99 @@ def split_family(formula, groups):
     return tuple(g.domain for g in found), tuple(g.codes for g in found)
 
 
+def reference_estimate(clauses, groups):
+    """Sum over the groups of 2^k (7/8)^c for k domain variables and c clauses, as a Fraction."""
+    total = Fraction(0)
+    for group in groups:
+        k, c = len({abs(lit) for i in group for lit in clauses[i]}), len(group)
+        total += Fraction(2**k * 7**c, 8**c)
+    return total
+
+
 def kept_family(formula, r):
     """The family the reduction should keep, from the reference splits: the
-    estimate split's if it has fewer sets, else the turn-taking split's."""
-    turn_taking = split_family(formula, reference_clause_groups(formula.clauses, r))
-    estimate = split_family(formula, reference_clause_groups(formula.clauses, r, True))
-    smaller = sum(map(len, estimate[1])) < sum(map(len, turn_taking[1]))
-    return estimate if smaller else turn_taking, turn_taking
+    estimate split's if its estimate is strictly smaller, else the turn-taking
+    split's."""
+    turn_taking = reference_clause_groups(formula.clauses, r)
+    by_estimate = reference_clause_groups(formula.clauses, r, True)
+    smaller = reference_estimate(formula.clauses, by_estimate) < reference_estimate(formula.clauses, turn_taking)
+    return split_family(formula, by_estimate if smaller else turn_taking)
 
 
 @settings(max_examples=300, deadline=None)
 @given(clauses=st.lists(st.lists(literals, min_size=1, max_size=3), max_size=24), r=st.integers(1, 8), d=st.integers(0, 2))
-def test_reduce_keeps_the_smaller_family_of_the_two_splits(clauses, r, d):
+def test_reduce_keeps_the_split_with_the_smaller_estimate(clauses, r, d):
     f = cnf.CnfFormula(num_vars=6, clauses=tuple(map(tuple, clauses)))
     d = d if r > 1 else 0
-    expected, turn_taking = kept_family(f, r)
     inst, wit = reduction.reduce_to_packing(f, r, dull_width=d)
-    assert (wit.domains, wit.codes) == expected
-    assert wit.core_count <= sum(map(len, turn_taking[1]))
+    assert (wit.domains, wit.codes) == kept_family(f, r)
     assert inst.set_count == wit.core_count + wit.pad_count
 
 
-def test_reduce_keeps_the_smaller_family_on_the_baseline_rows():
-    # The estimate split halves the dense rows and the planted n=28 row; a tie,
-    # below, keeps turn-taking.
+def test_reduce_keeps_the_predicted_split_on_the_baseline_rows():
+    # The estimate split halves the dense rows and the planted n=28 and n=36
+    # rows, and turn-taking is kept on planted n=40. The estimate misses on
+    # unplanted n=18, m=78, seed 1: it predicts the estimate split smaller,
+    # but that family has 2,509 sets against turn-taking's 2,369.
     for n, m, seed, planted, r, sets in [
         (28, 56, 7, True, 5, 21_298),  # 29,408 sets split by turns
+        (36, 72, 7, True, 6, 92_312),  # 220,359
+        (40, 80, 7, True, 6, 244_804),  # the turn-taking family; 270,990 by estimate
         (20, 95, 2, False, 5, 4_357),  # 6,329
-        (18, 78, 1, False, 5, 2_369),  # the turn-taking family
+        (18, 78, 1, False, 5, 2_509),  # the estimate split's family, the miss
     ]:
         f = bench.make_formula(n, m, seed, planted)
-        expected, turn_taking = kept_family(f, r)
         inst, wit = reduction.reduce_to_packing(f, r, dull_width=0)
-        assert (wit.domains, wit.codes) == expected
-        assert inst.set_count == sets <= sum(map(len, turn_taking[1]))
-    # Both splits of this formula have 10 sets, in different groups.
-    f = cnf.CnfFormula(num_vars=3, clauses=((-1, -3, -2), (1, -2, 3), (-1, -3, 2), (-2, -1, 3), (-3, 2, 1), (2, 3, 1)))
+        assert (wit.domains, wit.codes) == kept_family(f, r)
+        assert inst.set_count == sets
+    f = bench.make_formula(18, 78, 1, False)
+    assert sum(map(len, split_family(f, reduction.clause_groups(f, 5, 0))[1])) == 2_369
+    # The two splits of this formula differ, with groups of the same domain
+    # size and clause counts, so their estimates tie and turn-taking's 25
+    # sets are kept over the estimate split's 24.
+    f = cnf.CnfFormula(num_vars=4, clauses=((1, -2, 3), (-3, 2, 1), (1, -2, 3), (4, 1, -3), (-1, 3, -4)))
     turn_taking = split_family(f, reduction.clause_groups(f, 2, 0))
     estimate = split_family(f, reduction.clause_groups(f, 2, 0, by_estimate=True))
-    assert turn_taking != estimate and sum(map(len, turn_taking[1])) == sum(map(len, estimate[1])) == 10
+    assert sum(map(len, turn_taking[1])) == 25 and sum(map(len, estimate[1])) == 24
     _, wit = reduction.reduce_to_packing(f, 2, dull_width=0)
     assert (wit.domains, wit.codes) == turn_taking
 
 
-def test_reduce_falls_back_to_the_estimate_split_when_turn_taking_is_refused(monkeypatch):
-    # Turn-taking needs 47 sets and the estimate split 41: under MAX_SETS = 41
-    # the first is refused and the second is kept; under 40 both are, and the
-    # turn-taking split's refusal is raised.
-    full, wit = reduction.reduce_to_packing(PHI_ESTIMATE_SMALLER, 2, dull_width=0)
-    monkeypatch.setattr(reduction, "MAX_SETS", 41)
-    assert reduction.reduce_to_packing(PHI_ESTIMATE_SMALLER, 2, dull_width=0) == (full, wit)
-    with pytest.raises(ValueError, match="^family refused under MAX_SETS = 41: group 1: more than 36 satisfying"):
-        reduction.split_witness(PHI_ESTIMATE_SMALLER, reduction.clause_groups(PHI_ESTIMATE_SMALLER, 2, 0), 0, 41)
-    monkeypatch.setattr(reduction, "MAX_SETS", 40)
-    with pytest.raises(ValueError, match="^family refused under MAX_SETS = 40: group 1: more than 35 satisfying"):
-        reduction.reduce_to_packing(PHI_ESTIMATE_SMALLER, 2, dull_width=0)
+def test_reduce_enumerates_the_groups_of_one_split_only(monkeypatch):
+    calls = []
+    enumerate_groups = reduction.enumerate_group_assignments
+
+    def spy(clauses, *, limit):
+        calls.append(clauses)
+        return enumerate_groups(clauses, limit=limit)
+
+    monkeypatch.setattr(reduction, "enumerate_group_assignments", spy)
+    # The two splits differ; the estimate split's groups alone are enumerated.
+    f = PHI_ESTIMATE_SMALLER
+    by_estimate = reduction.clause_groups(f, 2, 0, by_estimate=True)
+    assert reduction.clause_groups(f, 2, 0) != by_estimate
+    reduction.reduce_to_packing(f, 2, dull_width=0)
+    assert calls == [tuple(f.clauses[c] for c in group) for group in by_estimate]
+    # A family past MAX_SETS costs one split's enumeration at most: here the
+    # turn-taking split's groups 0 to 3, the last of which is refused.
+    calls.clear()
+    with pytest.raises(ValueError, match=f"^family refused under MAX_SETS = {MAX_SETS}: group 3: more than 447768 satisfying"):
+        reduction.reduce_to_packing(bench.make_formula(40, 80, 0, True), 4)
+    assert len(calls) == 4
 
 
-def test_reduce_reaches_the_planted_n48_row_through_the_estimate_split():
-    # At the paper's r = 6, the turn-taking split's family passes MAX_SETS;
-    # the estimate split's has 568,486 sets.
+def test_reduce_reaches_the_planted_n48_row_through_the_estimate_split(monkeypatch):
+    # At the paper's r = 6, the estimate split's family has 568,486 sets; the
+    # turn-taking split's, enumerated alone, passes MAX_SETS.
     f = bench.make_formula(48, 96, 7, True)
-    with pytest.raises(ValueError, match=f"^family refused under MAX_SETS = {MAX_SETS}: group 3: more than"):
-        reduction.split_witness(f, reduction.clause_groups(f, 6, 0), 0, MAX_SETS)
     inst, wit = reduction.reduce_to_packing(f, 6, dull_width=0)
     assert inst.set_count == 568_486
-    assert wit.domains == tuple(split_family(f, reduction.clause_groups(f, 6, 0, by_estimate=True))[0])
+    by_estimate = reduction.clause_groups(f, 6, 0, by_estimate=True)
+    assert wit.domains == tuple(tuple(sorted({abs(lit) for c in group for lit in f.clauses[c]})) for group in by_estimate)
+    split = reduction.clause_groups
+    monkeypatch.setattr(reduction, "clause_groups", lambda formula, r, d, by_estimate=False: split(formula, r, d))
+    with pytest.raises(ValueError, match=f"^family refused under MAX_SETS = {MAX_SETS}: group 3: more than"):
+        reduction.reduce_to_packing(f, 6, dull_width=0)
 
 
 def test_reduce_keeps_turn_taking_when_only_the_estimate_grid_overflows(monkeypatch):
