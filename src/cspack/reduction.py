@@ -2,18 +2,17 @@
 
 The construction, in element-ID terms:
 
-* The clauses are split into r groups in two ways (clause_groups): by
-  turns, in round-robin sizes, and by estimate, each turn going to the
-  group whose family estimate 2^k (7/8)^c over its k variables and c
-  clauses is smallest. Either way a group in its turn takes the clause that
-  adds the fewest new variables to its domain, so domains, and the
-  families with them, stay small. The split whose groups' estimates sum
-  to less is kept, turn-taking on a tie, and only its groups are
-  enumerated (reduce_to_packing): every satisfying partial assignment over
-  a group's variables becomes one set in the family. Which clauses share a
-  group does not change the answer: the argument below holds for any
-  split, and the witness, the lift and the lowering read only domains and
-  codes.
+* One call (clause_groups) splits the clauses into r groups: it walks
+  them by turns, in round-robin sizes, and by estimate, each turn going to
+  the group whose family estimate 2^k (7/8)^c over its k variables and c
+  clauses is smallest, and returns the walk whose estimates sum to less,
+  turn-taking on a tie. In either walk a group in its turn takes the clause
+  that adds the fewest new variables to its domain, so domains, and the
+  families with them, stay small. Every satisfying partial assignment over
+  a group's variables becomes one set in the family (reduce_to_packing).
+  Which clauses share a group does not change the answer: the argument
+  below holds for any split, and the witness, the lift and the lowering
+  read only domains and codes.
 * Per variable x there is a grid block over G_x, the groups whose domain
   holds x (grid_layout): one ID per ordered pair (i, j) of distinct groups
   of G_x, row-major, |G_x| * (|G_x| - 1) IDs. A set for group g encodes "x
@@ -77,7 +76,7 @@ TABLE_BITS = 16
 TABLE_BITS_PER_VISIT = 128
 
 # log2(8/7): a random 3-clause keeps 7/8 of the assignments (see clause_groups).
-# Spelled out so that no platform's log2 rounds the estimate split's key.
+# Spelled out so that no platform's log2 rounds the estimate walk's key.
 LOG2_8_7 = 0.19264507794239583
 
 # Domain variables per lookup table when grid masks are combined per code
@@ -485,20 +484,23 @@ def default_dull_width(n: int, r: int) -> int:
     return min(MAX_DULL_WIDTH, math.ceil(n * math.log2(r) / r))
 
 
-def clause_groups(formula: CnfFormula, r: int, dull_width: int, *, by_estimate: bool = False) -> tuple[tuple[int, ...], ...]:
-    """The clause indices of each of r >= 1 groups, each ascending: the turn-taking or the estimate split.
+def clause_groups(formula: CnfFormula, r: int, dull_width: int) -> tuple[tuple[int, ...], ...]:
+    """The clause indices of each of r >= 1 groups, each ascending: the kept one of two walks.
 
-    In the turn-taking split the groups take turns in order 0, 1, ..., r - 1,
-    repeatedly, and group g stops at its round-robin size len(range(g, m,
-    r)), so turn t is group t mod r's and sizes differ by at most one. In
-    the estimate split (by_estimate) each turn goes to the group whose
-    family estimate 2^k (7/8)^c, for its k domain variables and c clauses,
-    is smallest, the lowest group among ties, with no cap on its size: a
-    heap holds each group under k - c log2(8/7), and a group goes back on
-    it after its turn. Either way, in its turn a group takes the
-    unassigned clause that adds the fewest new variables to its domain, the
-    lowest index among ties. On variable-disjoint clauses the turn-taking
-    split is round-robin.
+    The clauses are indexed once and walked in two turn orders. In the
+    turn-taking walk turn t is group t mod r's, so group g stops at its
+    round-robin size len(range(g, m, r)). In the estimate walk each turn
+    goes to the group whose family estimate 2^k (7/8)^c, for its k domain
+    variables and c clauses, is smallest, the lowest group among ties, with
+    no cap on its size: a heap holds each group under k - c log2(8/7), and
+    a group goes back on it after its turn. In either walk a group in its
+    turn takes the unassigned clause that adds the fewest new variables to
+    its domain, the lowest index among ties; on variable-disjoint clauses
+    turn-taking is round-robin. The estimate walk's groups are returned
+    only if their estimates sum to strictly less, a tie (equal splits
+    included) keeping turn-taking; both sums are compared times 8^scale,
+    for scale the largest c of either walk, as the exact integers sum of
+    7^c << (k + 3(scale - c)), so every platform keeps the same split.
 
     A clause's key for a group is the number of its distinct variables the
     group's domain lacks. Each group has one heap per key: as a variable
@@ -508,18 +510,19 @@ def clause_groups(formula: CnfFormula, r: int, dull_width: int, *, by_estimate: 
     clauses of that width in index order, which all groups share. Stale
     entries need no check: a clause whose key has fallen, like a head the
     group touches, has a live entry in a lower heap, and lower heaps are
-    drained first. The work is about the sum, over the groups, of the
-    occurrences of their domain variables.
+    drained first. The work of a walk is about the sum, over the groups, of
+    the occurrences of their domain variables.
 
-    Raises ValueError as soon as the grid of the domains so far, the size
-    grid_layout gives them, plus the dull_width dull IDs exceeds
-    MAX_UNIVERSE: before any clause is grouped if the dull block alone does.
-    The grid only grows, so the split refuses exactly when the finished
-    split's grid plus dull block would exceed the bound; and a variable that
-    joins a group it is not the first to hold adds at least 2 to it, so at
-    most n + MAX_UNIVERSE / 2 + 1 variables join a domain before that. This
-    is the one bound on the grid that reduce_to_packing checks before any
-    group is enumerated.
+    Raises ValueError as soon as the turn-taking walk's grid of the domains
+    so far, the size grid_layout gives them, plus the dull_width dull IDs
+    exceeds MAX_UNIVERSE (before any clause is grouped if the dull block
+    alone does), and the estimate walk is never started; an estimate walk
+    that passes the bound leaves turn-taking kept. The grid only grows, so
+    a walk stops exactly when its finished split's grid plus dull block
+    would; and a variable that joins a group it is not the first to hold
+    adds at least 2 to it, so at most n + MAX_UNIVERSE / 2 + 1 variables
+    join a domain before that. This is the one bound on the grid that
+    reduce_to_packing checks before any group is enumerated.
     """
     # Imported on the first split, so that importing cspack does not load it.
     from heapq import heappop, heappush
@@ -537,63 +540,79 @@ def clause_groups(formula: CnfFormula, r: int, dull_width: int, *, by_estimate: 
         fresh[width].append(c)
         for v in variables[c][:width]:
             occurs[v].append(c)
-
-    taken = bytearray(m)
-    heads = [0] * 4
-
-    def head(width: int) -> int:
-        order, i = fresh[width], heads[width]
-        while i < len(order) and taken[order[i]]:
-            i += 1
-        heads[width] = i
-        return order[i] if i < len(order) else m
-
-    def top(heap: list[int]) -> int:
-        while heap and taken[heap[0]]:
-            heappop(heap)
-        return heap[0] if heap else m
-
     active = min(r, m)
-    members: list[list[int]] = [[] for _ in range(active)]
-    domains = [{0} for _ in range(active)]
-    keyed: list[tuple[list[int], ...]] = [([], [], [], []) for _ in range(active)]  # key 3 stays empty
-    holders = [0] * (formula.num_vars + 1)  # the groups so far whose domain holds each variable
-    grid = 0
     room = MAX_UNIVERSE - dull_width  # the grid IDs the dull block leaves under the bound
 
-    def overflow(grouped: int) -> ValueError:
+    def overflow(grid: int, grouped: int) -> ValueError:
         return ValueError(
             f"the grid plus {dull_width} dull IDs exceeds MAX_UNIVERSE = {MAX_UNIVERSE}:"
             f" {grid + dull_width} IDs once {grouped} of {m} clauses are grouped"
         )
 
     if room < 0:
-        raise overflow(0)
-    turns = [(0.0, g) for g in range(active)]  # the estimate split's (log2 of the estimate, group), a heap
-    for t in range(m):
-        g = heappop(turns)[1] if by_estimate else t % r
-        heaps = keyed[g]
-        for key in range(4):
-            best = min(top(heaps[key]), head(key))
-            if best < m:
-                break
-        taken[best] = 1
-        members[g].append(best)
-        domain = domains[g]
-        new = [v for v in variables[best] if v not in domain]
-        domain.update(new)
-        for v in new:
-            grid += 2 * holders[v]  # |G_v| (|G_v| - 1) grows by 2 |G_v|
-            holders[v] += 1
-            if grid > room:
-                raise overflow(t + 1)
-            for c in occurs[v]:
-                if not taken[c]:
-                    x, y, z = variables[c]
-                    heappush(heaps[(x not in domain) + (y not in domain) + (z not in domain)], c)
-        if by_estimate:
-            heappush(turns, (len(domain) - 1 - len(members[g]) * LOG2_8_7, g))  # the domain holds 0 too
-    return tuple(tuple(sorted(group)) for group in members) + ((),) * (r - active)
+        raise overflow(0, 0)
+
+    def walk(estimated: bool) -> list[tuple[int, list[int]]]:
+        """(domain size, clauses) of each active group, the turns taken by estimate or in order."""
+        taken = bytearray(m)
+        heads = [0] * 4
+
+        def head(width: int) -> int:
+            order, i = fresh[width], heads[width]
+            while i < len(order) and taken[order[i]]:
+                i += 1
+            heads[width] = i
+            return order[i] if i < len(order) else m
+
+        def top(heap: list[int]) -> int:
+            while heap and taken[heap[0]]:
+                heappop(heap)
+            return heap[0] if heap else m
+
+        members: list[list[int]] = [[] for _ in range(active)]
+        domains = [{0} for _ in range(active)]
+        keyed: list[tuple[list[int], ...]] = [([], [], [], []) for _ in range(active)]  # key 3 stays empty
+        holders = [0] * (formula.num_vars + 1)  # the groups so far whose domain holds each variable
+        grid = 0
+        turns = [(0.0, g) for g in range(active)]  # the estimate walk's (log2 of the estimate, group), a heap
+        for t in range(m):
+            g = heappop(turns)[1] if estimated else t % r
+            heaps = keyed[g]
+            for key in range(4):
+                best = min(top(heaps[key]), head(key))
+                if best < m:
+                    break
+            taken[best] = 1
+            members[g].append(best)
+            domain = domains[g]
+            new = [v for v in variables[best] if v not in domain]
+            domain.update(new)
+            for v in new:
+                grid += 2 * holders[v]  # |G_v| (|G_v| - 1) grows by 2 |G_v|
+                holders[v] += 1
+                if grid > room:
+                    raise overflow(grid, t + 1)
+                for c in occurs[v]:
+                    if not taken[c]:
+                        x, y, z = variables[c]
+                        heappush(heaps[(x not in domain) + (y not in domain) + (z not in domain)], c)
+            if estimated:
+                heappush(turns, (len(domain) - 1 - len(members[g]) * LOG2_8_7, g))  # the domain holds 0 too
+        return [(len(domain) - 1, group) for domain, group in zip(domains, members)]
+
+    turn_taking = walk(False)
+    try:
+        estimated = walk(True)
+    except ValueError:  # its grid is past the bound: turn-taking is kept
+        estimated = turn_taking
+    # The r - active empty groups would add 8^scale to both sums alike.
+    scale = max((len(group) for _, group in turn_taking + estimated), default=0)
+
+    def estimate(split: list[tuple[int, list[int]]]) -> int:
+        return sum(7 ** len(group) << (k + 3 * (scale - len(group))) for k, group in split)
+
+    kept = estimated if estimate(estimated) < estimate(turn_taking) else turn_taking
+    return tuple(tuple(sorted(group)) for _, group in kept) + ((),) * (r - active)
 
 
 def reduce_to_packing(
@@ -606,33 +625,25 @@ def reduce_to_packing(
 
     dull_width None picks the default padding width; 0 disables padding.
     check_counts, which WitnessMap calls too, refuses n, r and the width
-    with ValueError before the clauses are split, and the turn-taking split
+    with ValueError before the clauses are split, and the split
     (clause_groups) refuses the grid plus dull block as soon as it passes
     MAX_UNIVERSE, before any group is enumerated; the grid width comes from
     the variables of each group's clauses, which are its domain. The
     witness derives the layout once the groups are enumerated.
 
-    The estimate split replaces turn-taking only if it fits its grid and
-    its estimate (split_estimate) is strictly smaller. Only the kept split
-    is enumerated, each group under what the groups before it leave of
-    MAX_SETS less the 2^d padding sets (at most 2^MAX_DULL_WIDTH, well under
-    MAX_SETS). The allowance also bounds each group's search work (see
-    enumerate_group_assignments). A family is refused with ValueError,
-    naming the group, before any mask is built: more than MAX_SETS sets, a
-    group's search work beyond its allowance, a universe above
-    MAX_UNIVERSE or a set count times universe size above MAX_FAMILY_BITS.
+    Each group of the split is enumerated under what the groups before it
+    leave of MAX_SETS less the 2^d padding sets (at most 2^MAX_DULL_WIDTH,
+    well under MAX_SETS). The allowance also bounds each group's search
+    work (see enumerate_group_assignments). A family is refused with
+    ValueError, naming the group, before any mask is built: more than
+    MAX_SETS sets, a group's search work beyond its allowance, a universe
+    above MAX_UNIVERSE or a set count times universe size above
+    MAX_FAMILY_BITS.
     """
     n = formula.num_vars
     d = default_dull_width(n, r) if dull_width is None else dull_width
     check_counts(n, r, d)
     groups = clause_groups(formula, r, d)
-    try:
-        by_estimate = clause_groups(formula, r, d, by_estimate=True)
-    except ValueError:  # its grid is past the bound: turn-taking is kept
-        by_estimate = groups
-    scale = max(map(len, groups + by_estimate), default=0)
-    if split_estimate(formula, by_estimate, scale) < split_estimate(formula, groups, scale):
-        groups = by_estimate
     allowance = MAX_SETS - ((1 << d) if d > 0 else 0)
     domains, codes = [], []
     for g, group in enumerate(groups):
@@ -645,21 +656,6 @@ def reduce_to_packing(
         allowance -= found.count
     witness = WitnessMap(num_vars=n, dull_width=d, domains=tuple(domains), codes=tuple(codes))
     return build_instance(witness), witness
-
-
-def split_estimate(formula: CnfFormula, groups: tuple[tuple[int, ...], ...], scale: int) -> int:
-    """The family estimate of a split, sum over its groups of 2^k (7/8)^c, times 8^scale.
-
-    k is a group's domain size and c its clause count, and scale is at least
-    every c, so the estimate is the exact integer sum of 2^(k + 3(scale - c))
-    7^c: two splits compared at one scale are ordered the same on every
-    platform.
-    """
-    total = 0
-    for group in groups:
-        k = len({abs(lit) for c in group for lit in formula.clauses[c]})
-        total += 7 ** len(group) << (k + 3 * (scale - len(group)))
-    return total
 
 
 def build_instance(witness: WitnessMap) -> SetPackingInstance:

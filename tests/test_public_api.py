@@ -86,7 +86,7 @@ def test_the_command_line_reads_integers_by_the_same_rule():
 def test_the_reduction_and_the_witness_share_one_shape_check():
     # n, r and the padding width are checked in one place, check_counts,
     # which both the reduction and the witness call. The reduction bounds the
-    # grid plus dull block only through the splits, which are handed d; the
+    # grid plus dull block only through the split, which is handed d; the
     # witness bounds its whole universe.
     def defs(body, kind):
         return {node.name: node for node in body if isinstance(node, kind)}
@@ -106,11 +106,16 @@ def test_the_reduction_and_the_witness_share_one_shape_check():
     assert "check_counts" in calls(reduce)
     assert "check_counts" in calls(post_init)
     assert {"grid_layout", "check_universe_size"} <= calls(post_init)
-    # Both splits, turn-taking and then by estimate, are handed the same n, r and d.
+    # One call splits the clauses: clause_groups walks both turn orders and
+    # returns the kept split, and takes no option to pick one walk.
     splits = [n for n in ast.walk(reduce) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "clause_groups"]
-    assert [[ast.unparse(arg) for arg in split.args] for split in splits] == [["formula", "r", "d"]] * 2
-    assert sorted(ast.unparse(split)[len("clause_groups"):] for split in splits) == [
-        "(formula, r, d)", "(formula, r, d, by_estimate=True)"]
+    assert [ast.unparse(split) for split in splits] == ["clause_groups(formula, r, d)"]
+    params = functions["clause_groups"].args
+    assert [arg.arg for arg in params.posonlyargs + params.args + params.kwonlyargs] == ["formula", "r", "dull_width"]
+    assert not (params.vararg or params.kwarg or params.defaults)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for name in ("by_estimate", "split_estimate"):
+            assert name not in path.read_text(), f"{path.name} names {name}"
     assert "MAX_UNIVERSE" in names(functions["clause_groups"])
     assert "MAX_DULL_WIDTH" not in names(functions["clause_groups"])
 

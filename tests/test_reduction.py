@@ -477,43 +477,71 @@ def test_partition_properties_exhaustive():
                 assert abs(len(group) - m / r) <= 1
 
 
-def reference_clause_groups(clauses, r, by_estimate=False):
-    """The split by its definition, O(m^2 r). Turn t is group t mod r's, or,
-    by_estimate, the group whose 2^k (7/8)^c over its k domain variables and c
-    clauses is least, compared exactly, the lowest group among ties. In its
-    turn a group takes the unassigned clause adding the fewest new variables
-    to its domain, the lowest index among ties. Shares no code with
-    clause_groups."""
+def reference_turns(clauses, r, by_estimate=False):
+    """A walk by its definition, O(m^2 r), as the (group, clause) of each
+    turn. Turn t is group t mod r's, or, by_estimate, the group whose
+    2^k (7/8)^c over its k domain variables and c clauses is least, compared
+    exactly, the lowest group among ties. In its turn a group takes the
+    unassigned clause adding the fewest new variables to its domain, the
+    lowest index among ties. Shares no code with clause_groups."""
     variables = [{abs(lit) for lit in clause} for clause in clauses]
     free = list(range(len(clauses)))
     domains = [set() for _ in range(r)]
-    groups = [[] for _ in range(r)]
+    sizes = [0] * r
+    turns = []
 
     def estimate(g):
-        c = len(groups[g])
-        return Fraction(2 ** len(domains[g]) * 7**c, 8**c), g
+        return Fraction(2 ** len(domains[g]) * 7 ** sizes[g], 8 ** sizes[g]), g
 
     for t in range(len(clauses)):
         g = min(range(r), key=estimate) if by_estimate else t % r
         best = min(free, key=lambda c: (len(variables[c] - domains[g]), c))
         free.remove(best)
-        groups[g].append(best)
+        sizes[g] += 1
         domains[g] |= variables[best]
+        turns.append((g, best))
+    return turns
+
+
+def reference_clause_groups(clauses, r, by_estimate=False):
+    """The groups of the reference walk, each ascending."""
+    groups = [[] for _ in range(r)]
+    for g, c in reference_turns(clauses, r, by_estimate):
+        groups[g].append(c)
     return tuple(tuple(sorted(group)) for group in groups)
 
 
+def reference_estimate(clauses, groups):
+    """Sum over the groups of 2^k (7/8)^c for k domain variables and c clauses, as a Fraction."""
+    total = Fraction(0)
+    for group in groups:
+        k, c = len({abs(lit) for i in group for lit in clauses[i]}), len(group)
+        total += Fraction(2**k * 7**c, 8**c)
+    return total
+
+
+def reference_kept_split(clauses, r):
+    """(groups, by turns) of the split clause_groups should keep: the estimate
+    walk's if its estimate is strictly smaller, else the turn-taking walk's."""
+    turn_taking = reference_clause_groups(clauses, r)
+    by_estimate = reference_clause_groups(clauses, r, True)
+    if reference_estimate(clauses, by_estimate) < reference_estimate(clauses, turn_taking):
+        return by_estimate, False
+    return turn_taking, True
+
+
 def check_split(formula, r):
-    """Both splits against the reference; the turn-taking one's groups are returned."""
+    """clause_groups against the reference's kept split; (groups, by turns) is returned."""
     m = formula.num_clauses
-    for by_estimate in (False, True):
-        groups = reduction.clause_groups(formula, r, 0, by_estimate=by_estimate)
-        assert groups == reference_clause_groups(formula.clauses, r, by_estimate)
-        assert reduction.clause_groups(formula, r, 0, by_estimate=by_estimate) == groups  # deterministic
-        assert sorted(c for group in groups for c in group) == list(range(m))  # a partition
-        assert all(group == tuple(sorted(group)) for group in groups)
-    turn_taking = reduction.clause_groups(formula, r, 0)
-    assert [len(group) for group in turn_taking] == [len(range(g, m, r)) for g in range(r)]  # round-robin sizes
-    return turn_taking
+    groups = reduction.clause_groups(formula, r, 0)
+    expected, by_turns = reference_kept_split(formula.clauses, r)
+    assert groups == expected
+    assert reduction.clause_groups(formula, r, 0) == groups  # deterministic
+    assert sorted(c for group in groups for c in group) == list(range(m))  # a partition
+    assert all(group == tuple(sorted(group)) for group in groups)
+    if by_turns:
+        assert [len(group) for group in groups] == [len(range(g, m, r)) for g in range(r)]  # round-robin sizes
+    return groups, by_turns
 
 
 @settings(max_examples=300, deadline=None)
@@ -527,59 +555,85 @@ def test_clause_groups_follow_the_reference_rule(clauses, r):
 def test_estimate_split_gives_the_turn_to_the_smallest_estimate():
     # Each clause is (a b c) over three variables. Turn-taking: group 0 takes
     # 0, 2 and 3, which add no variable after the first; group 1 takes 1, 5
-    # and 4. The estimate split: (x1 x2 x3) and (x4 x5 x6) go to groups 0 and
+    # and 4. The estimate walk: (x1 x2 x3) and (x4 x5 x6) go to groups 0 and
     # 1, each at 2^3 (7/8) = 7. Group 0 wins the tie and takes (x1 x2 -x3),
     # 6.125, keeps the turn for (-x1 x2 x3), 5.36, and then for (x7 x8 x9),
     # the lower of the two clauses adding three variables, 37.5. Group 1
-    # takes (x4 x5 -x6). The families: 5 + 6 * 7 = 47 sets against 5 * 7 + 6 = 41.
+    # takes (x4 x5 -x6). The estimates sum to 43.6 against turn-taking's
+    # 48.2, so the estimate walk's groups are kept. The families: 35 + 6 =
+    # 41 sets against 5 + 6 * 7 = 47.
     f = PHI_ESTIMATE_SMALLER
-    assert reduction.clause_groups(f, 2, 0) == ((0, 2, 3), (1, 4, 5))
-    assert reduction.clause_groups(f, 2, 0, by_estimate=True) == ((0, 2, 3, 4), (1, 5))
-    check_split(f, 2)
+    assert reference_clause_groups(f.clauses, 2) == ((0, 2, 3), (1, 4, 5))
+    assert reference_clause_groups(f.clauses, 2, True) == ((0, 2, 3, 4), (1, 5))
+    assert check_split(f, 2) == (((0, 2, 3, 4), (1, 5)), False)
     _, wit = reduction.reduce_to_packing(f, 2, dull_width=0)
     assert [len(codes) for codes in wit.codes] == [35, 6]
 
 
 def test_clause_groups_on_the_sample_formulas_and_edge_counts():
+    kept = Counter()  # by turns: how often each walk's split is kept
     for f, _, wit in sample_instances(40, seed=5):
-        check_split(f, wit.r)
+        kept[check_split(f, wit.r)[1]] += 1
         check_split(f, 1)
-        assert check_split(f, f.num_clauses + 3)[f.num_clauses:] == ((),) * 3
+        groups, _ = check_split(f, f.num_clauses + 3)
+        assert groups[f.num_clauses:] == ((),) * 3
     f = bench.make_formula(28, 56, 7, True)
-    check_split(f, 5)  # the planted n=28 row at the paper's r
+    kept[check_split(f, 5)[1]] += 1  # the planted n=28 row at the paper's r
     # Rows at the paper's r whose groups share many variables, so that many
     # turns take a clause adding two new variables.
     for n, m, planted, r in [(40, 80, True, 6), (32, 136, False, 5), (40, 170, False, 6)]:
-        check_split(bench.make_formula(n, m, 7, planted), r)
+        kept[check_split(bench.make_formula(n, m, 7, planted), r)[1]] += 1
+    assert kept[True] and kept[False]
+
+
+def first_refused_turn(clauses, r, d, bound):
+    """The turn after which the reference turn-taking walk's grid plus d
+    passes bound, 0 if d alone does, None if it never does."""
+    if d > bound:
+        return 0
+    domains = [set() for _ in range(r)]
+    for t, (g, c) in enumerate(reference_turns(clauses, r), 1):
+        domains[g] |= {abs(lit) for lit in clauses[c]}
+        if reduction.grid_layout(domains)[1] + d > bound:
+            return t
+    return None
 
 
 def test_clause_groups_refuse_a_grid_above_the_bound_as_grid_layout_counts_it(monkeypatch):
-    # Either split stops as soon as the grid of its domains plus the d dull IDs
-    # passes MAX_UNIVERSE, which happens exactly when the finished split's
-    # grid plus d would; a dull block alone above the bound is refused before
-    # any clause is grouped.
+    # The turn-taking walk stops as soon as the grid of its domains plus the
+    # d dull IDs passes MAX_UNIVERSE, which happens exactly when the finished
+    # walk's grid plus d would; a dull block alone above the bound is refused
+    # before any clause is grouped. Where only the estimate walk's grid
+    # passes the bound, the turn-taking split is returned.
     rng = random.Random(17)
-    refused = 0
-    for i in range(400):
-        by_estimate = i % 2 == 1
+    refused = estimate_refused = 0
+    for _ in range(400):
         n = rng.randint(3, 10)
         f = bench.make_formula(n, rng.randint(0, 30), rng.randrange(1 << 30), False)
         r = rng.randint(1, 6)
-        groups = reference_clause_groups(f.clauses, r, by_estimate)
-        _, grid = reduction.grid_layout({abs(lit) for c in group for lit in f.clauses[c]} for group in groups)
+        turn_taking = reference_clause_groups(f.clauses, r)
+        by_estimate = reference_clause_groups(f.clauses, r, True)
+        grid, estimate_grid = (
+            reduction.grid_layout({abs(lit) for c in group for lit in f.clauses[c]} for group in groups)[1]
+            for groups in (turn_taking, by_estimate)
+        )
         bound = rng.randint(0, 40)
         d = rng.randint(0, MAX_DULL_WIDTH)
+        turn = first_refused_turn(f.clauses, r, d, bound)
+        assert (turn is not None) == (grid + d > bound)
         monkeypatch.setattr(reduction, "MAX_UNIVERSE", bound)
-        if grid + d > bound:
+        if turn is not None:
             refused += 1
-            message = f"^the grid plus {d} dull IDs exceeds MAX_UNIVERSE = {bound}: ([0-9]+) IDs once ([0-9]+) of"
+            message = f"^the grid plus {d} dull IDs exceeds MAX_UNIVERSE = {bound}: ([0-9]+) IDs once {turn} of {f.num_clauses} clauses are grouped$"
             with pytest.raises(ValueError, match=message) as exc:
-                reduction.clause_groups(f, r, d, by_estimate=by_estimate)
-            ids, grouped = map(int, re.match(message, str(exc.value)).groups())
-            assert ids > bound and (grouped == 0) == (d > bound)
+                reduction.clause_groups(f, r, d)
+            assert int(re.match(message, str(exc.value)).group(1)) > bound
+        elif estimate_grid + d > bound:
+            estimate_refused += 1
+            assert reduction.clause_groups(f, r, d) == turn_taking
         else:
-            assert reduction.clause_groups(f, r, d, by_estimate=by_estimate) == groups
-    assert 100 < refused < 300
+            assert reduction.clause_groups(f, r, d) == reference_kept_split(f.clauses, r)[0]
+    assert 200 < refused < 340 and 0 < estimate_refused
 
 
 def test_counts_are_checked_before_the_split(monkeypatch):
@@ -656,23 +710,9 @@ def split_family(formula, groups):
     return tuple(g.domain for g in found), tuple(g.codes for g in found)
 
 
-def reference_estimate(clauses, groups):
-    """Sum over the groups of 2^k (7/8)^c for k domain variables and c clauses, as a Fraction."""
-    total = Fraction(0)
-    for group in groups:
-        k, c = len({abs(lit) for i in group for lit in clauses[i]}), len(group)
-        total += Fraction(2**k * 7**c, 8**c)
-    return total
-
-
 def kept_family(formula, r):
-    """The family the reduction should keep, from the reference splits: the
-    estimate split's if its estimate is strictly smaller, else the turn-taking
-    split's."""
-    turn_taking = reference_clause_groups(formula.clauses, r)
-    by_estimate = reference_clause_groups(formula.clauses, r, True)
-    smaller = reference_estimate(formula.clauses, by_estimate) < reference_estimate(formula.clauses, turn_taking)
-    return split_family(formula, by_estimate if smaller else turn_taking)
+    """The family the reduction should keep: that of the reference's kept split."""
+    return split_family(formula, reference_kept_split(formula.clauses, r)[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -702,13 +742,14 @@ def test_reduce_keeps_the_predicted_split_on_the_baseline_rows():
         assert (wit.domains, wit.codes) == kept_family(f, r)
         assert inst.set_count == sets
     f = bench.make_formula(18, 78, 1, False)
-    assert sum(map(len, split_family(f, reduction.clause_groups(f, 5, 0))[1])) == 2_369
-    # The two splits of this formula differ, with groups of the same domain
+    assert sum(map(len, split_family(f, reference_clause_groups(f.clauses, 5))[1])) == 2_369
+    # The two walks of this formula differ, with groups of the same domain
     # size and clause counts, so their estimates tie and turn-taking's 25
-    # sets are kept over the estimate split's 24.
+    # sets are kept over the estimate walk's 24.
     f = cnf.CnfFormula(num_vars=4, clauses=((1, -2, 3), (-3, 2, 1), (1, -2, 3), (4, 1, -3), (-1, 3, -4)))
-    turn_taking = split_family(f, reduction.clause_groups(f, 2, 0))
-    estimate = split_family(f, reduction.clause_groups(f, 2, 0, by_estimate=True))
+    turn_taking = split_family(f, reference_clause_groups(f.clauses, 2))
+    estimate = split_family(f, reference_clause_groups(f.clauses, 2, True))
+    assert turn_taking != estimate
     assert sum(map(len, turn_taking[1])) == 25 and sum(map(len, estimate[1])) == 24
     _, wit = reduction.reduce_to_packing(f, 2, dull_width=0)
     assert (wit.domains, wit.codes) == turn_taking
@@ -723,10 +764,10 @@ def test_reduce_enumerates_the_groups_of_one_split_only(monkeypatch):
         return enumerate_groups(clauses, limit=limit)
 
     monkeypatch.setattr(reduction, "enumerate_group_assignments", spy)
-    # The two splits differ; the estimate split's groups alone are enumerated.
+    # The two walks differ; the estimate walk's groups alone are enumerated.
     f = PHI_ESTIMATE_SMALLER
-    by_estimate = reduction.clause_groups(f, 2, 0, by_estimate=True)
-    assert reduction.clause_groups(f, 2, 0) != by_estimate
+    by_estimate = reference_clause_groups(f.clauses, 2, True)
+    assert reference_clause_groups(f.clauses, 2) != by_estimate
     reduction.reduce_to_packing(f, 2, dull_width=0)
     assert calls == [tuple(f.clauses[c] for c in group) for group in by_estimate]
     # A family past MAX_SETS costs one split's enumeration at most: here the
@@ -737,49 +778,58 @@ def test_reduce_enumerates_the_groups_of_one_split_only(monkeypatch):
     assert len(calls) == 4
 
 
-def test_reduce_reaches_the_planted_n48_row_through_the_estimate_split(monkeypatch):
-    # At the paper's r = 6, the estimate split's family has 568,486 sets; the
-    # turn-taking split's, enumerated alone, passes MAX_SETS.
+def test_reduce_reaches_the_planted_n48_row_through_the_estimate_split():
+    # At the paper's r = 6, the estimate walk's family has 568,486 sets; the
+    # turn-taking walk's, enumerated as the reduction would, passes MAX_SETS
+    # in its group 3.
     f = bench.make_formula(48, 96, 7, True)
     inst, wit = reduction.reduce_to_packing(f, 6, dull_width=0)
     assert inst.set_count == 568_486
-    by_estimate = reduction.clause_groups(f, 6, 0, by_estimate=True)
+    by_estimate = reference_clause_groups(f.clauses, 6, True)
     assert wit.domains == tuple(tuple(sorted({abs(lit) for c in group for lit in f.clauses[c]})) for group in by_estimate)
-    split = reduction.clause_groups
-    monkeypatch.setattr(reduction, "clause_groups", lambda formula, r, d, by_estimate=False: split(formula, r, d))
-    with pytest.raises(ValueError, match=f"^family refused under MAX_SETS = {MAX_SETS}: group 3: more than"):
-        reduction.reduce_to_packing(f, 6, dull_width=0)
+    allowance = MAX_SETS
+    with pytest.raises(ValueError, match="^more than"):
+        for g, group in enumerate(reference_clause_groups(f.clauses, 6)):
+            allowance -= reduction.enumerate_group_assignments(tuple(f.clauses[c] for c in group), limit=allowance).count
+    assert g == 3
 
 
 def test_reduce_keeps_turn_taking_when_only_the_estimate_grid_overflows(monkeypatch):
-    # The estimate split has fewer sets (59 against 73) but a wider grid (18
+    # The estimate walk has fewer sets (59 against 73) but a wider grid (18
     # IDs against 16): with room for 16 grid IDs, turn-taking is kept.
     f = cnf.CnfFormula(num_vars=8, clauses=((-8, 1, -4), (3, -1, -7), (4, 7, 8), (-2, 4, 6), (-8, 3, 6), (1, -7, 3), (-1, 7, 8)))
-    turn_taking = split_family(f, reduction.clause_groups(f, 3, 0))
-    estimate = split_family(f, reduction.clause_groups(f, 3, 0, by_estimate=True))
+    turn_taking_groups = reference_clause_groups(f.clauses, 3)
+    turn_taking = split_family(f, turn_taking_groups)
+    estimate = split_family(f, reference_clause_groups(f.clauses, 3, True))
+    assert [reduction.grid_layout(family[0])[1] for family in (turn_taking, estimate)] == [16, 18]
+    assert [sum(map(len, family[1])) for family in (turn_taking, estimate)] == [73, 59]
     assert reduction.reduce_to_packing(f, 3, dull_width=0)[1].codes == estimate[1]
     monkeypatch.setattr(reduction, "MAX_UNIVERSE", 16)
-    with pytest.raises(ValueError, match="^the grid plus 0 dull IDs exceeds MAX_UNIVERSE = 16"):
-        reduction.clause_groups(f, 3, 0, by_estimate=True)
+    assert reduction.clause_groups(f, 3, 0) == turn_taking_groups
     _, wit = reduction.reduce_to_packing(f, 3, dull_width=0)
     assert (wit.domains, wit.codes) == turn_taking and wit.grid_size == 16
 
 
+class EstimateWalkStarted:
+    """A stand-in for LOG2_8_7 that fails the first estimate walk key taken with it."""
+
+    def __mul__(self, other):
+        raise AssertionError("the estimate walk was started")
+
+    __rmul__ = __mul__
+
+
 def test_reduce_skips_the_estimate_split_once_turn_taking_overflows_its_grid(monkeypatch):
-    splits = []
-
-    def spy(formula, r, d, *, by_estimate=False):
-        splits.append(by_estimate)
-        return split(formula, r, d, by_estimate=by_estimate)
-
+    monkeypatch.setattr(reduction, "LOG2_8_7", EstimateWalkStarted())
+    with pytest.raises(AssertionError, match="the estimate walk was started"):
+        reduction.clause_groups(PHI_ESTIMATE_SMALLER, 2, 0)
     # The formula of test_reduce_refuses_universe_above_bound, whose
-    # turn-taking grid passes MAX_UNIVERSE.
-    split = reduction.clause_groups
-    monkeypatch.setattr(reduction, "clause_groups", spy)
+    # turn-taking grid passes MAX_UNIVERSE: its message is raised, and the
+    # estimate walk never starts.
     f = cnf.CnfFormula(num_vars=1200, clauses=tuple(t for k in range(400) for t in [(3 * k + 1, 3 * k + 2, 3 * k + 3)] * 8))
-    with pytest.raises(ValueError, match=f"^the grid plus 0 dull IDs exceeds MAX_UNIVERSE = {MAX_UNIVERSE}"):
+    message = "the grid plus 0 dull IDs exceeds MAX_UNIVERSE = 65536: 65538 IDs once 3123 of 3200 clauses are grouped"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         reduction.reduce_to_packing(f, 8, dull_width=0)
-    assert splits == [False]
 
 
 def test_reduce_family_bits_boundary(monkeypatch):
